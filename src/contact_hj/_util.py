@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
@@ -63,3 +65,18 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {p.size}")
     return p
+
+
+def parse_id(spec_id: str, kind: str) -> tuple:
+    """Split a built-in id 'name' or 'name(<number>)' into (name, number or None)."""
+    base = spec_id.strip()
+    arg = None
+    if "(" in base:
+        if not base.endswith(")"):
+            raise PreconditionError(f"malformed {kind} id {spec_id!r}")
+        base, raw = base[:-1].split("(", 1)
+        try:
+            arg = float(raw)
+        except ValueError as exc:
+            raise PreconditionError(f"malformed {kind} argument in {spec_id!r}") from exc
+    return base, arg

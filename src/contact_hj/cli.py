@@ -103,34 +103,33 @@ def _nonnegative(value, key: str) -> float:
     return v
 
 
+def _system_id(spec) -> str:
+    """Built-in id string of a 'system' spec: a string or {"id", "lambda"}."""
+    if isinstance(spec, str):
+        return spec
+    if isinstance(spec, dict):
+        base = _require(spec, "id")
+        return f"{base}({float(spec['lambda'])})" if "lambda" in spec else base
+    raise ConfigError("'system' must be a string id or an object with an 'id'")
+
+
 def _resolve_system(spec, dim: int = 1):
     try:
-        if isinstance(spec, str):
-            return builtin_system(spec, dim)
+        S = builtin_system(_system_id(spec), dim)
         if isinstance(spec, dict):
-            base = _require(spec, "id")
-            if "lambda" in spec:
-                base = f"{base}({float(spec['lambda'])})"
-            S = builtin_system(base, dim)
             overrides = {k: float(spec[k]) for k in ("K", "c0", "C_const") if k in spec}
-            return with_overrides(S, **overrides) if overrides else S
+            if overrides:
+                S = with_overrides(S, **overrides)
+        return S
     except PreconditionError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError("'system' must be a string id or an object with an 'id'")
 
 
 def _resolve_hamiltonian(spec, dim: int = 1):
     try:
-        if isinstance(spec, str):
-            return builtin_hamiltonian(spec, dim)
-        if isinstance(spec, dict):
-            base = _require(spec, "id")
-            if "lambda" in spec:
-                base = f"{base}({float(spec['lambda'])})"
-            return builtin_hamiltonian(base, dim)
+        return builtin_hamiltonian(_system_id(spec), dim)
     except PreconditionError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError("'system' must be a string id or an object with an 'id'")
 
 
 def _resolve_datum(spec):

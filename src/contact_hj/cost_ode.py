@@ -1,10 +1,18 @@
-"""Running-cost integration along discretized curves.
+"""Running-cost integration along discretized curves, and the RK4 stepper.
 
 The running cost solves du/ds = L(xi(s), u, xi'(s)) along a curve xi that
 is piecewise linear on a uniform time grid.  Velocities are piecewise
 constant, so the integrand is smooth inside every segment; a classical
 fixed-step RK4 sweep whose substeps never straddle a segment boundary
 keeps full one-step order.
+
+`_rk4` is the package's one classical RK4 stepper: it advances a stacked
+state array, guards it against overflow and optionally records it.
+`_rk4_sweep` runs it along a batch of piecewise-linear curves; it carries
+the cost ODE here (forward, batched and in reversed time), the
+exponential-weight state (u, I, J) in `fundamental`, and the frozen-value
+gap integral in `vanishing`.  The characteristic system in `fundamental`
+steps the stacked (xi, p, u) state with `_rk4` directly.
 
 The batched sweep `integrate_cost_many` carries an ensemble of curves
 through the same time grid in one pass; the variational solvers use it
@@ -103,11 +111,45 @@ class CostTrajectory:
         return np.interp(s, self.times, self.samples)
 
 
-def _rk4_sweep(S: ContactSystem, t_final: float, nodes: np.ndarray,
-               u0: np.ndarray, substeps: int) -> np.ndarray:
-    """RK4 the cost ODE for a batch of curves; returns samples (B, N*m+1).
+def _rk4(f, y0, h: float, steps, guard_every: int = 1,
+         record: bool = False) -> np.ndarray:
+    """Classical RK4 for y' = f(x, y, v) over uniform steps of size h.
 
-    nodes has shape (B, N+1, dim); all curves share the time grid.
+    y0 is a stacked state with the batch on its leading axis.  Each entry
+    (x0, xm, x1, v) of `steps` gives the positions at the start, midpoint
+    and end of one step, and its velocity; arguments f ignores may be None.
+    Raises Overflow once |y| passes OVERFLOW_LIMIT or turns non-finite,
+    checked after every `guard_every` steps.  Returns the final state, or
+    all len(steps) + 1 states on a new leading axis when record is set.
+    """
+    y = np.array(y0, dtype=float)
+    path = np.empty((len(steps) + 1,) + y.shape) if record else None
+    if record:
+        path[0] = y
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for i, (x0, xm, x1, v) in enumerate(steps, 1):
+        k1 = f(x0, y, v)
+        k2 = f(xm, y + hh * k1, v)
+        k3 = f(xm, y + hh * k2, v)
+        k4 = f(x1, y + h * k3, v)
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        if record:
+            path[i] = y
+        if i % guard_every == 0 and (
+                not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_LIMIT):
+            raise Overflow(f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration")
+    return path if record else y
+
+
+def _rk4_sweep(f, t_final: float, nodes: np.ndarray, y0: np.ndarray,
+               substeps: int) -> np.ndarray:
+    """RK4 of y' = f(xi(s), y, xi'(s)) along a batch of piecewise-linear curves.
+
+    nodes has shape (B, N+1, dim) and all curves share the time grid; y0
+    has the batch on its leading axis.  Substeps never straddle a segment
+    boundary, and the overflow guard runs once per segment.  Returns the
+    samples at every substep, shape (B, N*m+1) + y0.shape[1:].
     """
     B, Np1, n = nodes.shape
     N = Np1 - 1
@@ -116,29 +158,14 @@ def _rk4_sweep(S: ContactSystem, t_final: float, nodes: np.ndarray,
         raise PreconditionError("substeps_per_segment must be >= 1")
     h = t_final / (N * m)
     vel = (nodes[:, 1:, :] - nodes[:, :-1, :]) * (N / t_final)
-    # stage positions are u-independent; precompute them for the whole sweep
+    # stage positions are y-independent; precompute them for the whole sweep
     offs = np.arange(m) * h
     starts = nodes[:, :-1, None, :] + offs[None, None, :, None] * vel[:, :, None, :]
     mids = starts + (0.5 * h) * vel[:, :, None, :]
     ends = starts + h * vel[:, :, None, :]
-    u = np.array(u0, dtype=float).reshape(B).copy()
-    out = np.empty((B, N * m + 1))
-    out[:, 0] = u
-    col = 1
-    h6 = h / 6.0
-    for k in range(N):
-        vk = vel[:, k, :]
-        for j in range(m):
-            k1 = S.L(starts[:, k, j], u, vk)
-            k2 = S.L(mids[:, k, j], u + 0.5 * h * k1, vk)
-            k3 = S.L(mids[:, k, j], u + 0.5 * h * k2, vk)
-            k4 = S.L(ends[:, k, j], u + h * k3, vk)
-            u = u + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            out[:, col] = u
-            col += 1
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > OVERFLOW_LIMIT:
-            raise Overflow(f"|u| exceeded {OVERFLOW_LIMIT:g} during cost integration")
-    return out
+    steps = [(starts[:, k, j], mids[:, k, j], ends[:, k, j], vel[:, k])
+             for k in range(N) for j in range(m)]
+    return _rk4(f, y0, h, steps, guard_every=m, record=True).swapaxes(0, 1)
 
 
 def integrate_cost_many(S: ContactSystem, t_final: float, nodes: np.ndarray,
@@ -146,7 +173,7 @@ def integrate_cost_many(S: ContactSystem, t_final: float, nodes: np.ndarray,
     """Batched forward integration; returns cost samples of shape (B, N*m+1)."""
     nodes = np.asarray(nodes, dtype=float)
     u0 = np.broadcast_to(np.asarray(u0, dtype=float), (nodes.shape[0],))
-    return _rk4_sweep(S, float(t_final), nodes, u0, substeps_per_segment)
+    return _rk4_sweep(S.L, float(t_final), nodes, u0, substeps_per_segment)
 
 
 def integrate_cost(S: ContactSystem, xi: Curve, u0: float,
@@ -154,7 +181,7 @@ def integrate_cost(S: ContactSystem, xi: Curve, u0: float,
     """Forward integration of the running-cost ODE du/ds = L(xi, u, xi')."""
     if not np.isfinite(u0):
         raise PreconditionError("u0 must be finite")
-    samples = _rk4_sweep(S, xi.t_final, xi.nodes[None], np.array([u0]),
+    samples = _rk4_sweep(S.L, xi.t_final, xi.nodes[None], np.array([u0]),
                          substeps_per_segment)[0]
     samples[0] = u0  # exact by construction; pin against any float cast
     M = samples.size - 1
@@ -172,16 +199,9 @@ def integrate_cost_backward(S: ContactSystem, xi: Curve, u_final: float,
     if not np.isfinite(u_final):
         raise PreconditionError("u_final must be finite")
     rev = xi.reversed()
-
-    class _Flipped:
-        """Reversed-time integrand: dw/dtau = -L(xi(t-tau), w, xi'(t-tau))."""
-
-        @staticmethod
-        def L(x, w, v_rev):
-            return -np.asarray(S.L(x, w, -np.asarray(v_rev, float)), dtype=float)
-
-    w = _rk4_sweep(_Flipped, rev.t_final, rev.nodes[None], np.array([u_final]),
-                   substeps_per_segment)[0]
+    # reversed time: dw/dtau = -L(xi(t - tau), w, -xi_rev'(tau))
+    w = _rk4_sweep(lambda x, w, v: -S.L(x, w, -v), rev.t_final, rev.nodes[None],
+                   np.array([u_final]), substeps_per_segment)[0]
     samples = w[::-1].copy()
     M = samples.size - 1
     times = np.linspace(0.0, xi.t_final, M + 1)

@@ -25,9 +25,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._util import as_point
-from .cost_ode import CostTrajectory, Curve, integrate_cost, integrate_cost_many
-from .errors import (OVERFLOW_LIMIT, NoRootFound, NonConvergence, Overflow,
-                     PreconditionError)
+from .cost_ode import (CostTrajectory, Curve, _rk4, _rk4_sweep, integrate_cost,
+                       integrate_cost_many)
+from .errors import NoRootFound, NonConvergence, PreconditionError
 from .systems import ContactSystem, HamiltonianSystem
 
 #: below this horizon the fundamental solution is refused rather than
@@ -152,47 +152,6 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 # exponential-weight representation
 # ---------------------------------------------------------------------------
 
-def _exp_sweep(S: ContactSystem, t_final: float, nodes: np.ndarray,
-               u0: np.ndarray, substeps: int):
-    """RK4 the augmented system (u, I, J) along a batch of curves.
-
-    I(s) integrates the value derivative of L along the trajectory and
-    J(s) integrates exp(-I) (L - u dL/du); the exponential-weight value
-    is exp(I(t)) (u0 + J(t)).
-    """
-    B, Np1, _ = nodes.shape
-    N = Np1 - 1
-    m = int(substeps)
-    h = t_final / (N * m)
-    vel = (nodes[:, 1:, :] - nodes[:, :-1, :]) * (N / t_final)
-    u = np.array(u0, dtype=float).reshape(B).copy()
-    I = np.zeros(B)
-    J = np.zeros(B)
-
-    def rhs(pos, vk, uu, ii):
-        lval = np.asarray(S.L(pos, uu, vk), dtype=float)
-        lu = np.asarray(S.Lu(pos, uu, vk), dtype=float)
-        return lval, lu, np.exp(-ii) * (lval - uu * lu)
-
-    for k in range(N):
-        a = nodes[:, k, :]
-        vk = vel[:, k, :]
-        for j in range(m):
-            x0 = a + (j * h) * vk
-            xm = a + ((j + 0.5) * h) * vk
-            x1 = a + ((j + 1) * h) * vk
-            du1, dI1, dJ1 = rhs(x0, vk, u, I)
-            du2, dI2, dJ2 = rhs(xm, vk, u + 0.5 * h * du1, I + 0.5 * h * dI1)
-            du3, dI3, dJ3 = rhs(xm, vk, u + 0.5 * h * du2, I + 0.5 * h * dI2)
-            du4, dI4, dJ4 = rhs(x1, vk, u + h * du3, I + h * dI3)
-            u = u + (h / 6.0) * (du1 + 2 * du2 + 2 * du3 + du4)
-            I = I + (h / 6.0) * (dI1 + 2 * dI2 + 2 * dI3 + dI4)
-            J = J + (h / 6.0) * (dJ1 + 2 * dJ2 + 2 * dJ3 + dJ4)
-        if np.max(np.abs(u)) > OVERFLOW_LIMIT:
-            raise Overflow("cost blow-up inside exponential-weight evaluation")
-    return u, I, J
-
-
 def fundamental_exponential(S: ContactSystem, xi: Curve, u: float,
                             substeps_per_segment: int = 4) -> float:
     """Exponential-weight value of the terminal cost along a given curve.
@@ -202,9 +161,18 @@ def fundamental_exponential(S: ContactSystem, xi: Curve, u: float,
     """
     if not np.isfinite(u):
         raise PreconditionError("u must be finite")
-    _, I, J = _exp_sweep(S, xi.t_final, xi.nodes[None], np.array([u]),
-                         substeps_per_segment)
-    return float(np.exp(I[0]) * (u + J[0]))
+
+    def rhs(x, y, v):
+        # y stacks (u, I, J): I integrates the value derivative of L along
+        # the trajectory and J integrates exp(-I) (L - u dL/du)
+        uu = y[:, 0]
+        lval = np.asarray(S.L(x, uu, v), dtype=float)
+        lu = np.asarray(S.Lu(x, uu, v), dtype=float)
+        return np.stack([lval, lu, np.exp(-y[:, 1]) * (lval - uu * lu)], axis=-1)
+
+    _, I, J = _rk4_sweep(rhs, xi.t_final, xi.nodes[None], np.array([[u, 0.0, 0.0]]),
+                         substeps_per_segment)[0, -1]
+    return float(np.exp(I) * (u + J))
 
 
 # ---------------------------------------------------------------------------
@@ -230,34 +198,23 @@ def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):
     return dxi, dp, float(du)
 
 
-def _lie_batch(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
-               p0: np.ndarray, steps: int, record: bool = False):
-    """RK4 the characteristic system for a batch of initial momenta."""
+def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
+                     p0: np.ndarray, steps: int, record: bool = False) -> np.ndarray:
+    """RK4 the characteristic system for a batch of initial momenta.
+
+    Returns the stacked state (xi, p, u) of shape (B, 2n+1), or the
+    (steps+1, B, 2n+1) path when record is set.  The overflow guard runs
+    after every step.
+    """
     B, n = p0.shape
-    xi = np.broadcast_to(x0, (B, n)).astype(float).copy()
-    p = np.array(p0, dtype=float)
-    u = np.full(B, float(u0))
-    h = t / steps
-    if record:
-        path_xi = np.empty((steps + 1, B, n))
-        path_p = np.empty((steps + 1, B, n))
-        path_u = np.empty((steps + 1, B))
-        path_xi[0], path_p[0], path_u[0] = xi, p, u
-    for i in range(steps):
-        k1x, k1p, k1u = _lie_rhs(HS, xi, p, u)
-        k2x, k2p, k2u = _lie_rhs(HS, xi + 0.5 * h * k1x, p + 0.5 * h * k1p, u + 0.5 * h * k1u)
-        k3x, k3p, k3u = _lie_rhs(HS, xi + 0.5 * h * k2x, p + 0.5 * h * k2p, u + 0.5 * h * k2u)
-        k4x, k4p, k4u = _lie_rhs(HS, xi + h * k3x, p + h * k3p, u + h * k3u)
-        xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > OVERFLOW_LIMIT:
-            raise Overflow("characteristic integration blew up")
-        if record:
-            path_xi[i + 1], path_p[i + 1], path_u[i + 1] = xi, p, u
-    if record:
-        return path_xi, path_p, path_u
-    return xi, p, u
+    y0 = np.concatenate([np.broadcast_to(x0, (B, n)), p0, np.full((B, 1), float(u0))],
+                        axis=1)
+
+    def rhs(_x, y, _v):  # autonomous: no stage positions
+        dxi, dp, du = _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1])
+        return np.concatenate([dxi, dp, du[:, None]], axis=1)
+
+    return _rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record)
 
 
 def shoot(HS: HamiltonianSystem, t: float, x, u0: float, p0, steps: int = 256) -> CharacteristicState:
@@ -266,8 +223,9 @@ def shoot(HS: HamiltonianSystem, t: float, x, u0: float, p0, steps: int = 256) -
         raise PreconditionError("t must be positive")
     x = as_point(x, HS.dim)
     p0 = as_point(p0, HS.dim)
-    xi, p, u = _lie_batch(HS, t, x, u0, p0[None, :], int(steps))
-    return CharacteristicState(xi=xi[0], p=p[0], u=float(u[0]), s=float(t))
+    y = _characteristics(HS, t, x, u0, p0[None, :], int(steps))[0]
+    n = HS.dim
+    return CharacteristicState(xi=y[:n], p=y[n:-1], u=float(y[-1]), s=float(t))
 
 
 def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
@@ -296,8 +254,8 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     tol_abs = newton_tol * max(1.0, d)
 
     def final_state(P):
-        xi, _, uu = _lie_batch(HS, t, x, u, P, int(steps))
-        return xi, uu
+        y = _characteristics(HS, t, x, u, P, int(steps))
+        return y[:, :n], y[:, -1]
 
     xiT, uT = final_state(p_cur)
     miss = np.linalg.norm(xiT - y, axis=-1)
@@ -378,12 +336,11 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
 
     stride = max(1, int(np.ceil(steps / segments)))
     steps_eff = segments * stride
-    path_xi, _, path_u = _lie_batch(HS, t, x, u, p0_win[None, :], steps_eff, record=True)
-    nodes = path_xi[::stride, 0, :]
-    curve = Curve(t_final=t, nodes=nodes)
+    path = _characteristics(HS, t, x, u, p0_win[None, :], steps_eff, record=True)[:, 0]
+    curve = Curve(t_final=t, nodes=path[::stride, :n])
     traj = CostTrajectory(times=np.linspace(0.0, t, steps_eff + 1),
-                          samples=path_u[:, 0].copy(), u0=float(u))
-    A = float(path_u[-1, 0])
+                          samples=path[:, -1].copy(), u0=float(u))
+    A = float(path[-1, -1])
     return FundamentalResult(h=A - u, A=A, minimizer=curve, trajectory=traj,
                              iterations=iters, objective_history=np.array([A]),
                              converged=True, p0=p0_win)

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import qmc
 
-from ._util import as_point, golden_min
+from ._util import as_point, golden_min, parse_id
 from .errors import NonConvergence, PreconditionError
 
 Evaluator = Callable[..., np.ndarray]
@@ -67,13 +67,7 @@ def _fd_jacobian_last_axis(g, z, h):
     Returns shape (..., n, n) with [i, j] = d g_j / d z_i, symmetrized,
     which is the Hessian when g is a gradient.
     """
-    n = z.shape[-1]
-    rows = []
-    for i in range(n):
-        e = np.zeros_like(z)
-        e[..., i] = h
-        rows.append((g(z + e) - g(z - e)) / (2.0 * h))
-    m = np.stack(rows, axis=-2)
+    m = _fd_grad_last_axis(g, z, h)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
@@ -694,50 +688,37 @@ def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
 BUILTIN_SYSTEM_IDS = ("quadratic", "discounted-quadratic(<lambda>)", "quartic", "trig-contact")
 
 
-def _parse_system_id(spec_id: str):
-    base = spec_id.strip()
-    arg = None
-    if "(" in base:
-        if not base.endswith(")"):
-            raise PreconditionError(f"malformed system id {spec_id!r}")
-        base, raw = base[:-1].split("(", 1)
-        try:
-            arg = float(raw)
-        except ValueError as exc:
-            raise PreconditionError(f"malformed system argument in {spec_id!r}") from exc
-    return base, arg
+#: id -> (Lagrangian builder, Hamiltonian builder, takes a rate argument)
+_BUILTINS = {
+    "quadratic": (quadratic_system, quadratic_hamiltonian, False),
+    "discounted-quadratic": (discounted_quadratic_system,
+                             discounted_quadratic_hamiltonian, True),
+    "quartic": (quartic_system, quartic_hamiltonian, False),
+    "trig-contact": (trig_contact_system, trig_contact_hamiltonian, False),
+}
+
+
+def _builtin(spec_id: str, dim: int, side: int):
+    """Resolve a built-in id to its Lagrangian (side 0) or Hamiltonian (side 1) system."""
+    base, arg = parse_id(spec_id, "system")
+    if base not in _BUILTINS:
+        raise PreconditionError(f"unknown system id {spec_id!r}; known: {BUILTIN_SYSTEM_IDS}")
+    *builders, takes_rate = _BUILTINS[base]
+    if not takes_rate:
+        return builders[side](dim)
+    if arg is None:
+        raise PreconditionError(f"{base} requires a rate, e.g. {base}(1.0)")
+    return builders[side](arg, dim)
 
 
 def builtin_system(spec_id: str, dim: int = 1) -> ContactSystem:
     """Resolve a built-in Lagrangian system id such as 'discounted-quadratic(0.5)'."""
-    base, arg = _parse_system_id(spec_id)
-    if base == "quadratic":
-        return quadratic_system(dim)
-    if base == "discounted-quadratic":
-        if arg is None:
-            raise PreconditionError("discounted-quadratic requires a rate, e.g. discounted-quadratic(1.0)")
-        return discounted_quadratic_system(arg, dim)
-    if base == "quartic":
-        return quartic_system(dim)
-    if base == "trig-contact":
-        return trig_contact_system(dim)
-    raise PreconditionError(f"unknown system id {spec_id!r}; known: {BUILTIN_SYSTEM_IDS}")
+    return _builtin(spec_id, dim, 0)
 
 
 def builtin_hamiltonian(spec_id: str, dim: int = 1) -> HamiltonianSystem:
     """Resolve the Hamiltonian dual of a built-in system id."""
-    base, arg = _parse_system_id(spec_id)
-    if base == "quadratic":
-        return quadratic_hamiltonian(dim)
-    if base == "discounted-quadratic":
-        if arg is None:
-            raise PreconditionError("discounted-quadratic requires a rate")
-        return discounted_quadratic_hamiltonian(arg, dim)
-    if base == "quartic":
-        return quartic_hamiltonian(dim)
-    if base == "trig-contact":
-        return trig_contact_hamiltonian(dim)
-    raise PreconditionError(f"unknown system id {spec_id!r}; known: {BUILTIN_SYSTEM_IDS}")
+    return _builtin(spec_id, dim, 1)
 
 
 def with_overrides(S: ContactSystem, **kwargs) -> ContactSystem:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import as_point, golden_min
+from ._util import as_point, golden_min, parse_id
 from .errors import PreconditionError
 from .fundamental import OptimizerParams, fundamental_direct
 from .systems import (ContactSystem, HamiltonianSystem, legendre_to_hamiltonian)
@@ -130,16 +130,7 @@ BUILTIN_DATUM_IDS = ("sin", "cos-bump", "constant(<c>)")
 
 def builtin_datum(spec_id: str) -> InitialDatum:
     """Resolve a built-in initial datum id."""
-    s = spec_id.strip()
-    arg = None
-    if "(" in s:
-        if not s.endswith(")"):
-            raise PreconditionError(f"malformed datum id {spec_id!r}")
-        s, raw = s[:-1].split("(", 1)
-        try:
-            arg = float(raw)
-        except ValueError as exc:
-            raise PreconditionError(f"malformed datum argument in {spec_id!r}") from exc
+    s, arg = parse_id(spec_id, "datum")
     if s == "sin":
         return datum_sin()
     if s == "cos-bump":
@@ -193,7 +184,7 @@ class SearchParams:
     segments: int = 16         # curve segments of every inner solve
     grid_points: int = 33      # coarse grid points per axis
     ytol: float = 1e-6         # golden-section tolerance in y
-    refine_sweeps: int = 2     # coordinate-descent sweeps (n = 2)
+    refine_sweeps: int = 2     # coordinate-descent sweeps (n = 2; n = 1 needs one)
     opt: OptimizerParams = field(default_factory=OptimizerParams)
 
 
@@ -218,47 +209,35 @@ def _search_ball(S, datum, t, x, search) -> tuple:
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
-    if n == 1:
-        for yv in axes[0]:
-            y = np.array([yv])
-            val = g(y)
-            if val < best_val:
-                best_val, best_y = val, y
-        step = 2.0 * radius / (G - 1)
-        lo = max(x[0] - radius, best_y[0] - step)
-        hi = min(x[0] + radius, best_y[0] + step)
-        yr, vr = golden_min(lambda c: g(np.array([c])), lo, hi, xtol=search.ytol)
-        if vr < best_val:
-            best_val, best_y = vr, np.array([yr])
-    else:
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
-        for y in mesh[inside]:
-            val = g(y)
-            if val < best_val:
-                best_val, best_y = val, y.copy()
-        step = 2.0 * radius / (G - 1)
-        y_cur = best_y.copy()
-        for _ in range(max(1, search.refine_sweeps)):
-            for i in range(n):
-                others = np.delete(y_cur - x, i)
-                half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
-                lo = max(x[i] - half, y_cur[i] - step)
-                hi = min(x[i] + half, y_cur[i] + step)
-                if hi <= lo:
-                    continue
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
+    for y in mesh[inside]:
+        val = g(y)
+        if val < best_val:
+            best_val, best_y = val, y.copy()
+    step = 2.0 * radius / (G - 1)
+    y_cur = best_y.copy()
+    # a single coordinate is settled by one sweep
+    sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
+    for _ in range(sweeps):
+        for i in range(n):
+            others = np.delete(y_cur - x, i)
+            half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
+            lo = max(x[i] - half, y_cur[i] - step)
+            hi = min(x[i] + half, y_cur[i] + step)
+            if hi <= lo:
+                continue
 
-                def gi(c, i=i):
-                    yy = y_cur.copy()
-                    yy[i] = c
-                    return g(yy)
+            def gi(c, i=i):
+                yy = y_cur.copy()
+                yy[i] = c
+                return g(yy)
 
-                ci, vi = golden_min(gi, lo, hi, xtol=search.ytol)
-                if vi < best_val:
-                    best_val = vi
-                    y_cur[i] = ci
-                    best_y = y_cur.copy()
-        best_y = best_y.copy()
+            ci, vi = golden_min(gi, lo, hi, xtol=search.ytol)
+            if vi < best_val:
+                best_val = vi
+                y_cur[i] = ci
+                best_y = y_cur.copy()
     return float(best_val), best_y, radius
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cost_ode import Curve, integrate_cost
+from .cost_ode import Curve, _rk4_sweep, integrate_cost
 from .errors import BoundViolation, PreconditionError
 from .fundamental import fundamental_direct
 from .systems import ContactSystem, _eye_like, _sq
@@ -131,35 +131,6 @@ class ContactBoundResult:
     passed: bool
 
 
-def _frozen_gap_integral(S_lambda: ContactSystem, L0: ContactSystem,
-                         xi: Curve, substeps: int) -> float:
-    """Integral of |L_lambda(xi, xi') - L0(xi, xi')| with the RK4 quadrature.
-
-    L_lambda freezes the value slot at zero; the integrand depends on s
-    only, so the RK4 stages collapse to a Simpson-type rule per substep.
-    """
-    N = xi.segments
-    m = int(substeps)
-    h = xi.t_final / (N * m)
-    vel = xi.velocities
-    total = 0.0
-    zero = np.zeros(())
-    for k in range(N):
-        a = xi.nodes[k]
-        vk = vel[k]
-
-        def f(shift):
-            pos = a + shift * vk
-            return abs(float(S_lambda.L(pos, zero, vk)) - float(L0.L(pos, zero, vk)))
-
-        for j in range(m):
-            f0 = f(j * h)
-            fm = f((j + 0.5) * h)
-            f1 = f((j + 1) * h)
-            total += (h / 6.0) * (f0 + 4.0 * fm + f1)
-    return total
-
-
 def contact_bound(S_lambda: ContactSystem, L0: ContactSystem, xi: Curve,
                   u: float, R: float, substeps: int = 4,
                   slack: float = 1e-9) -> ContactBoundResult:
@@ -180,7 +151,11 @@ def contact_bound(S_lambda: ContactSystem, L0: ContactSystem, xi: Curve,
     kappa = float(L0.theta0_bar(R / t)) + 2.0 * L0.c0
     f_term = kappa * ekt
     c_factor = t * K_lam * ekt + 1.0
-    corr = _frozen_gap_integral(S_lambda, L0, xi, substeps)
+    # integral of |L_lambda(xi, xi') - L0(xi, xi')| with the value slot
+    # frozen at zero; on this state-free integrand RK4 is Simpson's rule
+    zero = np.zeros(1)
+    corr = float(_rk4_sweep(lambda x, y, v: np.abs(S_lambda.L(x, zero, v) - L0.L(x, zero, v)),
+                            t, xi.nodes[None], zero, substeps)[0, -1])
     bound = t * f_term + c_factor * abs(u) + ekt * corr
 
     traj = integrate_cost(S_lambda, xi, u, substeps)

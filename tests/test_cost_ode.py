@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from contact_hj import (ContactSystem, Curve, MonotonicityViolation, Overflow,
-                        cost_comparison, discounted_quadratic_system,
+from contact_hj import (ContactSystem, Curve, HamiltonianSystem,
+                        MonotonicityViolation, Overflow, cost_comparison,
+                        discounted_quadratic_system, fundamental_exponential,
                         integrate_cost, integrate_cost_backward,
-                        quadratic_system, trig_contact_system)
+                        quadratic_system, shoot, trig_contact_system)
 from contact_hj.cost_ode import CostTrajectory, assert_ordered
 
 
@@ -168,6 +169,20 @@ def test_overflow_guard():
     xi = Curve.straight(0.0, 0.0, 1.0, 8)
     with pytest.raises(Overflow):
         integrate_cost(bad, xi, 10.0)
+    with pytest.raises(Overflow), np.errstate(over="ignore", invalid="ignore"):
+        fundamental_exponential(bad, xi, 10.0)  # L_u by finite differences
+
+    # characteristics: u' = <p, H_p> - H = u^2 while p stays 0
+    def ham(x, u, p):
+        with np.errstate(over="ignore"):
+            return 0.5 * np.sum(np.asarray(p, float) ** 2, axis=-1) - np.asarray(u, float) ** 2
+
+    bad_h = HamiltonianSystem(dim=1, hamiltonian=ham, K=0.0,
+                              H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
+                              H_u=lambda x, u, p: -2.0 * np.asarray(u, float),
+                              H_p=lambda x, u, p: np.asarray(p, float).copy())
+    with pytest.raises(Overflow):
+        shoot(bad_h, 1.0, 0.0, 10.0, 0.0)
 
 
 def test_backward_integration_roundtrip():
