@@ -17,7 +17,7 @@ def golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200
 
     Deterministic and derivative-free; returns (x_best, f_best).  The
     endpoints are always candidates, so a monotone f cannot escape the
-    bracket.
+    bracket; f is called once per distinct point.
     """
     a, b = float(lo), float(hi)
     if b < a:
@@ -29,20 +29,25 @@ def golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
+    fa = fb = None  # an endpoint's value is known once it was an interior point
     for _ in range(max_iter):
         if h <= xtol:
             break
         if fc < fd:
-            b, d, fd = d, c, fc
+            b, fb, d, fd = d, fd, c, fc
             h = b - a
             c = a + _INVPHI2 * h
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             h = b - a
             d = a + _INVPHI * h
             fd = f(d)
-    candidates = [(fc, c), (fd, d), (f(a), a), (f(b), b)]
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
+    candidates = [(fc, c), (fd, d), (fa, a), (fb, b)]
     fbest, xbest = min(candidates, key=lambda p: p[0])
     return xbest, fbest
 

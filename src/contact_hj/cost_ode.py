@@ -128,17 +128,20 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
         path[0] = y
     hh = 0.5 * h
     h6 = h / 6.0
-    for i, (x0, xm, x1, v) in enumerate(steps, 1):
-        k1 = f(x0, y, v)
-        k2 = f(xm, y + hh * k1, v)
-        k3 = f(xm, y + hh * k2, v)
-        k4 = f(x1, y + h * k3, v)
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if record:
-            path[i] = y
-        if i % guard_every == 0 and (
-                not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_LIMIT):
-            raise Overflow(f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration")
+    # a runaway state overflows between guards; the guard reports it as
+    # Overflow, so numpy's own warnings about it are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (x0, xm, x1, v) in enumerate(steps, 1):
+            k1 = f(x0, y, v)
+            k2 = f(xm, y + hh * k1, v)
+            k3 = f(xm, y + hh * k2, v)
+            k4 = f(x1, y + h * k3, v)
+            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            if record:
+                path[i] = y
+            if i % guard_every == 0 and (
+                    not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_LIMIT):
+                raise Overflow(f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration")
     return path if record else y
 
 

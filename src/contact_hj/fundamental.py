@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from ._util import as_point
 from .cost_ode import (CostTrajectory, Curve, _rk4, _rk4_sweep, integrate_cost,
@@ -78,6 +78,164 @@ class CharacteristicState:
 # direct minimization
 # ---------------------------------------------------------------------------
 
+#: the lockstep driver solves its lanes in slices of at most this many cost
+#: sweep rows (2D + 1 per lane), so that neither the sweep's arrays nor the
+#: lanes' L-BFGS-B workspaces grow with the number of lanes
+_LOCKSTEP_ROWS = 1024
+
+
+class _Lane:
+    """One L-BFGS-B instance: its reverse-communication state and its cache.
+
+    The arrays are those scipy's `_minimize_lbfgsb` hands to `setulb`; the
+    cache holds the last evaluated point, like scipy's x-equality cache.
+    """
+
+    def __init__(self, x, y, u, z0, m):
+        D = z0.size
+        self.x0, self.y0, self.u = x, y, float(u)
+        self.z = np.array(z0, dtype=np.float64)
+        self.f = np.array(0.0, dtype=np.float64)
+        self.g = np.zeros(D)
+        self.wa = np.zeros(2 * m * D + 5 * D + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * D, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.nit = 0
+        self.nfev = 0
+        self.history = []
+        self.seen = None      # (z, f, g, cost samples of the unperturbed row)
+
+    def advance(self, m, nbd, bnd, factr, pgtol, maxls, maxiter, maxfun) -> bool:
+        """Step `setulb` until it asks for f and g at an unseen point (True)
+        or stops (False), mirroring the loop of scipy's `_minimize_lbfgsb`."""
+        while True:
+            self.g = self.g.astype(np.float64)
+            setulb(m, self.z, bnd, bnd, nbd, self.f, self.g, factr, pgtol,
+                   self.wa, self.iwa, self.task, self.lsave, self.isave,
+                   self.dsave, maxls, self.ln_task)
+            if self.task[0] == 3:
+                if self.seen is None or not np.array_equal(self.z, self.seen[0]):
+                    return True
+                self.f, self.g = self.seen[1], self.seen[2]
+            elif self.task[0] == 1:
+                self.nit += 1
+                self.history.append(self.seen[1])
+                if self.nit >= maxiter:
+                    self.task[:] = (5, 504)
+                elif self.nfev > maxfun:
+                    self.task[:] = (5, 502)
+            else:
+                return False
+
+
+def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
+    """Answer every lane's f and g request with one batched cost sweep."""
+    n = lanes[0].x0.size
+    D = eye.shape[0]
+    R = 2 * D + 1
+    nodes = np.empty((R * len(lanes), N + 1, n))
+    for k, ln in enumerate(lanes):
+        z = ln.z
+        zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
+        block = nodes[k * R:(k + 1) * R]
+        block[:, 0, :] = ln.x0
+        block[:, -1, :] = ln.y0
+        block[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
+    u0 = np.repeat([ln.u for ln in lanes], R)
+    samples = integrate_cost_many(S, t, nodes, u0, opt.substeps)
+    for k, ln in enumerate(lanes):
+        finals = samples[k * R:(k + 1) * R, -1]
+        f = float(finals[0])
+        g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
+        ln.nfev += 1
+        ln.seen = (ln.z.copy(), f, g, samples[k * R].copy())
+        if not ln.history:
+            ln.history.append(f)
+        ln.f, ln.g = f, g
+
+
+def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
+                     opt: OptimizerParams) -> list:
+    """Minimize the terminal running cost for a batch of (x, y, u) lanes.
+
+    Each lane runs scipy's L-BFGS-B (`setulb`) with the options and stops
+    of `scipy.optimize.minimize`, so it follows the iterates it would
+    follow alone; every round, the lanes that ask for f and g are answered
+    together by one `integrate_cost_many` sweep.  The lanes run in
+    successive slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
+    FundamentalResult per lane; when lanes miss their criteria within
+    max_iter, raises the NonConvergence of the first such lane, as solving
+    the lanes one after another would.  An Overflow in any sweep ends the
+    whole batch.
+    """
+    if t <= T_MIN:
+        raise PreconditionError(f"t must exceed {T_MIN:g}")
+    if segments < 2:
+        raise PreconditionError("need at least 2 segments")
+    n = S.dim
+    N = int(segments)
+    D = (N - 1) * n
+    eye = np.eye(D) * opt.fd_step
+    # scipy's L-BFGS-B stops on EITHER criterion; the contract wants both,
+    # so its own ftol is disabled and the per-component gradient tolerance
+    # is tightened to imply the 2-norm criterion.
+    m = min(max(D, 1), 64)
+    pgtol = opt.gtol / np.sqrt(max(D, 1))
+    factr = 1e-15 / np.finfo(float).eps
+    nbd = np.zeros(D, dtype=np.int32)
+    bnd = np.zeros(D)
+    settings = (m, nbd, bnd, factr, pgtol, 100, opt.max_iter, 15000)
+
+    width = max(1, _LOCKSTEP_ROWS // (2 * D + 1))
+    results = []
+    for i in range(0, len(ends), width):
+        lanes = []
+        for x, y, u in ends[i:i + width]:
+            if not np.isfinite(u):
+                raise PreconditionError("u must be finite")
+            x, y = as_point(x, n), as_point(y, n)
+            lanes.append(_Lane(x, y, u, Curve.straight(x, y, t, N).interior, m))
+        active = [ln for ln in lanes if ln.advance(*settings)]
+        while active:
+            _sweep_lanes(S, t, active, N, opt, eye)
+            active = [ln for ln in active if ln.advance(*settings)]
+        results += [_finish(S, t, ln, N, opt) for ln in lanes]
+    return results
+
+
+def _finish(S, t, ln: _Lane, N: int, opt: OptimizerParams) -> FundamentalResult:
+    """Result of a stopped lane; NonConvergence if it exhausted max_iter."""
+    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(ln.z)
+    if ln.z.tobytes() == ln.seen[0].tobytes():
+        # the last evaluation's unperturbed row already is the trajectory
+        samples = ln.seen[3]
+        samples[0] = ln.u
+        traj = CostTrajectory(times=np.linspace(0.0, float(t), samples.size),
+                              samples=samples, u0=ln.u)
+    else:
+        traj = integrate_cost(S, curve, ln.u, opt.substeps)
+    A = traj.final
+    history = ln.history
+    if history[-1] != A:
+        history.append(A)
+
+    grad_norm = float(np.linalg.norm(np.atleast_1d(ln.g)))
+    last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
+    converged = grad_norm < opt.gtol and last_dec < opt.tol
+    if ln.nit >= opt.max_iter and not converged:
+        raise NonConvergence(
+            f"curve minimization exhausted {opt.max_iter} iterations "
+            f"(gradient norm {grad_norm:.3g})")
+    return FundamentalResult(h=A - ln.u, A=A, minimizer=curve, trajectory=traj,
+                             iterations=int(ln.nit),
+                             objective_history=np.asarray(history),
+                             converged=bool(converged))
+
+
 def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
                        segments: int = 32,
                        opt: Optional[OptimizerParams] = None) -> FundamentalResult:
@@ -87,65 +245,10 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     curve initialized as the straight segment; the objective value is the
     final sample of the cost ODE.  Gradients are central differences on
     the node coordinates, evaluated as one batched integration sweep.
+    This is the one-lane case of `_direct_lockstep`, which also solves
+    the rest point and coarse screen of `value._search_ball` as one batch.
     """
-    opt = opt or OptimizerParams()
-    if t <= T_MIN:
-        raise PreconditionError(f"t must exceed {T_MIN:g}")
-    if segments < 2:
-        raise PreconditionError("need at least 2 segments")
-    if not np.isfinite(u):
-        raise PreconditionError("u must be finite")
-    x = as_point(x, S.dim)
-    y = as_point(y, S.dim)
-    n = S.dim
-    N = int(segments)
-    D = (N - 1) * n
-
-    base = Curve.straight(x, y, t, N)
-    z0 = base.interior
-    eye = np.eye(D) * opt.fd_step
-    last_f = {"f": np.nan}
-
-    def fun_and_grad(z):
-        zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
-        nodes = np.empty((2 * D + 1, N + 1, n))
-        nodes[:, 0, :] = x
-        nodes[:, -1, :] = y
-        nodes[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
-        finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
-        f = float(finals[0])
-        g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        last_f["f"] = f
-        return f, g
-
-    f0, g0 = fun_and_grad(z0)
-    history = [f0]
-    # scipy's L-BFGS-B stops on EITHER criterion; the contract wants both,
-    # so its own ftol is disabled and the per-component gradient tolerance
-    # is tightened to imply the 2-norm criterion.
-    pgtol = opt.gtol / np.sqrt(max(D, 1))
-    res = minimize(fun_and_grad, z0, jac=True, method="L-BFGS-B",
-                   callback=lambda xk: history.append(last_f["f"]),
-                   options={"maxiter": opt.max_iter, "ftol": 1e-15,
-                            "gtol": pgtol, "maxls": 100,
-                            "maxcor": min(max(D, 1), 64)})
-    curve = base.with_interior(res.x)
-    traj = integrate_cost(S, curve, u, opt.substeps)
-    A = traj.final
-    if history[-1] != A:
-        history.append(A)
-
-    grad_norm = float(np.linalg.norm(np.atleast_1d(res.jac)))
-    last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
-    converged = grad_norm < opt.gtol and last_dec < opt.tol
-    if res.nit >= opt.max_iter and not converged:
-        raise NonConvergence(
-            f"curve minimization exhausted {opt.max_iter} iterations "
-            f"(gradient norm {grad_norm:.3g})")
-    return FundamentalResult(h=A - u, A=A, minimizer=curve, trajectory=traj,
-                             iterations=int(res.nit),
-                             objective_history=np.asarray(history),
-                             converged=bool(converged))
+    return _direct_lockstep(S, t, [(x, y, u)], segments, opt or OptimizerParams())[0]
 
 
 # ---------------------------------------------------------------------------

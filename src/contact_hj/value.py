@@ -5,6 +5,10 @@ the fundamental-solution machinery.  A quantitative localization radius
 mu(t) bounds every minimizing y inside the closed ball B(x, mu(t) t), so
 the search is a coarse grid over that ball followed by per-coordinate
 golden-section refinement; the rest point y = x is always a candidate.
+The rest point and the grid are screened as one batch of inner solves
+(`fundamental._direct_lockstep`, L-BFGS-B instances advanced in lockstep
+with one cost sweep per round); each golden evaluation is one
+`fundamental_direct`.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -21,7 +25,7 @@ import numpy as np
 
 from ._util import as_point, golden_min, parse_id
 from .errors import PreconditionError
-from .fundamental import OptimizerParams, fundamental_direct
+from .fundamental import OptimizerParams, _direct_lockstep, fundamental_direct
 from .systems import (ContactSystem, HamiltonianSystem, legendre_to_hamiltonian)
 
 
@@ -197,24 +201,31 @@ def _value_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray,
 
 
 def _search_ball(S, datum, t, x, search) -> tuple:
-    """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball."""
+    """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball.
+
+    The rest point y = x and every grid point inside the ball are solved
+    as one `_direct_lockstep` batch; the golden refinement then runs one
+    `fundamental_direct` per evaluation through `_value_at`.
+    """
     n = x.size
     radius = mu_radius(S, datum, t) * t
 
     def g(y):
         return _value_at(S, datum, t, x, np.asarray(y, dtype=float), search)
 
-    best_y = x.copy()
-    best_val = g(x)  # rest point always participates
-
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
-    for y in mesh[inside]:
-        val = g(y)
-        if val < best_val:
-            best_val, best_y = val, y.copy()
+    # the rest point always participates, and comes first
+    ys = np.concatenate([x[None], mesh[inside]])
+    screen = _direct_lockstep(S, t, [(y, x, float(datum(y))) for y in ys],
+                              search.segments, search.opt)
+    best_y = x.copy()
+    best_val = screen[0].A
+    for y, res in zip(ys[1:], screen[1:]):
+        if res.A < best_val:
+            best_val, best_y = res.A, y.copy()
     step = 2.0 * radius / (G - 1)
     y_cur = best_y.copy()
     # a single coordinate is settled by one sweep

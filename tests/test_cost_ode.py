@@ -157,6 +157,7 @@ def test_ordering_check_raises_on_crossed_trajectories():
         assert_ordered(low, high, tol=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard():
     # u' = u^2 from u(0)=10 blows up before s=1
     def runaway(x, u, v):
@@ -169,7 +170,7 @@ def test_overflow_guard():
     xi = Curve.straight(0.0, 0.0, 1.0, 8)
     with pytest.raises(Overflow):
         integrate_cost(bad, xi, 10.0)
-    with pytest.raises(Overflow), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(Overflow):
         fundamental_exponential(bad, xi, 10.0)  # L_u by finite differences
 
     # characteristics: u' = <p, H_p> - H = u^2 while p stays 0
