@@ -31,9 +31,9 @@ from .systems import (ConditionReport, ContactSystem, HamiltonianSystem,
 from .value import (InitialDatum, InitialGapReport, ResidualReport,
                     SearchParams, ValueGrid, builtin_datum, datum_abs_window,
                     datum_constant, datum_cos_bump, datum_linear_window,
-                    datum_quadratic_window, datum_sin, grid_points_1d,
-                    initial_condition_check, lax_oleinik_classical, mu_radius,
-                    pde_residual, solve_value, solve_value_grid)
+                    datum_quadratic_window, datum_sin, initial_condition_check,
+                    lax_oleinik_classical, mu_radius, pde_residual,
+                    solve_value, solve_value_grid)
 from .vanishing import (ContactBoundResult, ConvergenceReport, LambdaFamily,
                         builtin_family, contact_bound, family_discounted,
                         family_perturbed, perturbed_system, run_vanishing)

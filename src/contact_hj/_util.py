@@ -52,16 +52,6 @@ def golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200
     return xbest, fbest
 
 
-def rel_err(value: float, reference: float) -> float:
-    """|value - reference| / max(1, |reference|).
-
-    Guarded relative error: behaves like relative error for O(1)-or-larger
-    references and like absolute error near zero, so sweeps whose targets
-    cross zero stay well defined.
-    """
-    return abs(value - reference) / max(1.0, abs(reference))
-
-
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce a scalar/sequence to a 1-D float point, optionally checking dim."""
     p = np.atleast_1d(np.asarray(x, dtype=float))

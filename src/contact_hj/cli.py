@@ -10,9 +10,10 @@ significant digits) and exits with a partitioned code:
     4  tolerance failure (vanishing gap above gap_tol)
     5  invariant failure (check command)
 
-Identical config and seed produce byte-identical CSV; grid points may be
-computed by a thread pool (--threads, overridden by CONTACT_HJ_THREADS)
-but rows are always written in sorted order.
+Identical config and seed produce byte-identical CSV.  `solve` and
+`vanishing` tabulate through `value.solve_value_grid`; only the points of
+`fundamental` may be computed by a thread pool (--threads, overridden by
+CONTACT_HJ_THREADS), and its rows are still written in input order.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .fundamental import (T_MIN, OptimizerParams, fundamental_direct,
 from .systems import (SampleBox, builtin_hamiltonian, builtin_system,
                       legendre_to_lagrangian, verify_conditions,
                       with_overrides)
-from .value import SearchParams, builtin_datum, mu_radius, solve_value
+from .value import SearchParams, builtin_datum, solve_value_grid
+# unused here; perfbench/tracing.py hooks this module's binding of the name
+from .value import solve_value  # noqa: F401
 from .vanishing import builtin_family, run_vanishing
 
 EXIT_OK = 0
@@ -287,24 +290,18 @@ def cmd_solve(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     search = _search_params(cfg)
 
     start = time.perf_counter()
-    tasks = [(a, b, t, points[b]) for a, t in enumerate(times)
-             for b in range(points.shape[0])]
-
-    def solve_one(task):
-        _, _, t, x = task
-        return solve_value(S, datum, t, x, search)
-
-    results = _parallel_map(solve_one, tasks, threads)
+    grid = solve_value_grid(S, datum, times, points, search)
     elapsed = time.perf_counter() - start
 
-    mus = {t: mu_radius(S, datum, t) * t for t in times}
     dim = S.dim
     header = (["t"] + [f"x{i}" for i in range(dim)] + ["u_value"]
               + [f"y_star{i}" for i in range(dim)] + ["mu_t"])
     rows = []
-    for (a, b, t, x), (val, y_star) in zip(tasks, results):
-        rows.append([_fmt(t)] + [_fmt(c) for c in x] + [_fmt(val)]
-                    + [_fmt(c) for c in y_star] + [_fmt(mus[t])])
+    for a, t in enumerate(times):
+        for b, x in enumerate(points):
+            rows.append([_fmt(t)] + [_fmt(c) for c in x] + [_fmt(grid.values[a, b])]
+                        + [_fmt(c) for c in grid.argmins[a, b]]
+                        + [_fmt(grid.radius_used[a])])
     _write_csv(out, header, rows)
     sidecar = {
         "config": cfg,
@@ -458,7 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output path (overrides config)")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads; 0 = auto (CONTACT_HJ_THREADS overrides)")
+                       help="worker threads for 'fundamental' points; 0 = auto "
+                            "(CONTACT_HJ_THREADS overrides)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 

@@ -192,26 +192,16 @@ class SearchParams:
     opt: OptimizerParams = field(default_factory=OptimizerParams)
 
 
-def _value_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray,
-              y: np.ndarray, search: SearchParams) -> float:
-    phi_y = float(datum(y))
-    res = fundamental_direct(S, t, y, x, phi_y, segments=search.segments,
-                             opt=search.opt)
-    return res.A
-
-
 def _search_ball(S, datum, t, x, search) -> tuple:
     """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball.
 
     The rest point y = x and every grid point inside the ball are solved
     as one `_direct_lockstep` batch; the golden refinement then runs one
-    `fundamental_direct` per evaluation through `_value_at`.
+    `fundamental_direct` per evaluation.  Returns (value, argmin, winning
+    `FundamentalResult`).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
-
-    def g(y):
-        return _value_at(S, datum, t, x, np.asarray(y, dtype=float), search)
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
@@ -221,11 +211,11 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     ys = np.concatenate([x[None], mesh[inside]])
     screen = _direct_lockstep(S, t, [(y, x, float(datum(y))) for y in ys],
                               search.segments, search.opt)
-    best_y = x.copy()
-    best_val = screen[0].A
+    best_y, best = x.copy(), screen[0]
+    best_val = best.A
     for y, res in zip(ys[1:], screen[1:]):
         if res.A < best_val:
-            best_val, best_y = res.A, y.copy()
+            best_val, best_y, best = res.A, y.copy(), res
     step = 2.0 * radius / (G - 1)
     y_cur = best_y.copy()
     # a single coordinate is settled by one sweep
@@ -239,31 +229,43 @@ def _search_ball(S, datum, t, x, search) -> tuple:
             if hi <= lo:
                 continue
 
-            def gi(c, i=i):
+            seen = {}  # coordinate -> its solve, so the winner is kept exactly
+
+            def gi(c, i=i, seen=seen):
                 yy = y_cur.copy()
                 yy[i] = c
-                return g(yy)
+                res = seen[c] = fundamental_direct(S, t, yy, x, float(datum(yy)),
+                                                   segments=search.segments,
+                                                   opt=search.opt)
+                return res.A
 
             ci, vi = golden_min(gi, lo, hi, xtol=search.ytol)
             if vi < best_val:
-                best_val = vi
+                best_val, best = vi, seen[ci]
                 y_cur[i] = ci
                 best_y = y_cur.copy()
-    return float(best_val), best_y, radius
+    return float(best_val), best_y, best
 
 
 def solve_value(S: ContactSystem, datum: InitialDatum, t: float, x,
                 search: Optional[SearchParams] = None) -> tuple:
-    """u(t, x) = min_y A(t, y, x, phi(y)) and its argmin.
+    """u(t, x) = min_y A(t, y, x, phi(y)), its argmin and the winning solve.
 
-    The search ball B(x, mu(t) t) provably contains every minimizer, and
-    the center candidate guarantees the result never exceeds the value of
-    resting at x.
+    Returns (value, y_star, best), where best is the `FundamentalResult`
+    from y_star to x whose A is the value.  The search ball B(x, mu(t) t)
+    provably contains every minimizer, and the center candidate
+    guarantees the result never exceeds the value of resting at x.
     """
     search = search or SearchParams()
     x = as_point(x, S.dim)
-    val, y_star, _ = _search_ball(S, datum, t, x, search)
-    return val, y_star
+    return _search_ball(S, datum, t, x, search)
+
+
+def _require_classical(S: ContactSystem) -> None:
+    """Raise unless S is value-independent (declared K = 0)."""
+    if S.K != 0.0:
+        raise PreconditionError(
+            "classical formula requires a value-independent system (K = 0)")
 
 
 def lax_oleinik_classical(S: ContactSystem, datum: InitialDatum, t: float, x,
@@ -273,15 +275,13 @@ def lax_oleinik_classical(S: ContactSystem, datum: InitialDatum, t: float, x,
     Same search as `solve_value`; requires a declared K = 0 so the cost
     ODE degenerates to the plain action integral.
     """
-    if S.K != 0.0:
-        raise PreconditionError(
-            "classical formula requires a value-independent system (K = 0)")
+    _require_classical(S)
     return solve_value(S, datum, t, x, search)
 
 
 @dataclass
 class ValueGrid:
-    """u(t, x) over a (times x points) table, with argmins and radii."""
+    """u(t, x) over a (times x points) table, with argmins, radii and solves."""
 
     times: np.ndarray           # (T,)
     points: np.ndarray          # (P, n)
@@ -289,17 +289,18 @@ class ValueGrid:
     argmins: np.ndarray         # (T, P, n)
     radius_used: np.ndarray     # (T,) = mu(t) * t
     axes: Optional[list] = None  # spatial lattice axes when points form one
-
-
-def grid_points_1d(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, count)[:, None]
+    results: list = field(default_factory=list)  # (T, P) winning FundamentalResults
 
 
 def solve_value_grid(S: ContactSystem, datum: InitialDatum,
                      times: Sequence[float], points: np.ndarray,
                      search: Optional[SearchParams] = None,
                      axes: Optional[list] = None) -> ValueGrid:
-    """Tabulate solve_value over times x points (deterministic order)."""
+    """Tabulate solve_value over times x points (deterministic order).
+
+    This is the library's one loop over (t, x): the `solve` command and
+    `run_vanishing` tabulate through it.
+    """
     search = search or SearchParams()
     times = np.asarray(list(times), dtype=float)
     if times.size == 0 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
@@ -311,14 +312,15 @@ def solve_value_grid(S: ContactSystem, datum: InitialDatum,
     values = np.empty((T, P))
     argmins = np.empty((T, P, S.dim))
     radius = np.empty(T)
+    results = [[None] * P for _ in range(T)]
     for a, t in enumerate(times):
         radius[a] = mu_radius(S, datum, float(t)) * float(t)
         for b in range(P):
-            val, y_star = solve_value(S, datum, float(t), points[b], search)
-            values[a, b] = val
-            argmins[a, b] = y_star
+            values[a, b], argmins[a, b], results[a][b] = solve_value(
+                S, datum, float(t), points[b], search)
     return ValueGrid(times=times, points=points, values=values,
-                     argmins=argmins, radius_used=radius, axes=axes)
+                     argmins=argmins, radius_used=radius, axes=axes,
+                     results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +334,6 @@ class ResidualReport:
     median: float
     p90: float
     residuals: np.ndarray
-
-    def refine_ratio(self, other: "ResidualReport") -> float:
-        return self.median / max(other.median, 1e-300)
 
 
 def _uniform_spacing(vals, what):
@@ -440,7 +439,7 @@ def initial_condition_check(S: ContactSystem, datum: InitialDatum, x,
     gaps = np.empty(ts.size)
     mus = np.empty(ts.size)
     for i, t in enumerate(ts):
-        val, _ = solve_value(S, datum, float(t), x, search)
+        val = solve_value(S, datum, float(t), x, search)[0]
         gaps[i] = abs(val - phi_x)
         mus[i] = mu_radius(S, datum, float(t))
     slack = gaps - datum.lip * mus * ts

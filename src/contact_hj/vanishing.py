@@ -24,10 +24,13 @@ import numpy as np
 
 from .cost_ode import Curve, _rk4_sweep, integrate_cost
 from .errors import BoundViolation, PreconditionError
-from .fundamental import fundamental_direct
+# unused here; perfbench/tracing.py hooks this module's binding of the name
+from .fundamental import fundamental_direct  # noqa: F401
 from .systems import ContactSystem, _eye_like, _sq
-from .value import (InitialDatum, SearchParams, ValueGrid,
-                    lax_oleinik_classical, mu_radius, solve_value)
+from .value import (InitialDatum, SearchParams, ValueGrid, _require_classical,
+                    solve_value_grid)
+# unused here; perfbench/tracing.py hooks this module's binding of the name
+from .value import solve_value  # noqa: F401
 
 
 @dataclass
@@ -209,42 +212,28 @@ def run_vanishing(family: LambdaFamily, datum: InitialDatum,
                   monotone_tol: float = 1e-6) -> ConvergenceReport:
     """Solve the family and its limit over a grid; report sup-gaps per lambda.
 
-    lambdas must be positive and strictly descending.  The limit solution
-    and its minimizing curves are computed once and reused for the
-    envelope checks; envelope failures are recorded per point rather than
-    aborting the run.
+    lambdas must be positive and strictly descending, and the limit
+    system must be classical (K = 0).  The limit solution and each family
+    member are tabulated with `solve_value_grid`; the envelope checks run
+    along the limit minimizers that the limit search returned.  Envelope
+    failures are recorded per point rather than aborting the run.
     """
     search = search or SearchParams()
     lambdas = np.asarray(list(lambdas), dtype=float)
     if lambdas.size == 0 or np.any(lambdas <= 0) or np.any(np.diff(lambdas) >= 0):
         raise PreconditionError("lambdas must be positive and strictly descending")
-    times = np.asarray(list(times), dtype=float)
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise PreconditionError("points must have shape (P, dim)")
-    T, P = times.size, points.shape[0]
     L0 = family.limit_system
-
-    base_vals = np.empty((T, P))
-    base_args = np.empty((T, P, points.shape[1]))
-    base_curves = {}
+    _require_classical(L0)
+    baseline = solve_value_grid(L0, datum, times, points, search)
+    times, points = baseline.times, baseline.points
+    T, P = baseline.values.shape
     base_u0 = np.empty((T, P))
     base_R = np.empty((T, P))
-    base_radius = np.array([mu_radius(L0, datum, float(t)) * float(t) for t in times])
-    for a, t in enumerate(times):
+    for a in range(T):
         for b in range(P):
-            x = points[b]
-            val, y_star = lax_oleinik_classical(L0, datum, float(t), x, search)
-            base_vals[a, b] = val
-            base_args[a, b] = y_star
-            phi_y = float(datum(y_star))
-            res = fundamental_direct(L0, float(t), y_star, x, phi_y,
-                                     segments=search.segments, opt=search.opt)
-            base_curves[(a, b)] = res.minimizer
-            base_u0[a, b] = phi_y
-            base_R[a, b] = max(float(np.linalg.norm(y_star - x)), 1e-9)
-    baseline = ValueGrid(times=times, points=points, values=base_vals,
-                         argmins=base_args, radius_used=base_radius)
+            y_star = baseline.argmins[a, b]
+            base_u0[a, b] = float(datum(y_star))
+            base_R[a, b] = max(float(np.linalg.norm(y_star - points[b])), 1e-9)
 
     values = []
     argmins = []
@@ -256,14 +245,11 @@ def run_vanishing(family: LambdaFamily, datum: InitialDatum,
 
     for i, lam in enumerate(lambdas):
         S_lam = family.builder(float(lam))
-        vals = np.empty((T, P))
-        args = np.empty((T, P, points.shape[1]))
+        grid = solve_value_grid(S_lam, datum, times, points, search)
         fro = 0.0
-        for a, t in enumerate(times):
+        for a in range(T):
             for b in range(P):
-                vals[a, b], args[a, b] = solve_value(S_lam, datum, float(t),
-                                                     points[b], search)
-                xi = base_curves[(a, b)]
+                xi = baseline.results[a][b].minimizer
                 try:
                     r = contact_bound(S_lam, L0, xi, base_u0[a, b], base_R[a, b],
                                       substeps=substeps)
@@ -278,9 +264,9 @@ def run_vanishing(family: LambdaFamily, datum: InitialDatum,
                     bound_max[i, a, b] = r.max_abs_u
                     if xi.t_final > 0:
                         fro = max(fro, r.correction_integral / xi.t_final)
-        values.append(vals)
-        argmins.append(args)
-        gaps[i] = float(np.max(np.abs(vals - base_vals)))
+        values.append(grid.values)
+        argmins.append(grid.argmins)
+        gaps[i] = float(np.max(np.abs(grid.values - baseline.values)))
         frozen_sup[i] = fro
 
     monotone = bool(np.all(np.diff(gaps) <= monotone_tol))

@@ -72,7 +72,7 @@ def hopf_lax_runs():
     records = []
     for t in (0.3, 0.6, 1.0, 1.5):
         for x in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            val, y_star = solve_value(S, datum, t, x, search)
+            val, y_star, _ = solve_value(S, datum, t, x, search)
             records.append((S, datum, t, x, val, y_star))
     return records
 
@@ -215,7 +215,7 @@ def test_criterion_6_hopf_lax(hopf_lax_runs):
                           opt=OptimizerParams(substeps=2))
     worst_quad = 0.0
     for (t, x) in [(0.5, -3.0), (0.5, 1.0), (1.0, 0.5), (1.0, 4.0), (1.5, -2.0)]:
-        val, _ = solve_value(S, datum, t, x, search)
+        val, _, _ = solve_value(S, datum, t, x, search)
         worst_quad = max(worst_quad, abs(val - x * x / (2.0 * (1.0 + t))))
     ok = worst_sin <= 1e-4 and worst_quad <= 1e-4
     verdict(6, ok, f"dense-grid oracle gap {worst_sin:.2e} (sin, 20 points), "

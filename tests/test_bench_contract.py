@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contact_hj import cli, cost_ode, quadratic_system
+from contact_hj import (SearchParams, cli, cost_ode, datum_sin,
+                        quadratic_system, solve_value)
+from contact_hj.fundamental import OptimizerParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +61,15 @@ def test_integrate_cost_many_passes_sweep_arguments_by_position(monkeypatch):
     (args, kwargs), = seen
     assert not kwargs
     assert args[2] is nodes and args[4] == 2
+
+
+def test_value_point_info_reads_the_argmin(tracing):
+    # value.argmin_boundary_hits is derived from what this returns
+    args = (quadratic_system(), datum_sin(), 0.5, 0.3,
+            SearchParams(segments=4, grid_points=5, ytol=1e-4,
+                         opt=OptimizerParams(substeps=2)))
+    res = solve_value(*args)
+    y_star = tracing._INFO["value.point"](args, {}, res)[4]
+    assert np.shape(y_star) == (1,)
+    # Hopf-Lax: the value is phi(y*) + |x - y*|^2 / (2t) at the argmin
+    assert abs(np.sin(y_star[0]) + (0.3 - y_star[0]) ** 2 - res[0]) <= 1e-2

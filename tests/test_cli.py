@@ -151,12 +151,26 @@ def test_solve_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_solve_threads_do_not_change_output(tmp_path):
+THREADED_FUNDAMENTAL_PAYLOAD = {
+    "system": "discounted-quadratic(0.5)",
+    "points": [{"t": t, "x": [0.0], "y": [y], "u": 0.2}
+               for t, y in [(0.5, 0.3), (1.0, -0.8), (1.5, 1.2)]],
+    "segments": 16,
+    "shooting_steps": 64,
+}
+
+
+# `fundamental` is the thread pool's user; `solve` tabulates serially
+@pytest.mark.parametrize("command, payload", [
+    ("solve", SOLVE_PAYLOAD),
+    ("fundamental", THREADED_FUNDAMENTAL_PAYLOAD),
+], ids=["solve", "fundamental"])
+def test_solve_threads_do_not_change_output(tmp_path, command, payload):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    cfg = write_config(tmp_path / "cfg.json", dict(SOLVE_PAYLOAD))
-    assert main(["solve", "--config", cfg, "--out", str(out1),
+    cfg = write_config(tmp_path / "cfg.json", dict(payload))
+    assert main([command, "--config", cfg, "--out", str(out1),
                  "--threads", "1", "--quiet"]) == 0
-    assert main(["solve", "--config", cfg, "--out", str(out2),
+    assert main([command, "--config", cfg, "--out", str(out2),
                  "--threads", "3", "--quiet"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 

@@ -317,7 +317,7 @@ FAST = SearchParams(segments=6, grid_points=9, ytol=1e-5, refine_sweeps=1,
     (quadratic_system(2), datum_cos_bump(), 0.3, [0.2, -0.1]),
 ], ids=["disc-1d", "trig-1d", "perturbed-1d", "quadratic-2d"])
 def test_solve_value_matches_sequential_search(S, datum, t, x):
-    val, y_star = solve_value(S, datum, t, x, FAST)
+    val, y_star, _ = solve_value(S, datum, t, x, FAST)
     ref_val, ref_y, _ = _ref_search_ball(S, datum, t, as_point(x, S.dim), FAST)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
@@ -327,7 +327,7 @@ def test_screen_split_into_slices_matches_sequential_search(monkeypatch):
     # 11 sweep rows per lane at 6 segments in 1-D: one lane per slice
     monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", 20)
     S, datum, x = trig_contact_system(), datum_cos_bump(), np.array([-0.3])
-    val, y_star = solve_value(S, datum, 0.8, x, FAST)
+    val, y_star, _ = solve_value(S, datum, 0.8, x, FAST)
     ref_val, ref_y, _ = _ref_search_ball(S, datum, 0.8, x, FAST)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)

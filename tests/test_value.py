@@ -62,7 +62,7 @@ def test_mu_radius_rejects_nonpositive_time():
 
 def test_constant_datum_rests():
     S = quadratic_system()
-    val, y = solve_value(S, datum_constant(0.7), 0.5, 0.0, FAST)
+    val, y, _ = solve_value(S, datum_constant(0.7), 0.5, 0.0, FAST)
     assert abs(val - 0.7) <= 1e-9
     assert abs(y[0]) <= 1e-6
 
@@ -72,7 +72,7 @@ def test_hopf_lax_sin_against_dense_bruteforce():
     datum = datum_sin()
     for (t, x) in [(0.5, 0.0), (0.5, 1.0), (1.0, 0.0)]:
         oracle, y_oracle = hopf_lax_bruteforce(np.sin, t, x)
-        val, y = solve_value(S, datum, t, x, FAST)
+        val, y, _ = solve_value(S, datum, t, x, FAST)
         assert abs(val - oracle) <= 1e-5
         assert abs(y[0] - y_oracle) <= 1e-3
 
@@ -80,7 +80,7 @@ def test_hopf_lax_sin_against_dense_bruteforce():
 def test_hopf_lax_sin_frozen_point():
     # dense oracle (step 1e-4 on [-10, 10]): min sin(y) + y^2 at t = 1/2
     S = quadratic_system()
-    val, y = solve_value(S, datum_sin(), 0.5, 0.0, FAST)
+    val, y, _ = solve_value(S, datum_sin(), 0.5, 0.0, FAST)
     assert abs(val - (-0.23246557483118863)) <= 1e-5
     assert abs(y[0] - (-0.4502)) <= 1e-3
 
@@ -91,7 +91,7 @@ def test_discounted_sin_against_weighted_bruteforce():
     S = discounted_quadratic_system(lam)
     oracle, y_oracle = discounted_value_bruteforce(lam, np.sin, t, x)
     assert abs(oracle - (-0.11382230573160758)) <= 1e-9  # frozen
-    val, y = solve_value(S, datum_sin(), t, x, FAST)
+    val, y, _ = solve_value(S, datum_sin(), t, x, FAST)
     assert abs(val - oracle) <= 1e-4
     assert abs(y[0] - y_oracle) <= 1e-3
 
@@ -103,7 +103,7 @@ def test_quadratic_window_datum_closed_form():
     search = SearchParams(segments=8, grid_points=33, ytol=1e-7,
                           opt=OptimizerParams(substeps=2))
     for (t, x) in [(0.5, 1.0), (1.0, -2.0)]:
-        val, y = solve_value(S, datum, t, x, search)
+        val, y, _ = solve_value(S, datum, t, x, search)
         assert abs(val - x * x / (2.0 * (1.0 + t))) <= 1e-4
         assert abs(y[0] - x / (1.0 + t)) <= 1e-3
 
@@ -119,7 +119,7 @@ def test_lax_oleinik_matches_solve_value_identically():
 
 def test_lax_oleinik_frozen_sin_point():
     S = quadratic_system()
-    val, _ = lax_oleinik_classical(S, datum_sin(), 1.0, 0.0, FAST)
+    val, _, _ = lax_oleinik_classical(S, datum_sin(), 1.0, 0.0, FAST)
     assert abs(val - (-0.400488611928426)) <= 1e-5
 
 
@@ -133,7 +133,7 @@ def test_abs_window_keeps_origin():
     S = quadratic_system()
     datum = datum_abs_window(10.0)
     for t in (0.3, 1.0):
-        val, y = solve_value(S, datum, t, 0.0, FAST)
+        val, y, _ = solve_value(S, datum, t, 0.0, FAST)
         assert abs(val) <= 1e-7
         assert abs(y[0]) <= 1e-5
 
@@ -142,7 +142,7 @@ def test_localization_and_center_dominance():
     S = discounted_quadratic_system(1.0)
     datum = datum_sin()
     for (t, x) in [(0.5, 0.7), (1.0, -1.2)]:
-        val, y_star = solve_value(S, datum, t, x, FAST)
+        val, y_star, _ = solve_value(S, datum, t, x, FAST)
         radius = mu_radius(S, datum, t) * t
         assert np.linalg.norm(y_star - x) <= radius + 1e-6
         rest = fundamental_direct(S, t, np.array([x]), np.array([x]),
@@ -156,13 +156,23 @@ def test_localization_and_center_dominance():
 # ---------------------------------------------------------------------------
 
 def test_grid_single_point_matches_scalar_solve():
-    S = quadratic_system()
-    datum = datum_sin()
-    grid = solve_value_grid(S, datum, [0.5], np.array([[0.3]]), FAST)
-    val, y = solve_value(S, datum, 0.5, 0.3, FAST)
-    assert grid.values[0, 0] == val
-    assert np.array_equal(grid.argmins[0, 0], y)
-    assert grid.radius_used[0] == mu_radius(S, datum, 0.5) * 0.5
+    for S, datum, x in [
+        (quadratic_system(), datum_sin(), [0.3]),            # golden stage wins
+        (quadratic_system(), datum_constant(0.0), [0.3]),    # rest point wins
+        (quadratic_system(dim=2), datum_cos_bump(), [0.5, 0.0]),
+    ]:
+        grid = solve_value_grid(S, datum, [0.5], np.array([x]), FAST)
+        val, y, best = solve_value(S, datum, 0.5, x, FAST)
+        assert grid.values[0, 0] == val
+        assert np.array_equal(grid.argmins[0, 0], y)
+        assert grid.radius_used[0] == mu_radius(S, datum, 0.5) * 0.5
+        # the kept solve is exactly a fresh inner solve from the argmin
+        fresh = fundamental_direct(S, 0.5, y, np.array(x), float(datum(y)),
+                                   segments=FAST.segments, opt=FAST.opt)
+        for kept in (grid.results[0][0], best):
+            assert kept.A == fresh.A == val
+            assert np.array_equal(kept.minimizer.nodes, fresh.minimizer.nodes)
+            assert np.array_equal(kept.trajectory.samples, fresh.trajectory.samples)
 
 
 def test_grid_zero_datum_is_zero():
@@ -243,9 +253,9 @@ def test_quartic_kernel_against_dense_bruteforce():
     t, x = 0.8, 0.2
     y = np.arange(-10, 10 + 1e-4, 1e-4)
     oracle = float(np.min(np.sin(y) + (x - y) ** 4 / (4.0 * t ** 3)))
-    val, _ = solve_value(S, datum_sin(), t, x,
-                         SearchParams(segments=8, grid_points=21, ytol=1e-7,
-                                      opt=OptimizerParams(substeps=2)))
+    val, _, _ = solve_value(S, datum_sin(), t, x,
+                            SearchParams(segments=8, grid_points=21, ytol=1e-7,
+                                         opt=OptimizerParams(substeps=2)))
     assert abs(val - oracle) <= 1e-4
 
 
@@ -265,7 +275,7 @@ def test_solve_value_2d_against_dense_bruteforce():
     oracle = float(vals.min())
     search = SearchParams(segments=8, grid_points=13, ytol=1e-6,
                           refine_sweeps=3, opt=OptimizerParams(substeps=2))
-    val, y_star = solve_value(S, datum, t, x, search)
+    val, y_star, _ = solve_value(S, datum, t, x, search)
     assert abs(val - oracle) <= 2e-4
     assert np.linalg.norm(y_star - x) <= mu_radius(S, datum, t) * t + 1e-6
 
@@ -296,8 +306,8 @@ def test_doubling_grid_never_degrades_minimum():
     fine = SearchParams(segments=8, grid_points=34, ytol=1e-7,
                         opt=OptimizerParams(substeps=2))
     for (t, x) in [(0.5, 0.0), (1.0, 1.3)]:
-        v1, _ = solve_value(S, datum, t, x, base)
-        v2, _ = solve_value(S, datum, t, x, fine)
+        v1, _, _ = solve_value(S, datum, t, x, base)
+        v2, _, _ = solve_value(S, datum, t, x, fine)
         assert v2 <= v1 + 1e-8
 
 

@@ -214,3 +214,13 @@ def test_builtin_family_registry():
     assert builtin_family("perturbed").name == "perturbed"
     with pytest.raises(PreconditionError):
         builtin_family("exotic")
+
+
+def test_run_vanishing_requires_a_classical_limit():
+    # the baseline is the classical (K = 0) value function
+    fam = LambdaFamily(builder=discounted_quadratic_system,
+                       K_of_lambda=float,
+                       limit_system=discounted_quadratic_system(0.5),
+                       name="coupled-limit")
+    with pytest.raises(PreconditionError, match="K = 0"):
+        run_vanishing(fam, datum_sin(), [0.3], [0.5], np.array([[0.0]]), FAST)
