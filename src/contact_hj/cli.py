@@ -89,6 +89,14 @@ def _positive(value, key: str) -> float:
     return v
 
 
+def _count(value, key: str) -> int:
+    """A positive integer setting; a fraction such as 4.9 is refused, not truncated."""
+    v = _positive(value, key)
+    if not v.is_integer():
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return int(v)
+
+
 def _tolerance(value, key: str) -> float:
     v = _positive(value, key)
     if not v < 1.0:
@@ -157,13 +165,13 @@ def _resolve_datum(spec):
 def _search_params(cfg: dict) -> SearchParams:
     sp = SearchParams()
     if "segments" in cfg:
-        sp.segments = int(_positive(cfg["segments"], "segments"))
+        sp.segments = _count(cfg["segments"], "segments")
     if "grid_points" in cfg:
-        sp.grid_points = int(_positive(cfg["grid_points"], "grid_points"))
+        sp.grid_points = _count(cfg["grid_points"], "grid_points")
     if "ytol" in cfg:
         sp.ytol = _tolerance(cfg["ytol"], "ytol")
     if "substeps" in cfg:
-        sp.opt = OptimizerParams(substeps=int(_positive(cfg["substeps"], "substeps")))
+        sp.opt = OptimizerParams(substeps=_count(cfg["substeps"], "substeps"))
     return sp
 
 
@@ -177,11 +185,14 @@ def _space_lattice(cfg: dict):
         raise ConfigError("'space' needs 'min', 'max' and 'points'")
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    count = np.atleast_1d(np.asarray(count, dtype=int))
+    count = np.atleast_1d(np.asarray(count, dtype=float))
     if not (lo.size == hi.size == count.size) or lo.size not in (1, 2):
         raise ConfigError("'space' axes must agree and have dimension 1 or 2")
-    if np.any(count < 1):
+    if not np.all(count >= 1):
         raise ConfigError("'space.points' must be >= 1 per axis")
+    if np.any(count % 1 != 0):
+        raise ConfigError("'space.points' must be integers")
+    count = count.astype(int)
     if np.any(hi <= lo):
         raise ConfigError("'space' requires max > min per axis")
     axes = [np.linspace(lo[i], hi[i], count[i]) for i in range(lo.size)]
@@ -230,9 +241,9 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     raw_points = _require(cfg, "points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ConfigError("'points' must be a non-empty list")
-    segments = int(_positive(cfg.get("segments", 64), "segments"))
-    substeps = int(_positive(cfg.get("substeps", 4), "substeps"))
-    steps = int(_positive(cfg.get("shooting_steps", 256), "shooting_steps"))
+    segments = _count(cfg.get("segments", 64), "segments")
+    substeps = _count(cfg.get("substeps", 4), "substeps")
+    steps = _count(cfg.get("shooting_steps", 256), "shooting_steps")
 
     parsed = []
     dim = None
@@ -356,7 +367,7 @@ def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
 def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     seed = int(cfg.get("seed", 0))
-    samples = int(_positive(cfg.get("samples", 256), "samples"))
+    samples = _count(cfg.get("samples", 256), "samples")
     half = _positive(cfg.get("box_half_width", 3.0), "box_half_width")
     default_ids = ["quadratic", "discounted-quadratic(1.0)", "quartic", "trig-contact"]
     specs = cfg.get("systems", default_ids)

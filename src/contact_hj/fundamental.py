@@ -84,6 +84,11 @@ class CharacteristicState:
 _LOCKSTEP_ROWS = 1024
 
 
+def _slice_lanes(D: int) -> int:
+    """Lanes per lockstep slice when each lane solves for D node coordinates."""
+    return max(1, _LOCKSTEP_ROWS // (2 * D + 1))
+
+
 class _Lane:
     """One L-BFGS-B instance: its reverse-communication state and its cache.
 
@@ -159,7 +164,7 @@ def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
 
 
 def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
-                     opt: OptimizerParams) -> list:
+                     opt: OptimizerParams, outcomes: bool = False) -> list:
     """Minimize the terminal running cost for a batch of (x, y, u) lanes.
 
     Each lane runs scipy's L-BFGS-B (`setulb`) with the options and stops
@@ -169,8 +174,9 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     successive slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
     FundamentalResult per lane; when lanes miss their criteria within
     max_iter, raises the NonConvergence of the first such lane, as solving
-    the lanes one after another would.  An Overflow in any sweep ends the
-    whole batch.
+    the lanes one after another would, unless `outcomes` is set, in which
+    case that lane's entry is its NonConvergence and every lane is solved.
+    An Overflow in any sweep ends the whole batch.
     """
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
@@ -190,7 +196,7 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     bnd = np.zeros(D)
     settings = (m, nbd, bnd, factr, pgtol, 100, opt.max_iter, 15000)
 
-    width = max(1, _LOCKSTEP_ROWS // (2 * D + 1))
+    width = _slice_lanes(D)
     results = []
     for i in range(0, len(ends), width):
         lanes = []
@@ -203,12 +209,16 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
         while active:
             _sweep_lanes(S, t, active, N, opt, eye)
             active = [ln for ln in active if ln.advance(*settings)]
-        results += [_finish(S, t, ln, N, opt) for ln in lanes]
+        for ln in lanes:
+            res = _finish(S, t, ln, N, opt)
+            if isinstance(res, NonConvergence) and not outcomes:
+                raise res
+            results.append(res)
     return results
 
 
-def _finish(S, t, ln: _Lane, N: int, opt: OptimizerParams) -> FundamentalResult:
-    """Result of a stopped lane; NonConvergence if it exhausted max_iter."""
+def _finish(S, t, ln: _Lane, N: int, opt: OptimizerParams):
+    """Result of a stopped lane, or its NonConvergence if it exhausted max_iter."""
     curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(ln.z)
     if ln.z.tobytes() == ln.seen[0].tobytes():
         # the last evaluation's unperturbed row already is the trajectory
@@ -227,7 +237,7 @@ def _finish(S, t, ln: _Lane, N: int, opt: OptimizerParams) -> FundamentalResult:
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
     converged = grad_norm < opt.gtol and last_dec < opt.tol
     if ln.nit >= opt.max_iter and not converged:
-        raise NonConvergence(
+        return NonConvergence(
             f"curve minimization exhausted {opt.max_iter} iterations "
             f"(gradient norm {grad_norm:.3g})")
     return FundamentalResult(h=A - ln.u, A=A, minimizer=curve, trajectory=traj,

@@ -7,8 +7,9 @@ the search is a coarse grid over that ball followed by per-coordinate
 golden-section refinement; the rest point y = x is always a candidate.
 The rest point and the grid are screened as one batch of inner solves
 (`fundamental._direct_lockstep`, L-BFGS-B instances advanced in lockstep
-with one cost sweep per round); each golden evaluation is one
-`fundamental_direct`.
+with one cost sweep per round).  The golden walk runs in rounds: before
+each, every point its next few steps could request is solved as one
+more such batch, and the walk then reads its own points from them.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -24,8 +25,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._util import as_point, golden_min, parse_id
-from .errors import PreconditionError
-from .fundamental import OptimizerParams, _direct_lockstep, fundamental_direct
+from .errors import NonConvergence, Overflow, PreconditionError
+# fundamental_direct also re-solves golden points whose batch failed, and
+# perfbench/tracing.py hooks this module's binding of the name
+from .fundamental import (OptimizerParams, _direct_lockstep, _slice_lanes,
+                          fundamental_direct)
 from .systems import (ContactSystem, HamiltonianSystem, legendre_to_hamiltonian)
 
 
@@ -196,9 +200,15 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball.
 
     The rest point y = x and every grid point inside the ball are solved
-    as one `_direct_lockstep` batch; the golden refinement then runs one
-    `fundamental_direct` per evaluation.  Returns (value, argmin, winning
-    `FundamentalResult`).
+    as one `_direct_lockstep` batch.  Each golden refinement prefetches its
+    rounds: the up to 2^(depth+1) - 2 points the next `depth` steps could
+    request are solved as one batch, depth being the largest (at most 4)
+    whose round fits in one lockstep slice.  Every lane is bitwise the
+    solve it would be alone and the walk visits the same points, so the
+    result is that of solving each visited point one after another; a
+    lane that exhausts max_iter raises only when the walk reaches its
+    point, and a batch that fails otherwise leaves the walk to solve its
+    points alone.  Returns (value, argmin, winning `FundamentalResult`).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
@@ -217,6 +227,11 @@ def _search_ball(S, datum, t, x, search) -> tuple:
         if res.A < best_val:
             best_val, best_y, best = res.A, y.copy(), res
     step = 2.0 * radius / (G - 1)
+    # golden rounds as deep as fit in one lockstep slice, up to 4 steps
+    width = _slice_lanes((int(search.segments) - 1) * n)
+    depth = 1
+    while depth < 4 and 2 ** (depth + 2) - 2 <= width:
+        depth += 1
     y_cur = best_y.copy()
     # a single coordinate is settled by one sweep
     sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
@@ -231,15 +246,31 @@ def _search_ball(S, datum, t, x, search) -> tuple:
 
             seen = {}  # coordinate -> its solve, so the winner is kept exactly
 
-            def gi(c, i=i, seen=seen):
+            def at(c, i=i):
                 yy = y_cur.copy()
                 yy[i] = c
-                res = seen[c] = fundamental_direct(S, t, yy, x, float(datum(yy)),
-                                                   segments=search.segments,
-                                                   opt=search.opt)
+                return yy, x, float(datum(yy))
+
+            def prefetch(cs, seen=seen):
+                try:
+                    outs = _direct_lockstep(S, t, [at(c) for c in cs],
+                                            search.segments, search.opt, outcomes=True)
+                except (Overflow, PreconditionError):
+                    return  # the walk solves its own points alone, raising as they do
+                seen.update(zip(cs, outs))
+
+            def gi(c, seen=seen):
+                res = seen.get(c)
+                if res is None:
+                    res = seen[c] = fundamental_direct(S, t, *at(c),
+                                                       segments=search.segments,
+                                                       opt=search.opt)
+                if isinstance(res, NonConvergence):
+                    raise res
                 return res.A
 
-            ci, vi = golden_min(gi, lo, hi, xtol=search.ytol)
+            ci, vi = golden_min(gi, lo, hi, xtol=search.ytol, prefetch=prefetch,
+                                depth=depth)
             if vi < best_val:
                 best_val, best = vi, seen[ci]
                 y_cur[i] = ci

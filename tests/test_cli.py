@@ -197,6 +197,28 @@ def test_solve_rejects_bad_tolerance(tmp_path):
     assert main(["solve", "--config", cfg, "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("solve", {"segments": 4.9}),
+    ("solve", {"grid_points": 0.5}),
+    ("solve", {"substeps": 2.5}),
+    ("solve", {"space": {"min": -1.0, "max": 1.0, "points": 2.5}}),
+    ("fundamental", {"segments": 16.5}),
+    ("fundamental", {"shooting_steps": 64.2}),
+], ids=["segments", "grid_points", "substeps", "space.points",
+        "fundamental-segments", "shooting_steps"])
+def test_fractional_integer_keys_are_config_errors(tmp_path, command, overrides):
+    out = tmp_path / "o.csv"
+    base = dict(SOLVE_PAYLOAD) if command == "solve" else {
+        "system": "quadratic", "points": [{"t": 1.0, "x": [0.0], "y": [1.0], "u": 0.0}]}
+    cfg = write_config(tmp_path / "cfg.json", dict(base, out=str(out), **overrides))
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert not out.exists()
+    # an integral float is still accepted as its integer
+    if command == "solve" and "segments" in overrides:
+        cfg = write_config(tmp_path / "cfg.json", dict(base, out=str(out), segments=8.0))
+        assert main([command, "--config", cfg, "--quiet"]) == 0
+
+
 def test_solve_accepts_datum_record_with_overrides(tmp_path):
     out = tmp_path / "o.csv"
     payload = dict(SOLVE_PAYLOAD,

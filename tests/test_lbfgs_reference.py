@@ -16,13 +16,13 @@ import pytest
 from scipy.optimize import minimize
 
 from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
-                        NonConvergence, PreconditionError, SearchParams,
+                        NonConvergence, Overflow, PreconditionError, SearchParams,
                         datum_cos_bump, datum_sin, discounted_quadratic_system,
                         fundamental_direct, perturbed_system, quadratic_system,
                         quartic_system, solve_value, trig_contact_system)
 from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
 from contact_hj.cost_ode import Curve, integrate_cost, integrate_cost_many
-from contact_hj import fundamental
+from contact_hj import fundamental, value
 from contact_hj.fundamental import T_MIN, OptimizerParams, _direct_lockstep
 from contact_hj.value import mu_radius
 
@@ -306,19 +306,93 @@ def test_golden_min_evaluates_an_unmoved_end():
     assert calls.count(0.0) == 1  # the left end never moved, so it is evaluated
 
 
+GOLDEN_INPUTS = {
+    "quadratic": (lambda c: (c - 0.3) ** 2, -1.0, 2.0, 1e-8, 200),
+    "monotone": (lambda c: c, 0.0, 1.0, 1e-6, 200),
+    "constant": (lambda c: 0.5, -2.0, 3.0, 1e-6, 200),  # fc == fd at every step
+    "narrow-at-entry": (lambda c: (c - 0.3) ** 2, 0.3, 0.3 + 1e-12, 1e-10, 200),
+    "max-iter-capped": (lambda c: math.cos(3.0 * c), -1.0, 2.0, 1e-12, 7),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
+def test_golden_min_prefetch_walks_the_sequential_path(name, depth):
+    fn, lo, hi, xtol, max_iter = GOLDEN_INPUTS[name]
+    plain = []
+    want = golden_min(lambda c: plain.append(c) or fn(c), lo, hi, xtol=xtol,
+                      max_iter=max_iter)
+    assert want == _ref_golden_min(fn, lo, hi, xtol=xtol, max_iter=max_iter)
+
+    events, rounds = [], []
+
+    def prefetch(points):
+        rounds.append(list(points))
+        events.extend(("prefetch", p) for p in points)
+
+    got = golden_min(lambda c: events.append(("f", c)) or fn(c), lo, hi, xtol=xtol,
+                     max_iter=max_iter, prefetch=prefetch, depth=depth)
+    assert got == want
+    calls = [p for kind, p in events if kind == "f"]
+    assert calls == plain  # on-path points only, in the same order
+    asked = [p for kind, p in events if kind == "prefetch"]
+    assert len(asked) == len(set(asked))  # no point prefetched twice
+    for k, (kind, p) in enumerate(events):
+        if kind == "f":
+            assert ("prefetch", p) in events[:k]
+    assert all(len(r) <= 2 ** (depth + 1) - 2 + 4 for r in rounds)
+    # steps of the walk: the calls after the first two interior points that
+    # are not a final call at an unmoved bracket end
+    steps = len([c for c in calls[2:] if c not in (lo, hi)])
+    assert len(rounds) == max(1, math.ceil(steps / depth))
+
+
+def test_golden_min_never_calls_an_off_path_failure():
+    fn, lo, hi, xtol, _ = GOLDEN_INPUTS["quadratic"]
+    path = []
+    want = golden_min(lambda c: path.append(c) or fn(c), lo, hi, xtol=xtol)
+    stored = {}
+
+    def prefetch(points):  # every point off the walk's path fails
+        stored.update((p, fn(p) if p in path else NonConvergence(f"off {p}"))
+                      for p in points)
+
+    def f(c):
+        if isinstance(stored[c], Exception):
+            raise stored[c]
+        return stored[c]
+
+    assert golden_min(f, lo, hi, xtol=xtol, prefetch=prefetch, depth=3) == want
+    assert any(isinstance(v, Exception) for v in stored.values())
+
+
 FAST = SearchParams(segments=6, grid_points=9, ytol=1e-5, refine_sweeps=1,
                     opt=OptimizerParams(substeps=2))
 
+# phi(y) = 3 y declared 0-Lipschitz: the ball B(x, mu(t) t) is too small for
+# the argmin, so the screen wins on its rim and the golden bracket is clipped
+STEEP = InitialDatum(phi=lambda y: 3.0 * y[..., 0], lip=0.0, sup_abs=0.0)
 
-@pytest.mark.parametrize("S, datum, t, x", [
-    (discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4]),
-    (trig_contact_system(), datum_cos_bump(), 0.8, [-0.3]),
-    (perturbed_system(0.1), datum_sin(), 0.4, [1.2]),
-    (quadratic_system(2), datum_cos_bump(), 0.3, [0.2, -0.1]),
-], ids=["disc-1d", "trig-1d", "perturbed-1d", "quadratic-2d"])
-def test_solve_value_matches_sequential_search(S, datum, t, x):
-    val, y_star, _ = solve_value(S, datum, t, x, FAST)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum, t, as_point(x, S.dim), FAST)
+
+@pytest.mark.parametrize("S, datum, t, x, search, rows", [
+    (discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4], FAST, None),
+    (trig_contact_system(), datum_cos_bump(), 0.8, [-0.3], FAST, None),
+    (perturbed_system(0.1), datum_sin(), 0.4, [1.2], FAST, None),
+    (quadratic_system(2), datum_cos_bump(), 0.3, [0.2, -0.1], FAST, None),
+    (quadratic_system(), STEEP, 0.5, [0.1], FAST, None),
+    (trig_contact_system(2), datum_cos_bump(), 0.4, [0.3, -0.2],
+     SearchParams(segments=4, grid_points=5, ytol=1e-4, refine_sweeps=2,
+                  opt=OptimizerParams(substeps=2)), None),
+    # 11 sweep rows per lane: golden rounds of depth 2, the first one
+    # (10 points) split over two slices of six lanes
+    (trig_contact_system(), datum_sin(), 0.6, [0.5], FAST, 70),
+], ids=["disc-1d", "trig-1d", "perturbed-1d", "quadratic-2d", "clipped-1d",
+        "trig-2d-two-sweeps", "golden-rounds-in-slices"])
+def test_solve_value_matches_sequential_search(S, datum, t, x, search, rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", rows)
+    val, y_star, _ = solve_value(S, datum, t, x, search)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum, t, as_point(x, S.dim), search)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
 
@@ -342,3 +416,60 @@ def test_search_raises_the_first_failing_lane_like_the_sequential_search():
     with pytest.raises(NonConvergence) as got:
         solve_value(S, datum_sin(), 1.5, x, search)
     assert str(got.value) == str(ref.value)
+
+
+def test_search_completes_past_a_failing_speculative_lane(monkeypatch):
+    # at max_iter 18 every screen lane and every point on the golden path
+    # converges, while golden points the walk never reaches run out
+    search = SearchParams(segments=6, grid_points=7, ytol=1e-5,
+                          opt=OptimizerParams(substeps=2, max_iter=18))
+    S, x = trig_contact_system(), np.array([0.3])
+    failed = []
+    lockstep = value._direct_lockstep
+
+    def spy(*args, **kwargs):
+        outs = lockstep(*args, **kwargs)
+        failed.extend(o for o in outs if isinstance(o, NonConvergence))
+        return outs
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    val, y_star, _ = solve_value(S, datum_sin(), 1.5, x, search)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 1.5, x, search)
+    assert failed
+    assert val == ref_val
+    assert np.array_equal(y_star, ref_y)
+
+
+def test_golden_stage_failure_raises_like_the_sequential_search(monkeypatch):
+    # at max_iter 12 the screen converges and a point on the golden path does not
+    search = SearchParams(segments=6, grid_points=3, ytol=1e-4,
+                          opt=OptimizerParams(substeps=2, max_iter=12))
+    S, x = trig_contact_system(), np.array([0.3])
+    golden = []
+    monkeypatch.setattr(value, "golden_min",
+                        lambda *a, **k: golden.append(a) or golden_min(*a, **k))
+    with pytest.raises(NonConvergence) as ref:
+        _ref_search_ball(S, datum_sin(), 0.5, x, search)
+    with pytest.raises(NonConvergence) as got:
+        solve_value(S, datum_sin(), 0.5, x, search)
+    assert golden  # the screen passed
+    assert str(got.value) == str(ref.value)
+
+
+def test_failed_golden_batch_leaves_the_walk_to_lone_solves(monkeypatch):
+    lockstep, lone = value._direct_lockstep, []
+
+    def overflowing(*args, outcomes=False):
+        if outcomes:
+            raise Overflow("speculative lane overflowed")
+        return lockstep(*args)
+
+    monkeypatch.setattr(value, "_direct_lockstep", overflowing)
+    monkeypatch.setattr(value, "fundamental_direct",
+                        lambda *a, **k: lone.append(a) or fundamental_direct(*a, **k))
+    S, datum, x = trig_contact_system(), datum_cos_bump(), np.array([-0.3])
+    val, y_star, _ = solve_value(S, datum, 0.8, x, FAST)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum, 0.8, x, FAST)
+    assert lone  # every golden point was solved alone
+    assert val == ref_val
+    assert np.array_equal(y_star, ref_y)
