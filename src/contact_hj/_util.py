@@ -112,6 +112,8 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 def parse_id(spec_id: str, kind: str) -> tuple:
     """Split a built-in id 'name' or 'name(<number>)' into (name, number or None)."""
+    if not isinstance(spec_id, str):
+        raise PreconditionError(f"{kind} id must be a string, got {spec_id!r}")
     base = spec_id.strip()
     arg = None
     if "(" in base:

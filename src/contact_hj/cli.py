@@ -79,21 +79,34 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _positive(value, key: str) -> float:
+def _number(value, key: str) -> float:
+    """The one parser of config numbers: anything but a finite number is a ConfigError."""
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be a number") from exc
+        raise ConfigError(f"'{key}' must be a number, got {value!r}") from exc
+    if not np.isfinite(v):
+        raise ConfigError(f"'{key}' must be finite, got {value!r}")
+    return v
+
+
+def _point(value, key: str) -> np.ndarray:
+    """A number or a flat list of numbers, as a 1-D float array."""
+    return np.array([_number(c, key) for c in (value if isinstance(value, list) else [value])])
+
+
+def _positive(value, key: str) -> float:
+    v = _number(value, key)
     if not v > 0:
         raise ConfigError(f"'{key}' must be positive, got {v!r}")
     return v
 
 
-def _count(value, key: str) -> int:
-    """A positive integer setting; a fraction such as 4.9 is refused, not truncated."""
-    v = _positive(value, key)
-    if not v.is_integer():
-        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+def _count(value, key: str, least: int = 1) -> int:
+    """An integer setting of at least `least`; a fraction such as 4.9 is refused, not truncated."""
+    v = _number(value, key)
+    if not v.is_integer() or v < least:
+        raise ConfigError(f"'{key}' must be an integer >= {least}, got {value!r}")
     return int(v)
 
 
@@ -105,10 +118,7 @@ def _tolerance(value, key: str) -> float:
 
 
 def _nonnegative(value, key: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be a number") from exc
+    v = _number(value, key)
     if v < 0:
         raise ConfigError(f"'{key}' must be nonnegative, got {v!r}")
     return v
@@ -120,45 +130,32 @@ def _system_id(spec) -> str:
         return spec
     if isinstance(spec, dict):
         base = _require(spec, "id")
-        return f"{base}({float(spec['lambda'])})" if "lambda" in spec else base
+        return f"{base}({_number(spec['lambda'], 'lambda')})" if "lambda" in spec else base
     raise ConfigError("'system' must be a string id or an object with an 'id'")
 
 
 def _resolve_system(spec, dim: int = 1):
-    try:
-        S = builtin_system(_system_id(spec), dim)
-        if isinstance(spec, dict):
-            overrides = {k: float(spec[k]) for k in ("K", "c0", "C_const") if k in spec}
-            if overrides:
-                S = with_overrides(S, **overrides)
-        return S
-    except PreconditionError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve_hamiltonian(spec, dim: int = 1):
-    try:
-        return builtin_hamiltonian(_system_id(spec), dim)
-    except PreconditionError as exc:
-        raise ConfigError(str(exc)) from exc
+    S = builtin_system(_system_id(spec), dim)
+    if isinstance(spec, dict):
+        overrides = {k: _number(spec[k], k) for k in ("K", "c0", "C_const") if k in spec}
+        if overrides:
+            S = with_overrides(S, **overrides)
+    return S
 
 
 def _resolve_datum(spec):
-    try:
-        if isinstance(spec, str):
-            return builtin_datum(spec)
-        if isinstance(spec, dict):
-            base = _require(spec, "id")
-            if "c" in spec:
-                base = f"{base}({float(spec['c'])})"
-            datum = builtin_datum(base)
-            if "lip" in spec:
-                datum.lip = _nonnegative(spec["lip"], "datum.lip")
-            if "sup_abs" in spec:
-                datum.sup_abs = _nonnegative(spec["sup_abs"], "datum.sup_abs")
-            return datum
-    except PreconditionError as exc:
-        raise ConfigError(str(exc)) from exc
+    if isinstance(spec, str):
+        return builtin_datum(spec)
+    if isinstance(spec, dict):
+        base = _require(spec, "id")
+        if "c" in spec:
+            base = f"{base}({_number(spec['c'], 'datum.c')})"
+        datum = builtin_datum(base)
+        if "lip" in spec:
+            datum.lip = _nonnegative(spec["lip"], "datum.lip")
+        if "sup_abs" in spec:
+            datum.sup_abs = _nonnegative(spec["sup_abs"], "datum.sup_abs")
+        return datum
     raise ConfigError("'datum' must be a string id or an object with an 'id'")
 
 
@@ -178,21 +175,13 @@ def _search_params(cfg: dict) -> SearchParams:
 def _space_lattice(cfg: dict):
     """1-D/2-D uniform lattice from {'min', 'max', 'points'} (per axis)."""
     space = _require(cfg, "space")
-    lo = space.get("min")
-    hi = space.get("max")
-    count = space.get("points")
-    if lo is None or hi is None or count is None:
+    if not isinstance(space, dict) or any(k not in space for k in ("min", "max", "points")):
         raise ConfigError("'space' needs 'min', 'max' and 'points'")
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    count = np.atleast_1d(np.asarray(count, dtype=float))
-    if not (lo.size == hi.size == count.size) or lo.size not in (1, 2):
+    lo = _point(space["min"], "space.min")
+    hi = _point(space["max"], "space.max")
+    count = [_count(c, "space.points") for c in _point(space["points"], "space.points")]
+    if not (lo.size == hi.size == len(count)) or lo.size not in (1, 2):
         raise ConfigError("'space' axes must agree and have dimension 1 or 2")
-    if not np.all(count >= 1):
-        raise ConfigError("'space.points' must be >= 1 per axis")
-    if np.any(count % 1 != 0):
-        raise ConfigError("'space.points' must be integers")
-    count = count.astype(int)
     if np.any(hi <= lo):
         raise ConfigError("'space' requires max > min per axis")
     axes = [np.linspace(lo[i], hi[i], count[i]) for i in range(lo.size)]
@@ -204,7 +193,7 @@ def _times_list(cfg: dict, key: str = "times"):
     times = _require(cfg, key)
     if not isinstance(times, (list, tuple)) or not times:
         raise ConfigError(f"'{key}' must be a non-empty list")
-    vals = [float(v) for v in times]
+    vals = [_number(v, key) for v in times]
     if any(v <= T_MIN for v in vals):
         raise ConfigError(f"every entry of '{key}' must exceed {T_MIN:g}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -250,22 +239,22 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     for i, rec in enumerate(raw_points):
         if not isinstance(rec, dict):
             raise ConfigError(f"points[{i}] must be an object")
-        t = rec.get("t")
-        if t is None or not np.isfinite(float(t)) or float(t) <= T_MIN:
+        t = _number(rec.get("t"), f"points[{i}].t")
+        if t <= T_MIN:
             raise ConfigError(f"points[{i}].t must be a number above {T_MIN:g}")
-        x = np.atleast_1d(np.asarray(_require(rec, "x"), dtype=float))
-        y = np.atleast_1d(np.asarray(_require(rec, "y"), dtype=float))
-        u = float(_require(rec, "u"))
+        x = _point(_require(rec, "x"), f"points[{i}].x")
+        y = _point(_require(rec, "y"), f"points[{i}].y")
+        u = _number(_require(rec, "u"), f"points[{i}].u")
         if x.size != y.size or x.size not in (1, 2):
             raise ConfigError(f"points[{i}] endpoints must share dimension 1 or 2")
         if dim is None:
             dim = x.size
         elif dim != x.size:
             raise ConfigError("all points must share one spatial dimension")
-        parsed.append((float(t), x, y, u))
+        parsed.append((t, x, y, u))
 
     S = _resolve_system(system_spec, dim)
-    HS = _resolve_hamiltonian(system_spec, dim)
+    HS = builtin_hamiltonian(_system_id(system_spec), dim)
     opt = OptimizerParams(substeps=substeps)
 
     def solve_point(rec):
@@ -291,13 +280,10 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
 
 def cmd_solve(cfg: dict, out: str, threads: int, quiet: bool) -> int:
-    S = _resolve_system(_require(cfg, "system"),
-                        dim=len(np.atleast_1d(_require(cfg, "space").get("min", [0.0]))))
+    axes, points = _space_lattice(cfg)
+    S = _resolve_system(_require(cfg, "system"), dim=points.shape[1])
     datum = _resolve_datum(_require(cfg, "datum"))
     times = _times_list(cfg)
-    axes, points = _space_lattice(cfg)
-    if points.shape[1] != S.dim:
-        raise ConfigError("space dimension must match the system dimension")
     search = _search_params(cfg)
 
     start = time.perf_counter()
@@ -334,15 +320,12 @@ def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     lambdas = _require(cfg, "lambdas")
     if not isinstance(lambdas, list) or not lambdas:
         raise ConfigError("'lambdas' must be a non-empty list")
-    lambdas = [float(v) for v in lambdas]
+    lambdas = [_number(v, "lambdas") for v in lambdas]
     if any(v <= 0 for v in lambdas) or any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ConfigError("'lambdas' must be positive and strictly descending")
     times = _times_list(cfg)
     _, points = _space_lattice(cfg)
-    try:
-        gap_tol = float(cfg.get("gap_tol", 0.05))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("'gap_tol' must be a number") from exc
+    gap_tol = _number(cfg.get("gap_tol", 0.05), "gap_tol")
     if not 0.0 <= gap_tol < 1.0:
         raise ConfigError(f"'gap_tol' must lie in [0, 1), got {gap_tol!r}")
     search = _search_params(cfg)
@@ -366,7 +349,7 @@ def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
 
 def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _count(cfg.get("seed", 0), "seed", least=0)
     samples = _count(cfg.get("samples", 256), "samples")
     half = _positive(cfg.get("box_half_width", 3.0), "box_half_width")
     default_ids = ["quadratic", "discounted-quadratic(1.0)", "quartic", "trig-contact"]

@@ -14,10 +14,13 @@ shape (..., n), u has shape (...,), and results broadcast accordingly.
 Evaluators must be pure; a system instance may be shared read-only
 between workers (the conjugate cache only performs idempotent inserts).
 
-Derivatives that are not supplied analytically fall back to central
-finite differences with step `h_fd`.  Second derivatives difference the
-first-derivative evaluator, so supplying an analytic gradient already
-gives accurate Hessians.
+Each derivative method (`Lx`, `Lu`, `Lv`, `Lvv`; `Hx`, `Hu`, `Hp`, `Hpp`)
+returns its declared field (`L_x`, ...) and otherwise falls back to
+central finite differences with step `H_FD`, by one rule (`_partial`).
+First derivatives difference the raw `lagrangian` / `hamiltonian`;
+second derivatives difference the first-derivative method, so supplying
+an analytic gradient already gives accurate Hessians.  Both sides of
+the Legendre duality share one transform (`_legendre`).
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from .errors import NonConvergence, PreconditionError
 
 Evaluator = Callable[..., np.ndarray]
 
-#: default tolerance of the Legendre stationarity solve
+#: step of the central finite differences that fill undeclared derivatives
+H_FD = 1e-5
+#: tolerance of the Legendre stationarity solve
 TOL_NEWTON = 1e-10
-#: default half-width of the fallback search box for dual variables
+#: half-width of the fallback search box for dual variables
 DUAL_BOX = 1e3
 #: default radius of the conjugate grid for theta0*
 CONJUGATE_RMAX = 1e3
@@ -57,7 +62,6 @@ def _fd_grad_last_axis(f, z, h):
 
 
 def _fd_scalar(f, u, h):
-    u = np.asarray(u, dtype=float)
     return (f(u + h) - f(u - h)) / (2.0 * h)
 
 
@@ -69,6 +73,22 @@ def _fd_jacobian_last_axis(g, z, h):
     """
     m = _fd_grad_last_axis(g, z, h)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _partial(declared: str, of: str, slot: int, fd):
+    """Derivative method: the `declared` field if set, else `fd` central
+    differences (step H_FD) of the evaluator `of` in argument `slot`
+    (0 = x, 1 = u, 2 = v or p)."""
+    def partial(self, x, u, z):
+        exact = getattr(self, declared)
+        if exact is not None:
+            return exact(x, u, z)
+        f, args = getattr(self, of), (x, u, z)
+
+        def along(w):
+            return f(*args[:slot], w, *args[slot + 1:])
+        return fd(along, np.asarray(args[slot], float), H_FD)
+    return partial
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +116,6 @@ class ContactSystem:
     L_v: Optional[Evaluator] = None
     L_vv: Optional[Evaluator] = None
     theta0_conj: Optional[Callable[[float], float]] = None
-    h_fd: float = 1e-5
     name: str = ""
     _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -113,25 +132,10 @@ class ContactSystem:
     def L(self, x, u, v):
         return self.lagrangian(x, u, v)
 
-    def Lx(self, x, u, v):
-        if self.L_x is not None:
-            return self.L_x(x, u, v)
-        return _fd_grad_last_axis(lambda xx: self.lagrangian(xx, u, v), np.asarray(x, float), self.h_fd)
-
-    def Lu(self, x, u, v):
-        if self.L_u is not None:
-            return self.L_u(x, u, v)
-        return _fd_scalar(lambda uu: self.lagrangian(x, uu, v), u, self.h_fd)
-
-    def Lv(self, x, u, v):
-        if self.L_v is not None:
-            return self.L_v(x, u, v)
-        return _fd_grad_last_axis(lambda vv: self.lagrangian(x, u, vv), np.asarray(v, float), self.h_fd)
-
-    def Lvv(self, x, u, v):
-        if self.L_vv is not None:
-            return self.L_vv(x, u, v)
-        return _fd_jacobian_last_axis(lambda vv: self.Lv(x, u, vv), np.asarray(v, float), self.h_fd)
+    Lx = _partial("L_x", "lagrangian", 0, _fd_grad_last_axis)
+    Lu = _partial("L_u", "lagrangian", 1, _fd_scalar)
+    Lv = _partial("L_v", "lagrangian", 2, _fd_grad_last_axis)
+    Lvv = _partial("L_vv", "Lv", 2, _fd_jacobian_last_axis)
 
     # growth ----------------------------------------------------------
 
@@ -170,44 +174,28 @@ class HamiltonianSystem:
     H_u: Optional[Evaluator] = None
     H_p: Optional[Evaluator] = None
     H_pp: Optional[Evaluator] = None
-    h_fd: float = 1e-5
     name: str = ""
 
     def H(self, x, u, p):
         return self.hamiltonian(x, u, p)
 
-    def Hx(self, x, u, p):
-        if self.H_x is not None:
-            return self.H_x(x, u, p)
-        return _fd_grad_last_axis(lambda xx: self.hamiltonian(xx, u, p), np.asarray(x, float), self.h_fd)
-
-    def Hu(self, x, u, p):
-        if self.H_u is not None:
-            return self.H_u(x, u, p)
-        return _fd_scalar(lambda uu: self.hamiltonian(x, uu, p), u, self.h_fd)
-
-    def Hp(self, x, u, p):
-        if self.H_p is not None:
-            return self.H_p(x, u, p)
-        return _fd_grad_last_axis(lambda pp: self.hamiltonian(x, u, pp), np.asarray(p, float), self.h_fd)
-
-    def Hpp(self, x, u, p):
-        if self.H_pp is not None:
-            return self.H_pp(x, u, p)
-        return _fd_jacobian_last_axis(lambda pp: self.Hp(x, u, pp), np.asarray(p, float), self.h_fd)
+    Hx = _partial("H_x", "hamiltonian", 0, _fd_grad_last_axis)
+    Hu = _partial("H_u", "hamiltonian", 1, _fd_scalar)
+    Hp = _partial("H_p", "hamiltonian", 2, _fd_grad_last_axis)
+    Hpp = _partial("H_pp", "Hp", 2, _fd_jacobian_last_axis)
 
 
 # ---------------------------------------------------------------------------
 # Legendre transform
 # ---------------------------------------------------------------------------
 
-def _damped_newton_root(F, J, z0, tol, max_iter):
-    """Damped Newton for F(z) = 0; returns (z, converged)."""
+def _damped_newton_root(F, J, z0):
+    """Damped Newton for F(z) = 0 to TOL_NEWTON; returns (z, converged)."""
     z = np.array(z0, dtype=float)
     Fz = np.atleast_1d(np.asarray(F(z), dtype=float))
     nrm = float(np.linalg.norm(Fz))
-    for _ in range(max_iter):
-        if nrm <= tol:
+    for _ in range(100):
+        if nrm <= TOL_NEWTON:
             return z, True
         Jz = np.atleast_2d(np.asarray(J(z), dtype=float))
         try:
@@ -225,9 +213,9 @@ def _damped_newton_root(F, J, z0, tol, max_iter):
                 break
             alpha *= 0.5
             if alpha < 2.0 ** -30:
-                return z, nrm <= tol
+                return z, nrm <= TOL_NEWTON
         z, Fz, nrm = z_new, F_new, n_new
-    return z, nrm <= tol
+    return z, nrm <= TOL_NEWTON
 
 
 def _coordinate_golden_min(f, z0, lo, hi, xtol=1e-9, sweeps=4):
@@ -267,67 +255,52 @@ def _is_local_max(gain, z, scale=1.0):
     return all(gain(q) <= g0 + tol for q in _probes(z, delta))
 
 
-def _legendre_solve(gain, F, J, z0, tol_newton, max_iter, dual_box, what):
-    """Shared stationarity solve: damped Newton, golden fallback, max check."""
-    z, ok = _damped_newton_root(F, J, z0, tol_newton, max_iter)
+def _legendre(system, value, grad, hess, x, r, w, what):
+    """sup_z <z, w> - value(x, r, z) and its maximizer, for either side.
+
+    Solves the stationarity system grad(x, r, z) = w by damped Newton from
+    z = 0; if the Hessian is numerically singular, Newton stalls, or the
+    stationary point is not a maximum, falls back to per-coordinate
+    golden-section search on [-DUAL_BOX, DUAL_BOX] plus a Newton polish.
+    """
+    x = as_point(x, system.dim)
+    w = as_point(w, system.dim)
+
+    def gain(z):
+        return float(np.dot(z, w) - np.asarray(value(x, r, z), dtype=float))
+
+    def F(z):
+        return np.asarray(grad(x, r, z), dtype=float) - w
+
+    def J(z):
+        return hess(x, r, z)
+
+    z0 = np.zeros_like(w)
+    z, ok = _damped_newton_root(F, J, z0)
     if ok and not _is_local_max(gain, z):
         ok = False
     if not ok:
-        z = _coordinate_golden_min(lambda q: -gain(q), z0.copy(), -dual_box, dual_box)
-        z, ok = _damped_newton_root(F, J, z, tol_newton, max_iter)
+        z = _coordinate_golden_min(lambda q: -gain(q), z0.copy(), -DUAL_BOX, DUAL_BOX)
+        z, ok = _damped_newton_root(F, J, z)
         ok = ok and _is_local_max(gain, z)
     if not ok:
         raise NonConvergence(
             f"Legendre stationarity solve failed; the {what} may not be "
             "strictly convex/superlinear in its dual slot")
-    return z
+    return gain(z), z
 
 
-def legendre_to_lagrangian(H: HamiltonianSystem, x, r: float, v,
-                           tol_newton: float = TOL_NEWTON,
-                           max_iter: int = 100,
-                           dual_box: float = DUAL_BOX):
-    """sup_p <p, v> - H(x, r, p) and its maximizer.
-
-    Solves the stationarity system H_p(x, r, p) = v by damped Newton from
-    p = 0; if the Hessian is numerically singular, Newton stalls, or the
-    stationary point is not a maximum, falls back to per-coordinate
-    golden-section search on [-dual_box, dual_box] plus a Newton polish.
-    """
-    x = as_point(x, H.dim)
-    v = as_point(v, H.dim)
-
-    def gain(p):
-        return float(np.dot(p, v) - np.asarray(H.H(x, r, p), dtype=float))
-
-    p = _legendre_solve(gain,
-                        lambda p: np.asarray(H.Hp(x, r, p), dtype=float) - v,
-                        lambda p: H.Hpp(x, r, p),
-                        np.zeros_like(v), tol_newton, max_iter, dual_box,
-                        "Hamiltonian")
-    return gain(p), p
+def legendre_to_lagrangian(H: HamiltonianSystem, x, r: float, v):
+    """sup_p <p, v> - H(x, r, p) and its maximizer (see `_legendre`)."""
+    return _legendre(H, H.H, H.Hp, H.Hpp, x, r, v, "Hamiltonian")
 
 
-def legendre_to_hamiltonian(L: ContactSystem, x, r: float, p,
-                            tol_newton: float = TOL_NEWTON,
-                            max_iter: int = 100,
-                            dual_box: float = DUAL_BOX):
+def legendre_to_hamiltonian(L: ContactSystem, x, r: float, p):
     """sup_v <p, v> - L(x, r, v) and its maximizer (inverse transform)."""
-    x = as_point(x, L.dim)
-    p = as_point(p, L.dim)
-
-    def gain(v):
-        return float(np.dot(p, v) - np.asarray(L.L(x, r, v), dtype=float))
-
-    v = _legendre_solve(gain,
-                        lambda v: np.asarray(L.Lv(x, r, v), dtype=float) - p,
-                        lambda v: L.Lvv(x, r, v),
-                        np.zeros_like(p), tol_newton, max_iter, dual_box,
-                        "Lagrangian")
-    return gain(v), v
+    return _legendre(L, L.L, L.Lv, L.Lvv, x, r, p, "Lagrangian")
 
 
-def hamiltonian_from_contact(S: ContactSystem, tol_newton: float = TOL_NEWTON) -> HamiltonianSystem:
+def hamiltonian_from_contact(S: ContactSystem) -> HamiltonianSystem:
     """Wrap the numeric Legendre transform of S as a HamiltonianSystem.
 
     The gradient H_p is the maximizing velocity of the inner transform
@@ -336,31 +309,22 @@ def hamiltonian_from_contact(S: ContactSystem, tol_newton: float = TOL_NEWTON) -
     magnitude slower than an analytic dual; intended for diagnostics on
     systems that only declare the Lagrangian side.
     """
-    def _pointwise(fn, x, u, p):
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        if x.ndim == 1:
-            return fn(x, float(u), p)
-        flat_x = x.reshape(-1, S.dim)
-        flat_p = np.broadcast_to(p, x.shape).reshape(-1, S.dim)
-        flat_u = np.broadcast_to(np.asarray(u, float), x.shape[:-1]).ravel()
-        out = [fn(flat_x[i], float(flat_u[i]), flat_p[i])
-               for i in range(flat_x.shape[0])]
-        return np.asarray(out).reshape(x.shape[:-1] + np.shape(out[0]))
+    def pointwise(slot):
+        # slot 0 of the transform's result is H, slot 1 its gradient H_p
+        def evaluator(x, u, p):
+            x = np.asarray(x, float)
+            p = np.asarray(p, float)
+            if x.ndim == 1:
+                return legendre_to_hamiltonian(S, x, float(u), p)[slot]
+            flat_x = x.reshape(-1, S.dim)
+            flat_p = np.broadcast_to(p, x.shape).reshape(-1, S.dim)
+            flat_u = np.broadcast_to(np.asarray(u, float), x.shape[:-1]).ravel()
+            out = [legendre_to_hamiltonian(S, flat_x[i], float(flat_u[i]), flat_p[i])[slot]
+                   for i in range(flat_x.shape[0])]
+            return np.asarray(out).reshape(x.shape[:-1] + np.shape(out[0]))
+        return evaluator
 
-    def ham(x, u, p):
-        return _pointwise(
-            lambda xx, uu, pp: legendre_to_hamiltonian(S, xx, uu, pp,
-                                                       tol_newton=tol_newton)[0],
-            x, u, p)
-
-    def grad(x, u, p):
-        return _pointwise(
-            lambda xx, uu, pp: legendre_to_hamiltonian(S, xx, uu, pp,
-                                                       tol_newton=tol_newton)[1],
-            x, u, p)
-
-    return HamiltonianSystem(dim=S.dim, hamiltonian=ham, K=S.K, H_p=grad,
+    return HamiltonianSystem(dim=S.dim, hamiltonian=pointwise(0), K=S.K, H_p=pointwise(1),
                              name=f"dual({S.name})" if S.name else "dual")
 
 
@@ -406,21 +370,6 @@ class ConditionReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def lines(self) -> list:
-        def tag(ok):
-            return "ok " if ok else "FAIL"
-        t = self.MARGIN_TOL
-        return [
-            f"[{tag(self.lvv_min_eig > -t)}] strict convexity: min eig L_vv = {self.lvv_min_eig:.6g}",
-            f"[{tag(self.lu_bound_margin > -t)}] |L_u| <= K margin = {self.lu_bound_margin:.6g}",
-            f"[{tag(self.sandwich_upper_margin > -t)}] upper growth margin = {self.sandwich_upper_margin:.6g}",
-            f"[{tag(self.sandwich_lower_margin > -t)}] lower growth margin = {self.sandwich_lower_margin:.6g}",
-            f"[{tag(abs(self.theta0_at_zero) <= t)}] theta0(0) = {self.theta0_at_zero:.6g}",
-            f"[{tag(self.theta0_monotone_margin > -t)}] theta0 nondecreasing margin = {self.theta0_monotone_margin:.6g}",
-            f"[{tag(self.theta0_bar_monotone_margin > -t)}] theta0_bar nondecreasing margin = {self.theta0_bar_monotone_margin:.6g}",
-            f"[{tag(self.theta0_superlinear_margin > -t)}] theta0 difference-quotient margin = {self.theta0_superlinear_margin:.6g}",
-        ]
 
 
 def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
@@ -705,6 +654,8 @@ def _builtin(spec_id: str, dim: int, side: int):
         raise PreconditionError(f"unknown system id {spec_id!r}; known: {BUILTIN_SYSTEM_IDS}")
     *builders, takes_rate = _BUILTINS[base]
     if not takes_rate:
+        if arg is not None:
+            raise PreconditionError(f"{base} takes no argument, got {spec_id!r}")
         return builders[side](dim)
     if arg is None:
         raise PreconditionError(f"{base} requires a rate, e.g. {base}(1.0)")

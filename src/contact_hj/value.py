@@ -140,6 +140,8 @@ def builtin_datum(spec_id: str) -> InitialDatum:
     """Resolve a built-in initial datum id."""
     s, arg = parse_id(spec_id, "datum")
     if s == "sin":
+        if arg is not None:
+            raise PreconditionError(f"sin takes no argument, got {spec_id!r}")
         return datum_sin()
     if s == "cos-bump":
         return datum_cos_bump() if arg is None else datum_cos_bump(arg)
@@ -447,9 +449,6 @@ class InitialGapReport:
     linear_bound: np.ndarray    # lip * mu(t) * t + fitted_c2 * t
     decay_ok: bool
 
-    def table(self):
-        return list(zip(self.ts, self.gaps))
-
 
 def initial_condition_check(S: ContactSystem, datum: InitialDatum, x,
                             t_sequence: Sequence[float],
@@ -467,12 +466,10 @@ def initial_condition_check(S: ContactSystem, datum: InitialDatum, x,
     if ts.size < 1 or np.any(ts <= 0) or np.any(np.diff(ts) >= 0):
         raise PreconditionError("t_sequence must be positive and strictly decreasing")
     phi_x = float(datum(x))
-    gaps = np.empty(ts.size)
-    mus = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        val = solve_value(S, datum, float(t), x, search)[0]
-        gaps[i] = abs(val - phi_x)
-        mus[i] = mu_radius(S, datum, float(t))
+    # the grid wants ascending horizons; read its values back in this order
+    values = solve_value_grid(S, datum, ts[::-1], x[None], search).values[::-1, 0]
+    gaps = np.abs(values - phi_x)
+    mus = np.array([mu_radius(S, datum, float(t)) for t in ts])
     slack = gaps - datum.lip * mus * ts
     fitted_c2 = float(max(0.0, np.max(slack / ts)))
     bound = datum.lip * mus * ts + fitted_c2 * ts

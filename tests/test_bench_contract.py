@@ -7,6 +7,7 @@ CLI thread count.  These tests only read perfbench/.
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +74,39 @@ def test_value_point_info_reads_the_argmin(tracing):
     assert np.shape(y_star) == (1,)
     # Hopf-Lax: the value is phi(y*) + |x - y*|^2 / (2t) at the argmin
     assert abs(np.sin(y_star[0]) + (0.3 - y_star[0]) ** 2 - res[0]) <= 1e-2
+
+
+TRACED_JOBS = [
+    ("fundamental", {"system": "discounted-quadratic(0.5)", "segments": 4,
+                     "substeps": 1, "shooting_steps": 16,
+                     "points": [{"t": 0.5, "x": [0.0], "y": [0.3], "u": 0.1}]}),
+    ("solve", {"system": "quadratic", "datum": "sin", "times": [0.5],
+               "space": {"min": 0.0, "max": 0.5, "points": 2},
+               "segments": 4, "grid_points": 5, "ytol": 1e-3, "substeps": 1}),
+    ("vanishing", {"family": "discounted", "datum": "sin", "lambdas": [0.5],
+                   "times": [0.5], "space": {"min": 0.0, "max": 0.5, "points": 2},
+                   "segments": 4, "grid_points": 5, "ytol": 1e-3, "substeps": 1,
+                   "gap_tol": 0.99}),
+]
+
+
+def test_traced_cli_runs_leave_no_metric_missing(tracing, tmp_path, monkeypatch):
+    # a hook that stops resolving or reading its call shows up here, not as
+    # a null in a benchmark record
+    monkeypatch.setenv("CONTACT_HJ_THREADS", "1")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command, payload in TRACED_JOBS:
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(dict(payload, out=str(tmp_path / f"{command}.csv"))))
+            assert cli.main([command, "--config", str(cfg), "--quiet"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {}
+    metrics = tracer.metrics(1.0)
+    assert set(metrics) == set(tracing.PER_LAYER)
+    assert [m for m, rec in metrics.items() if rec["value"] is None] == []
+    assert metrics["cli.jobs"]["value"] == len(TRACED_JOBS)
+    assert metrics["systems.L_calls"]["value"] > 0
+    assert metrics["systems.H_calls"]["value"] > 0

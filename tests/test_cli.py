@@ -219,6 +219,53 @@ def test_fractional_integer_keys_are_config_errors(tmp_path, command, overrides)
         assert main([command, "--config", cfg, "--quiet"]) == 0
 
 
+FUND_PAYLOAD = {"system": "quadratic", "segments": 8, "shooting_steps": 64,
+                "points": [{"t": 1.0, "x": [0.0], "y": [1.0], "u": 0.0}]}
+
+
+def _point(**fields):
+    return {"points": [dict(FUND_PAYLOAD["points"][0], **fields)]}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    # an argument on an id that takes none
+    ("fundamental", {"system": {"id": "quadratic", "lambda": 2.0}}),
+    ("fundamental", {"system": "trig-contact(7)"}),
+    ("solve", {"system": {"id": "quadratic", "lambda": 2.0}}),
+    ("solve", {"datum": "sin(2)"}),
+    ("solve", {"datum": {"id": "sin", "c": 2.0}}),
+    # values that are not numbers
+    ("fundamental", {"system": {"id": "discounted-quadratic", "lambda": "fast"}}),
+    ("fundamental", {"system": {"id": "quadratic", "K": "big"}}),
+    ("fundamental", _point(t="soon")),
+    ("fundamental", _point(x=["left"])),
+    ("fundamental", _point(y=[[1.0]])),
+    ("fundamental", _point(u="zero")),
+    ("solve", {"times": ["soon"]}),
+    ("solve", {"datum": {"id": "constant", "c": "half"}}),
+    ("solve", {"space": {"min": "a", "max": 1.0, "points": 5}}),
+    ("solve", {"space": [-1.0, 1.0, 5]}),
+    ("solve", {"system": {"id": 5}}),
+    ("vanishing", {"lambdas": [0.5, "small"]}),
+    ("vanishing", {"gap_tol": "loose"}),
+    ("vanishing", {"times": [float("inf")]}),
+    ("check", {"seed": "lucky"}),
+    ("check", {"seed": -1}),
+], ids=["fundamental-lambda-on-quadratic", "fundamental-trig-contact(7)",
+        "solve-lambda-on-quadratic", "solve-sin(2)", "solve-c-on-sin",
+        "lambda", "K", "t", "x", "nested-y", "u", "times", "datum.c", "space.min",
+        "space-list", "system-id-number", "lambdas", "gap_tol", "infinite-time",
+        "seed", "negative-seed"])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, overrides):
+    out = tmp_path / "o.csv"
+    base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,
+            "vanishing": VANISH_PAYLOAD, "check": {"samples": 8}}[command]
+    cfg = write_config(tmp_path / "cfg.json", dict(base, out=str(out), **overrides))
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_solve_accepts_datum_record_with_overrides(tmp_path):
     out = tmp_path / "o.csv"
     payload = dict(SOLVE_PAYLOAD,

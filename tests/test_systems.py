@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from contact_hj import (ContactSystem, HamiltonianSystem, NonConvergence,
-                        SampleBox, builtin_system, discounted_quadratic_system,
+                        SampleBox, builtin_hamiltonian, builtin_system,
+                        discounted_quadratic_system,
                         legendre_to_hamiltonian, legendre_to_lagrangian,
                         quadratic_system, quartic_system, trig_contact_system,
                         verify_conditions)
+from contact_hj.systems import H_FD
 
 ALL_IDS = ["quadratic", "discounted-quadratic(1.0)", "quartic", "trig-contact"]
 
@@ -106,7 +108,7 @@ def test_fd_first_derivatives_match_analytic(spec_id):
     twin = ContactSystem(dim=S.dim, lagrangian=S.lagrangian, K=S.K,
                          theta0=S.theta0, theta0_bar=S.theta0_bar, c0=S.c0)
     rng = np.random.default_rng(11)
-    tol = 100.0 * S.h_fd ** 2
+    tol = 100.0 * H_FD ** 2
     for _ in range(6):
         x = rng.uniform(-2, 2, (3, S.dim))
         u = rng.uniform(-2, 2, 3)
@@ -126,7 +128,7 @@ def test_fd_hessian_from_analytic_gradient(spec_id):
     x = rng.uniform(-2, 2, (4, S.dim))
     u = rng.uniform(-2, 2, 4)
     v = rng.uniform(-2, 2, (4, S.dim))
-    assert np.max(np.abs(half.Lvv(x, u, v) - S.Lvv(x, u, v))) <= 100.0 * S.h_fd ** 2
+    assert np.max(np.abs(half.Lvv(x, u, v) - S.Lvv(x, u, v))) <= 100.0 * H_FD ** 2
 
 
 def test_fd_hessian_without_any_analytic_gradient():
@@ -251,6 +253,18 @@ def test_builtin_registry_rejects_unknown():
         builtin_system("pendulum")
     with pytest.raises(PreconditionError):
         builtin_system("discounted-quadratic")  # missing rate
+
+
+@pytest.mark.parametrize("resolve, spec_id", [
+    (builtin_system, "quadratic(3)"),
+    (builtin_system, "quartic(0.5)"),
+    (builtin_hamiltonian, "trig-contact(7)"),
+    (builtin_hamiltonian, "quadratic(2.0)"),
+], ids=["quadratic", "quartic", "trig-contact-hamiltonian", "quadratic-hamiltonian"])
+def test_builtin_ids_without_a_rate_refuse_an_argument(resolve, spec_id):
+    from contact_hj import PreconditionError
+    with pytest.raises(PreconditionError, match="takes no argument"):
+        resolve(spec_id)
 
 
 def test_c_const_defaults_to_upper_envelope_at_zero():

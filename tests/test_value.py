@@ -363,6 +363,9 @@ def test_builtin_datum_ids():
         builtin_datum("step")
     with pytest.raises(PreconditionError):
         builtin_datum("constant")
+    # an id that takes no argument refuses one instead of ignoring it
+    with pytest.raises(PreconditionError, match="takes no argument"):
+        builtin_datum("sin(2)")
 
 
 def test_cos_bump_is_continuous_at_support_edge():
