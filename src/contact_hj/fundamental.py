@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize._lbfgsb import setulb
 
 from ._util import as_point
-from .cost_ode import (CostTrajectory, Curve, _rk4, _rk4_sweep, integrate_cost,
+from .cost_ode import (CostTrajectory, Curve, _rk4, _rk4_sweep,
                        integrate_cost_many)
 from .errors import NoRootFound, NonConvergence, PreconditionError
 from .systems import ContactSystem, HamiltonianSystem
@@ -37,10 +37,14 @@ T_MIN = 1e-6
 
 @dataclass
 class OptimizerParams:
-    """Knobs of the interior-node quasi-Newton minimization."""
+    """Knobs of the interior-node quasi-Newton minimization.
+
+    L-BFGS-B iterates Sobolev coordinates (see `_direct_lockstep`), but
+    every knob here is in node coordinates.
+    """
 
     tol: float = 1e-9          # objective decrease defining convergence
-    gtol: float = 1e-6         # gradient norm defining convergence
+    gtol: float = 1e-6         # node-space gradient norm defining convergence
     max_iter: int = 500
     fd_step: float = 1e-6      # central-difference step on node coordinates
     substeps: int = 4          # cost-ODE substeps per curve segment
@@ -92,16 +96,23 @@ def _slice_lanes(D: int) -> int:
 class _Lane:
     """One L-BFGS-B instance: its reverse-communication state and its cache.
 
-    The arrays are those scipy's `_minimize_lbfgsb` hands to `setulb`; the
-    cache holds the last evaluated point, like scipy's x-equality cache.
+    `setulb` iterates the lane's Sobolev coordinates w, and the interior
+    nodes are z = z0 + R^-1 w; `_precondition` sets R^-1 after the lane's
+    first sweep, whose point w = 0 needs none.  The arrays are those
+    scipy's `_minimize_lbfgsb` hands to `setulb`.  `seen` is the last
+    evaluation, like scipy's x-equality cache, and `kept` the evaluation at
+    the last iterate, to which `setulb` falls back when a line search fails.
     """
 
     def __init__(self, x, y, u, z0, m):
         D = z0.size
         self.x0, self.y0, self.u = x, y, float(u)
-        self.z = np.array(z0, dtype=np.float64)
+        self.z0 = self.z = np.array(z0, dtype=np.float64)
+        self.Rinv = None
+        self.w = np.zeros(D)
         self.f = np.array(0.0, dtype=np.float64)
-        self.g = np.zeros(D)
+        self.g = np.zeros(D)       # gradient in w: R^-T times the node gradient
+        self.gz = None             # gradient in node coordinates
         self.wa = np.zeros(2 * m * D + 5 * D + 11 * m * m + 8 * m)
         self.iwa = np.zeros(3 * D, dtype=np.int32)
         self.task = np.zeros(2, dtype=np.int32)
@@ -112,29 +123,102 @@ class _Lane:
         self.nit = 0
         self.nfev = 0
         self.history = []
-        self.seen = None      # (z, f, g, cost samples of the unperturbed row)
+        self.near = False          # some iterate met gtol
+        self.seen = self.kept = None   # (w, z, f, g, gz, unperturbed cost row)
 
-    def advance(self, m, nbd, bnd, factr, pgtol, maxls, maxiter, maxfun) -> bool:
+    def take(self, f, gz, samples, opt) -> None:
+        """Record f and the node-space gradient at z, and stop the lane once
+        this point meets the convergence contract: at the first evaluation,
+        or at a trial point after an iterate met gtol that does not raise f
+        above the current iterate's, and then counts as the last iterate."""
+        self.nfev += 1
+        self.f, self.gz, self.g = f, gz, self.Rinv.T @ gz
+        self.seen = (self.w.copy(), self.z, f, self.g, gz, samples)
+        small = np.linalg.norm(gz) < opt.gtol
+        if not self.history:
+            self.history.append(f)
+            self.kept = self.seen
+            stop = small
+        else:
+            stop = self.near and small and 0.0 <= self.history[-1] - f < opt.tol
+            if stop:
+                self.nit += 1
+                self.history.append(f)
+        if stop:
+            self.task[:] = (5, 505)
+
+    def advance(self, m, nbd, bnd, factr, maxls, maxfun, opt) -> bool:
         """Step `setulb` until it asks for f and g at an unseen point (True)
-        or stops (False), mirroring the loop of scipy's `_minimize_lbfgsb`."""
+        or stops (False), mirroring the loop of scipy's `_minimize_lbfgsb`;
+        `setulb`'s own gradient test (pgtol 0) stops only an iterate whose
+        gradient is exactly 0, and a new iterate that meets the convergence
+        contract stops the lane."""
         while True:
             self.g = self.g.astype(np.float64)
-            setulb(m, self.z, bnd, bnd, nbd, self.f, self.g, factr, pgtol,
+            setulb(m, self.w, bnd, bnd, nbd, self.f, self.g, factr, 0.0,
                    self.wa, self.iwa, self.task, self.lsave, self.isave,
                    self.dsave, maxls, self.ln_task)
             if self.task[0] == 3:
-                if self.seen is None or not np.array_equal(self.z, self.seen[0]):
+                if self.seen is None:
+                    return True       # the starting curve, z0
+                if not np.array_equal(self.w, self.seen[0]):
+                    self.z = self.z0 + self.Rinv @ self.w
                     return True
-                self.f, self.g = self.seen[1], self.seen[2]
+                _, self.z, self.f, self.g, self.gz, _ = self.seen
             elif self.task[0] == 1:
                 self.nit += 1
-                self.history.append(self.seen[1])
-                if self.nit >= maxiter:
+                self.history.append(self.seen[2])
+                self.kept = self.seen
+                small = np.linalg.norm(self.gz) < opt.gtol
+                self.near = self.near or small
+                if small and self.history[-2] - self.history[-1] < opt.tol:
+                    self.task[:] = (5, 505)
+                elif self.nit >= opt.max_iter:
                     self.task[:] = (5, 504)
                 elif self.nfev > maxfun:
                     self.task[:] = (5, 502)
             else:
                 return False
+
+
+def _precondition(S, t, lanes, rows, N, substeps) -> None:
+    """Set each lane's R^-1, where R^T R = P is its Sobolev metric.
+
+    P models the Hessian of the discrete action on the lane's straight
+    starting curve: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h
+    at the segment midpoints s_k, with u read off the unperturbed cost row
+    of the lane's first sweep (`rows`); diagonal blocks c_{k-1} + c_k and
+    off-diagonal blocks -c_k.  A lane whose P is not positive definite, or
+    whose factor is not finite, keeps node coordinates (R = I).
+    """
+    B, n = len(lanes), lanes[0].x0.size
+    D = (N - 1) * n
+    h = t / N
+    x = np.array([ln.x0 for ln in lanes])
+    y = np.array([ln.y0 for ln in lanes])
+    frac = ((np.arange(N) + 0.5) / N)[None, :, None]
+    xm = (1.0 - frac) * x[:, None] + frac * y[:, None]
+    vm = np.broadcast_to(((y - x) / t)[:, None], (B, N, n))
+    k = np.arange(N) * substeps
+    um = 0.5 * (rows[:, k + substeps // 2] + rows[:, k + (substeps + 1) // 2])
+    args = (xm.reshape(-1, n), um.reshape(-1), vm.reshape(-1, n))
+    lu = np.asarray(S.Lu(*args), dtype=float).reshape(B, N)
+    lvv = np.asarray(S.Lvv(*args), dtype=float).reshape(B, N, n, n)
+    # midpoint rule for int_{s_k}^t L_u: half of segment k, all of the later ones
+    weight = np.exp(h * (np.cumsum(lu[:, ::-1], axis=1)[:, ::-1] - 0.5 * lu))
+    c = weight[..., None, None] * lvv / h
+    P = np.zeros((B, N - 1, n, N - 1, n))
+    j = np.arange(N - 1)
+    P[:, j, :, j, :] = (c[:, :-1] + c[:, 1:]).swapaxes(0, 1)
+    P[:, j[:-1], :, j[1:], :] = -c[:, 1:-1].swapaxes(0, 1)
+    P[:, j[1:], :, j[:-1], :] = -c[:, 1:-1].swapaxes(0, 1).swapaxes(-1, -2)
+    for ln, p in zip(lanes, P.reshape(B, D, D)):
+        try:
+            # R = chol^T, so R^-1 = (chol^-1)^T
+            rinv = np.ascontiguousarray(np.linalg.inv(np.linalg.cholesky(p)).T)
+        except np.linalg.LinAlgError:
+            rinv = np.eye(D)
+        ln.Rinv = rinv if np.all(np.isfinite(rinv)) else np.eye(D)
 
 
 def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
@@ -152,26 +236,30 @@ def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
         block[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
     u0 = np.repeat([ln.u for ln in lanes], R)
     samples = integrate_cost_many(S, t, nodes, u0, opt.substeps)
+    fresh = [k for k, ln in enumerate(lanes) if ln.Rinv is None]
+    if fresh:
+        _precondition(S, t, [lanes[k] for k in fresh], samples[np.array(fresh) * R],
+                      N, opt.substeps)
     for k, ln in enumerate(lanes):
         finals = samples[k * R:(k + 1) * R, -1]
-        f = float(finals[0])
         g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        ln.nfev += 1
-        ln.seen = (ln.z.copy(), f, g, samples[k * R].copy())
-        if not ln.history:
-            ln.history.append(f)
-        ln.f, ln.g = f, g
+        ln.take(float(finals[0]), g, samples[k * R].copy(), opt)
 
 
 def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
                      opt: OptimizerParams, outcomes: bool = False) -> list:
     """Minimize the terminal running cost for a batch of (x, y, u) lanes.
 
-    Each lane runs scipy's L-BFGS-B (`setulb`) with the options and stops
-    of `scipy.optimize.minimize`, so it follows the iterates it would
-    follow alone; every round, the lanes that ask for f and g are answered
-    together by one `integrate_cost_many` sweep.  The lanes run in
-    successive slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
+    Each lane runs scipy's L-BFGS-B (`setulb`) in its Sobolev coordinates
+    (see `_Lane`, `_precondition`), with the finite-difference gradient
+    taken in node coordinates and mapped by R^-T.  A lane stops on the
+    convergence contract itself: node-space gradient norm below gtol and
+    last decrease below tol, checked at its first point, at every new
+    iterate and, once an iterate met gtol, at line-search trial points.
+    Every round, the lanes that ask for f and g are answered together by
+    one `integrate_cost_many` sweep, and each lane follows, bit for bit,
+    the iterates it would follow alone.  The lanes run in successive
+    slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
     FundamentalResult per lane; when lanes miss their criteria within
     max_iter, raises the NonConvergence of the first such lane, as solving
     the lanes one after another would, unless `outcomes` is set, in which
@@ -186,15 +274,11 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     N = int(segments)
     D = (N - 1) * n
     eye = np.eye(D) * opt.fd_step
-    # scipy's L-BFGS-B stops on EITHER criterion; the contract wants both,
-    # so its own ftol is disabled and the per-component gradient tolerance
-    # is tightened to imply the 2-norm criterion.
     m = min(max(D, 1), 64)
-    pgtol = opt.gtol / np.sqrt(max(D, 1))
     factr = 1e-15 / np.finfo(float).eps
     nbd = np.zeros(D, dtype=np.int32)
     bnd = np.zeros(D)
-    settings = (m, nbd, bnd, factr, pgtol, 100, opt.max_iter, 15000)
+    settings = (m, nbd, bnd, factr, 100, 15000, opt)
 
     width = _slice_lanes(D)
     results = []
@@ -210,30 +294,28 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
             _sweep_lanes(S, t, active, N, opt, eye)
             active = [ln for ln in active if ln.advance(*settings)]
         for ln in lanes:
-            res = _finish(S, t, ln, N, opt)
+            res = _finish(t, ln, N, opt)
             if isinstance(res, NonConvergence) and not outcomes:
                 raise res
             results.append(res)
     return results
 
 
-def _finish(S, t, ln: _Lane, N: int, opt: OptimizerParams):
+def _finish(t, ln: _Lane, N: int, opt: OptimizerParams):
     """Result of a stopped lane, or its NonConvergence if it exhausted max_iter."""
-    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(ln.z)
-    if ln.z.tobytes() == ln.seen[0].tobytes():
-        # the last evaluation's unperturbed row already is the trajectory
-        samples = ln.seen[3]
-        samples[0] = ln.u
-        traj = CostTrajectory(times=np.linspace(0.0, float(t), samples.size),
-                              samples=samples, u0=ln.u)
-    else:
-        traj = integrate_cost(S, curve, ln.u, opt.substeps)
+    # setulb stops at its last evaluation, or falls back to its last iterate
+    _, z, _, _, gz, samples = (ln.seen if np.array_equal(ln.w, ln.seen[0])
+                               else ln.kept)
+    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(z)
+    samples[0] = ln.u
+    traj = CostTrajectory(times=np.linspace(0.0, float(t), samples.size),
+                          samples=samples, u0=ln.u)
     A = traj.final
     history = ln.history
     if history[-1] != A:
         history.append(A)
 
-    grad_norm = float(np.linalg.norm(np.atleast_1d(ln.g)))
+    grad_norm = float(np.linalg.norm(gz))
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
     converged = grad_norm < opt.gtol and last_dec < opt.tol
     if ln.nit >= opt.max_iter and not converged:
@@ -253,10 +335,13 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     The decision variables are the interior nodes of a piecewise-linear
     curve initialized as the straight segment; the objective value is the
-    final sample of the cost ODE.  Gradients are central differences on
-    the node coordinates, evaluated as one batched integration sweep.
-    This is the one-lane case of `_direct_lockstep`, which also solves
-    the rest point and coarse screen of `value._search_ball` as one batch.
+    final sample of the cost ODE.  L-BFGS-B runs in Sobolev coordinates,
+    a change of variables by the exponentially weighted discrete
+    Laplacian of the starting curve; gradients are central differences on
+    the node coordinates, evaluated as one batched integration sweep, and
+    `converged` is judged in node coordinates.  This is the one-lane case
+    of `_direct_lockstep`, which also solves the value search's screen and
+    golden rounds as batches.
     """
     return _direct_lockstep(S, t, [(x, y, u)], segments, opt or OptimizerParams())[0]
 

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._util import parse_id
 from .cost_ode import Curve, _rk4_sweep, integrate_cost
 from .errors import BoundViolation, PreconditionError
 # unused here; perfbench/tracing.py hooks this module's binding of the name
@@ -106,16 +107,17 @@ def family_perturbed(dim: int = 1) -> LambdaFamily:
     )
 
 
-BUILTIN_FAMILY_IDS = ("discounted", "perturbed")
+_FAMILIES = {"discounted": family_discounted, "perturbed": family_perturbed}
+BUILTIN_FAMILY_IDS = tuple(_FAMILIES)
 
 
 def builtin_family(spec_id: str, dim: int = 1) -> LambdaFamily:
-    s = spec_id.strip()
-    if s == "discounted":
-        return family_discounted(dim)
-    if s == "perturbed":
-        return family_perturbed(dim)
-    raise PreconditionError(f"unknown family id {spec_id!r}; known: {BUILTIN_FAMILY_IDS}")
+    base, arg = parse_id(spec_id, "family")
+    if base not in _FAMILIES:
+        raise PreconditionError(f"unknown family id {spec_id!r}; known: {BUILTIN_FAMILY_IDS}")
+    if arg is not None:
+        raise PreconditionError(f"{base} takes no argument, got {spec_id!r}")
+    return _FAMILIES[base](dim)
 
 
 # ---------------------------------------------------------------------------

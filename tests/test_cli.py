@@ -249,13 +249,15 @@ def _point(**fields):
     ("vanishing", {"lambdas": [0.5, "small"]}),
     ("vanishing", {"gap_tol": "loose"}),
     ("vanishing", {"times": [float("inf")]}),
+    ("vanishing", {"family": 5}),
+    ("vanishing", {"family": "discounted(3)"}),
     ("check", {"seed": "lucky"}),
     ("check", {"seed": -1}),
 ], ids=["fundamental-lambda-on-quadratic", "fundamental-trig-contact(7)",
         "solve-lambda-on-quadratic", "solve-sin(2)", "solve-c-on-sin",
         "lambda", "K", "t", "x", "nested-y", "u", "times", "datum.c", "space.min",
         "space-list", "system-id-number", "lambdas", "gap_tol", "infinite-time",
-        "seed", "negative-seed"])
+        "family-id-number", "family-discounted(3)", "seed", "negative-seed"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, overrides):
     out = tmp_path / "o.csv"
     base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,
@@ -264,6 +266,14 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, override
     assert main([command, "--config", cfg, "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+def test_family_id_with_an_argument_is_refused_as_taking_none(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(VANISH_PAYLOAD, family="discounted(3)",
+                            out=str(tmp_path / "o.csv")))
+    assert main(["vanishing", "--config", cfg, "--quiet"]) == 2
+    assert "discounted takes no argument" in capsys.readouterr().err
 
 
 def test_solve_accepts_datum_record_with_overrides(tmp_path):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import disc_A, disc_p0, rel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_hj import (Curve, HamiltonianSystem, NoRootFound,
                         OptimizerParams, PreconditionError,
@@ -13,8 +15,10 @@ from contact_hj import (Curve, HamiltonianSystem, NoRootFound,
                         quadratic_hamiltonian, quadratic_system,
                         quartic_system, shoot, speed_envelope_check,
                         trig_contact_system)
+from contact_hj import fundamental, perturbed_system
 from contact_hj.cost_ode import integrate_cost_many
-from contact_hj.fundamental import CharacteristicState
+from contact_hj.fundamental import (CharacteristicState, _direct_lockstep, _Lane,
+                                    _precondition)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +108,101 @@ def test_direct_exhausted_iterations_raise():
     with pytest.raises(NonConvergence):
         fundamental_direct(S, 1.0, 0.0, 1.0, 0.0, segments=32,
                            opt=OptimizerParams(max_iter=1))
+
+
+def test_direct_converges_on_the_panel_point_that_stalled_in_node_coordinates(monkeypatch):
+    # a point of the benchmark's seed-1 `fundamental` panel: in node
+    # coordinates L-BFGS-B stopped there unconverged after 76 iterations
+    sweeps = []
+    monkeypatch.setattr(fundamental, "integrate_cost_many",
+                        lambda *a: sweeps.append(1) or integrate_cost_many(*a))
+    S = discounted_quadratic_system(0.5)
+    t, x, y, u = 0.59375, -0.7116807745607325, 0.8237840995400376, 4.653245874281547
+    r = fundamental_direct(S, t, x, y, u, segments=64)
+    assert r.converged
+    assert rel(r.A, disc_A(0.5, t, y - x, u)) <= 1e-4
+    # the confirming line search stops at its first trial point that meets
+    # the contract (16 sweeps when it runs to the next iterate instead)
+    assert len(sweeps) <= 8
+
+
+def test_direct_strong_discount_converges_in_a_few_iterations():
+    # 465 iterations in node coordinates: the weight exp(-4 (t - s)) spans e^8
+    S = discounted_quadratic_system(4.0)
+    r = fundamental_direct(S, 2.0, 0.0, 3.0, 0.0, segments=64,
+                           opt=OptimizerParams(substeps=2))
+    assert r.converged
+    assert r.iterations <= 5
+    assert rel(r.A, disc_A(4.0, 2.0, 3.0, 0.0)) <= 1e-4
+
+
+def test_direct_lane_at_its_optimum_stops_after_one_evaluation(monkeypatch):
+    sweeps = []
+
+    def spy(*args):
+        sweeps.append(args[2].shape[0])
+        return integrate_cost_many(*args)
+
+    monkeypatch.setattr(fundamental, "integrate_cost_many", spy)
+    r = fundamental_direct(quadratic_system(), 1.0, 0.0, 1.0, 0.0, segments=16)
+    assert r.converged
+    assert r.iterations == 0
+    assert len(r.objective_history) == 1
+    assert sweeps == [31]  # one evaluation: the point and its 2D central differences
+
+
+def test_direct_exactly_stationary_iterate_stops_the_lane_as_it_stands():
+    # one step lands where every central difference of the node gradient
+    # cancels exactly, so L-BFGS-B cannot move and stops there; the lane
+    # reports the one iteration it took, and since that step decreased the
+    # objective by more than tol, the contract does not call it converged
+    S, t, x, u = discounted_quadratic_system(0.1), 0.5, -1.2051709180756477, -0.9339003392933897
+    opt = OptimizerParams(substeps=2)
+    r = fundamental_direct(S, t, x, 0.0, u, segments=8, opt=opt)
+    z = r.minimizer.interior
+    eye = np.eye(z.size) * opt.fd_step
+    nodes = np.repeat(r.minimizer.nodes[None], 2 * z.size + 1, axis=0)
+    nodes[:, 1:-1, 0] = np.vstack([z[None], z[None] + eye, z[None] - eye])
+    finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
+    assert np.array_equal(finals[1:z.size + 1], finals[z.size + 1:])
+    assert r.iterations == 1
+    hist = r.objective_history
+    assert len(hist) == 2 and hist[0] - hist[1] >= opt.tol
+    assert not r.converged
+
+
+def test_direct_quartic_rest_lane_keeps_node_coordinates():
+    # L_vv = 3 v^2 vanishes on the straight curve from x to x, so its metric
+    # P is zero; that lane uses R = I while the other lane keeps its metric
+    S, N, t = quartic_system(), 16, 1.0
+    ends = [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0)]
+    lanes = [_Lane(np.array([x]), np.array([y]), u,
+                   Curve.straight(x, y, t, N).interior, N - 1) for x, y, u in ends]
+    nodes = np.stack([Curve.straight(x, y, t, N).nodes for x, y, _ in ends])
+    _precondition(S, t, lanes, integrate_cost_many(S, t, nodes, 0.0, 2), N, 2)
+    assert np.array_equal(lanes[0].Rinv, np.eye(N - 1))
+    assert not np.array_equal(lanes[1].Rinv, np.eye(N - 1))
+    rest, moving = _direct_lockstep(S, t, ends, N, OptimizerParams(substeps=2))
+    assert rest.converged and rest.A == 0.0
+    assert moving.converged
+    assert abs(moving.A - 0.25) <= 1e-9  # |v|^4 / 4 at v = 1 over t = 1
+
+
+SYSTEMS = [discounted_quadratic_system(0.5), discounted_quadratic_system(2.0),
+           trig_contact_system(), perturbed_system(0.3)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(system=st.sampled_from(SYSTEMS), t=st.floats(0.4, 1.2),
+       x=st.floats(-1.0, 1.0), d=st.floats(-1.5, 1.5), u1=st.floats(-2.0, 2.0),
+       gap=st.floats(0.0, 2.0))
+def test_direct_comparison_principle(system, t, x, d, u1, gap):
+    """u1 <= u2 implies A(t, x, y, u1) <= A(t, x, y, u2): the cost ODE is
+    monotone in its initial value along every curve, so is its minimum."""
+    opt = OptimizerParams(substeps=2)
+    low = fundamental_direct(system, t, x, x + d, u1, segments=8, opt=opt)
+    high = fundamental_direct(system, t, x, x + d, u1 + gap, segments=8, opt=opt)
+    assert low.A <= high.A + 1e-9
 
 
 def test_direct_propagates_cost_overflow():

@@ -1,7 +1,8 @@
-"""The lockstep L-BFGS-B driver against the scipy `minimize` loop it replaced.
+"""The lockstep L-BFGS-B driver against scipy's `minimize`, one solve at a time.
 
-The reference loops below are the earlier `fundamental_direct` (one
-`scipy.optimize.minimize` call per inner solve), the sequential
+The reference loops below are a `fundamental_direct` that runs one
+`scipy.optimize.minimize` call per inner solve in the same Sobolev
+coordinates and stops it on the same contract, the sequential
 `_search_ball` and the earlier `golden_min`, kept verbatim apart from
 their names.  Every lane of the driver must follow its reference solve
 bit for bit: same optimum, minimizer, trajectory, iteration count,
@@ -9,6 +10,7 @@ objective history and verdict.
 """
 
 import math
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -23,22 +25,31 @@ from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
 from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
 from contact_hj.cost_ode import Curve, integrate_cost, integrate_cost_many
 from contact_hj import fundamental, value
-from contact_hj.fundamental import T_MIN, OptimizerParams, _direct_lockstep
+from contact_hj.fundamental import T_MIN, OptimizerParams, _direct_lockstep, _precondition
 from contact_hj.value import mu_radius
 
 # ---------------------------------------------------------------------------
 # reference loops
 # ---------------------------------------------------------------------------
 
+class _Stop(Exception):
+    """A line-search trial point met the convergence contract."""
+
+
 def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
                             segments: int = 32,
                             opt: Optional[OptimizerParams] = None) -> FundamentalResult:
     """Minimize the terminal running cost over curves from x to y.
 
-    The decision variables are the interior nodes of a piecewise-linear
-    curve initialized as the straight segment; the objective value is the
-    final sample of the cost ODE.  Gradients are central differences on
-    the node coordinates, evaluated as one batched integration sweep.
+    scipy's `minimize` (L-BFGS-B, pgtol 0) iterates the Sobolev coordinates
+    w of the interior nodes z = z0 + R^-1 w, where R is the factor that
+    `_precondition` builds from the straight curve; gradients are central
+    differences on the node coordinates, evaluated as one batched
+    integration sweep and mapped by R^-T.  The solve stops on the
+    node-space contract: at the first evaluation, at an iterate (the
+    callback halts `minimize`), or, once an iterate met gtol, at the first
+    later trial point that meets it without raising f above the last
+    iterate's, which counts as the last iteration (`_Stop`).
     """
     opt = opt or OptimizerParams()
     if t <= T_MIN:
@@ -55,10 +66,17 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     base = Curve.straight(x, y, t, N)
     z0 = base.interior
+    lane = SimpleNamespace(x0=x, y0=y)
+    _precondition(S, t, [lane], integrate_cost_many(S, t, base.nodes[None], u,
+                                                    opt.substeps), N, opt.substeps)
+    Rinv = lane.Rinv
     eye = np.eye(D) * opt.fd_step
-    last_f = {"f": np.nan}
+    seen = {}            # w -> (f, node gradient)
+    history = []
+    near = [False]       # some iterate met gtol
 
-    def fun_and_grad(z):
+    def fun_and_grad(w):
+        z = z0 + Rinv @ w
         zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
         nodes = np.empty((2 * D + 1, N + 1, n))
         nodes[:, 0, :] = x
@@ -66,37 +84,50 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
         nodes[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
         finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
         f = float(finals[0])
-        g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        last_f["f"] = f
-        return f, g
+        gz = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
+        seen[w.tobytes()] = (f, gz)
+        small = np.linalg.norm(gz) < opt.gtol
+        if not history:
+            history.append(f)
+            if small:
+                raise _Stop(w.copy())
+        elif near[0] and small and 0.0 <= history[-1] - f < opt.tol:
+            history.append(f)
+            raise _Stop(w.copy())
+        return f, Rinv.T @ gz
 
-    f0, g0 = fun_and_grad(z0)
-    history = [f0]
-    # scipy's L-BFGS-B stops on EITHER criterion; the contract wants both,
-    # so its own ftol is disabled and the per-component gradient tolerance
-    # is tightened to imply the 2-norm criterion.
-    pgtol = opt.gtol / np.sqrt(max(D, 1))
-    res = minimize(fun_and_grad, z0, jac=True, method="L-BFGS-B",
-                   callback=lambda xk: history.append(last_f["f"]),
-                   options={"maxiter": opt.max_iter, "ftol": 1e-15,
-                            "gtol": pgtol, "maxls": 100,
-                            "maxcor": min(max(D, 1), 64)})
-    curve = base.with_interior(res.x)
+    def callback(wk):
+        f, gz = seen[wk.tobytes()]
+        history.append(f)
+        small = np.linalg.norm(gz) < opt.gtol
+        near[0] = near[0] or small
+        if small and history[-2] - history[-1] < opt.tol:
+            raise StopIteration
+
+    try:
+        res = minimize(fun_and_grad, np.zeros(D), jac=True, method="L-BFGS-B",
+                       callback=callback,
+                       options={"maxiter": opt.max_iter, "ftol": 1e-15, "gtol": 0.0,
+                                "maxls": 100, "maxcor": min(max(D, 1), 64)})
+        w, nit = res.x, int(res.nit)
+    except _Stop as stop:
+        w, nit = stop.args[0], len(history) - 1
+    gz = seen[w.tobytes()][1]
+    curve = base.with_interior(z0 + Rinv @ w)
     traj = integrate_cost(S, curve, u, opt.substeps)
     A = traj.final
     if history[-1] != A:
         history.append(A)
 
-    grad_norm = float(np.linalg.norm(np.atleast_1d(res.jac)))
+    grad_norm = float(np.linalg.norm(gz))
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
     converged = grad_norm < opt.gtol and last_dec < opt.tol
-    if res.nit >= opt.max_iter and not converged:
+    if nit >= opt.max_iter and not converged:
         raise NonConvergence(
             f"curve minimization exhausted {opt.max_iter} iterations "
             f"(gradient norm {grad_norm:.3g})")
     return FundamentalResult(h=A - u, A=A, minimizer=curve, trajectory=traj,
-                             iterations=int(res.nit),
-                             objective_history=np.asarray(history),
+                             iterations=nit, objective_history=np.asarray(history),
                              converged=bool(converged))
 
 
@@ -218,8 +249,11 @@ CASES = [
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0].name}-{c[0].dim}d")
 def test_single_lane_matches_minimize(case):
     S, t, x, y, u, N = case
-    _same(fundamental_direct(S, t, x, y, u, segments=N, opt=OPT),
-          _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
+    got = fundamental_direct(S, t, x, y, u, segments=N, opt=OPT)
+    _same(got, _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
+    # the trajectory is a row of the last sweep, bitwise a lone integration
+    lone = integrate_cost(S, got.minimizer, u, OPT.substeps)
+    assert np.array_equal(got.trajectory.samples, lone.samples)
 
 
 def test_lanes_stopping_at_different_rounds_match_alone():
@@ -262,7 +296,7 @@ def test_first_failing_lane_of_a_later_slice_raises(monkeypatch):
     ends = [(0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.0, 2.0, 0.5), (-1.0, 1.5, -0.3)]
     for x, y, u in ends[:2]:
         assert _ref_fundamental_direct(S, 1.0, x, y, u, segments=10, opt=opt).converged
-    with pytest.raises(NonConvergence) as ref:
+    with pytest.raises(NonConvergence, match="exhausted 2 iterations") as ref:
         for x, y, u in ends:
             _ref_fundamental_direct(S, 1.0, x, y, u, segments=10, opt=opt)
     with pytest.raises(NonConvergence) as other:
@@ -276,7 +310,7 @@ def test_first_failing_lane_of_a_later_slice_raises(monkeypatch):
 def test_max_iter_exhaustion_raises_the_same_error():
     S = trig_contact_system()
     opt = OptimizerParams(substeps=2, max_iter=2)
-    with pytest.raises(NonConvergence) as ref:
+    with pytest.raises(NonConvergence, match="exhausted 2 iterations") as ref:
         _ref_fundamental_direct(S, 1.0, 0.0, 2.0, 0.5, segments=12, opt=opt)
     with pytest.raises(NonConvergence) as got:
         fundamental_direct(S, 1.0, 0.0, 2.0, 0.5, segments=12, opt=opt)
@@ -411,7 +445,7 @@ def test_search_raises_the_first_failing_lane_like_the_sequential_search():
     search = SearchParams(segments=8, grid_points=7, ytol=1e-5,
                           opt=OptimizerParams(substeps=2, max_iter=2))
     S, x = trig_contact_system(), np.array([0.3])
-    with pytest.raises(NonConvergence) as ref:
+    with pytest.raises(NonConvergence, match="exhausted 2 iterations") as ref:
         _ref_search_ball(S, datum_sin(), 1.5, x, search)
     with pytest.raises(NonConvergence) as got:
         solve_value(S, datum_sin(), 1.5, x, search)
@@ -419,36 +453,52 @@ def test_search_raises_the_first_failing_lane_like_the_sequential_search():
 
 
 def test_search_completes_past_a_failing_speculative_lane(monkeypatch):
-    # at max_iter 18 every screen lane and every point on the golden path
+    # at max_iter 5 every screen lane and every point on the golden path
     # converges, while golden points the walk never reaches run out
-    search = SearchParams(segments=6, grid_points=7, ytol=1e-5,
-                          opt=OptimizerParams(substeps=2, max_iter=18))
+    search = SearchParams(segments=6, grid_points=3, ytol=1e-4,
+                          opt=OptimizerParams(substeps=2, max_iter=5))
     S, x = trig_contact_system(), np.array([0.3])
-    failed = []
+    failed, iterations = [], []
     lockstep = value._direct_lockstep
 
     def spy(*args, **kwargs):
         outs = lockstep(*args, **kwargs)
         failed.extend(o for o in outs if isinstance(o, NonConvergence))
+        iterations.extend(o.iterations for o in outs if not isinstance(o, NonConvergence))
         return outs
 
     monkeypatch.setattr(value, "_direct_lockstep", spy)
+    val, y_star, _ = solve_value(S, datum_sin(), 0.5, x, search)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 0.5, x, search)
+    assert failed
+    assert all("exhausted 5 iterations" in str(f) for f in failed)
+    assert np.median(iterations) <= 3  # the failures sit among short solves
+    assert val == ref_val
+    assert np.array_equal(y_star, ref_y)
+
+
+def test_search_with_far_screen_lanes_matches_sequential_search():
+    # the ball radius mu(t) t is 123 at t = 1.5, so the screen's far lanes
+    # take up to 25 iterations (several end unconverged) and the golden
+    # rounds run their speculative lanes through `outcomes`
+    search = SearchParams(segments=6, grid_points=7, ytol=1e-5,
+                          opt=OptimizerParams(substeps=2, max_iter=30))
+    S, x = trig_contact_system(), np.array([0.3])
     val, y_star, _ = solve_value(S, datum_sin(), 1.5, x, search)
     ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 1.5, x, search)
-    assert failed
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
 
 
 def test_golden_stage_failure_raises_like_the_sequential_search(monkeypatch):
-    # at max_iter 12 the screen converges and a point on the golden path does not
+    # at max_iter 4 the screen converges and a point on the golden path does not
     search = SearchParams(segments=6, grid_points=3, ytol=1e-4,
-                          opt=OptimizerParams(substeps=2, max_iter=12))
+                          opt=OptimizerParams(substeps=2, max_iter=4))
     S, x = trig_contact_system(), np.array([0.3])
     golden = []
     monkeypatch.setattr(value, "golden_min",
                         lambda *a, **k: golden.append(a) or golden_min(*a, **k))
-    with pytest.raises(NonConvergence) as ref:
+    with pytest.raises(NonConvergence, match="exhausted 4 iterations") as ref:
         _ref_search_ball(S, datum_sin(), 0.5, x, search)
     with pytest.raises(NonConvergence) as got:
         solve_value(S, datum_sin(), 0.5, x, search)
