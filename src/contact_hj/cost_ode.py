@@ -111,16 +111,28 @@ class CostTrajectory:
         return np.interp(s, self.times, self.samples)
 
 
+#: what the RK4 guard's Overflow says
+_OVERFLOW = f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration"
+
+
+def _check_range(y) -> None:
+    """The default guard of `_rk4`: Overflow once |y| passes OVERFLOW_LIMIT
+    or turns non-finite anywhere in the batch."""
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_LIMIT:
+        raise Overflow(_OVERFLOW)
+
+
 def _rk4(f, y0, h: float, steps, guard_every: int = 1,
-         record: bool = False) -> np.ndarray:
+         record: bool = False, guard=_check_range) -> np.ndarray:
     """Classical RK4 for y' = f(x, y, v) over uniform steps of size h.
 
     y0 is a stacked state with the batch on its leading axis.  Each entry
     (x0, xm, x1, v) of `steps` gives the positions at the start, midpoint
     and end of one step, and its velocity; arguments f ignores may be None.
-    Raises Overflow once |y| passes OVERFLOW_LIMIT or turns non-finite,
-    checked after every `guard_every` steps.  Returns the final state, or
-    all len(steps) + 1 states on a new leading axis when record is set.
+    `guard(y)` runs after every `guard_every` steps; the default raises
+    Overflow once |y| passes OVERFLOW_LIMIT or turns non-finite.  Returns
+    the final state, or all len(steps) + 1 states on a new leading axis
+    when record is set.
     """
     y = np.array(y0, dtype=float)
     path = np.empty((len(steps) + 1,) + y.shape) if record else None
@@ -139,9 +151,8 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
             y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
             if record:
                 path[i] = y
-            if i % guard_every == 0 and (
-                    not np.all(np.isfinite(y)) or np.max(np.abs(y)) > OVERFLOW_LIMIT):
-                raise Overflow(f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration")
+            if i % guard_every == 0:
+                guard(y)
     return path if record else y
 
 

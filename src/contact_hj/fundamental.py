@@ -25,9 +25,10 @@ import numpy as np
 from scipy.optimize._lbfgsb import setulb
 
 from ._util import as_point
-from .cost_ode import (CostTrajectory, Curve, _rk4, _rk4_sweep,
-                       integrate_cost_many)
-from .errors import NoRootFound, NonConvergence, PreconditionError
+from .cost_ode import (_OVERFLOW, CostTrajectory, Curve, _check_range, _rk4,
+                       _rk4_sweep, integrate_cost_many)
+from .errors import (OVERFLOW_LIMIT, NoRootFound, NonConvergence, Overflow,
+                     PreconditionError)
 from .systems import ContactSystem, HamiltonianSystem
 
 #: below this horizon the fundamental solution is refused rather than
@@ -397,12 +398,13 @@ def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):
 
 
 def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
-                     p0: np.ndarray, steps: int, record: bool = False) -> np.ndarray:
+                     p0: np.ndarray, steps: int, record: bool = False,
+                     guard=_check_range) -> np.ndarray:
     """RK4 the characteristic system for a batch of initial momenta.
 
     Returns the stacked state (xi, p, u) of shape (B, 2n+1), or the
-    (steps+1, B, 2n+1) path when record is set.  The overflow guard runs
-    after every step.
+    (steps+1, B, 2n+1) path when record is set.  `guard` runs after every
+    step; the default raises Overflow on any row.
     """
     B, n = p0.shape
     y0 = np.concatenate([np.broadcast_to(x0, (B, n)), p0, np.full((B, 1), float(u0))],
@@ -412,18 +414,67 @@ def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
         dxi, dp, du = _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1])
         return np.concatenate([dxi, dp, du[:, None]], axis=1)
 
-    return _rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record)
+    return _rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record, guard=guard)
+
+
+def _check_inputs(finite: dict, counts: dict) -> None:
+    """PreconditionError unless every `finite` value is finite and every
+    `counts` value is at least 1."""
+    for name, value in finite.items():
+        if not np.all(np.isfinite(value)):
+            raise PreconditionError(f"{name} must be finite")
+    for name, value in counts.items():
+        if not value >= 1:
+            raise PreconditionError(f"{name} must be at least 1")
 
 
 def shoot(HS: HamiltonianSystem, t: float, x, u0: float, p0, steps: int = 256) -> CharacteristicState:
     """Integrate one characteristic from (x, p0, u0) to time t."""
-    if not t > 0:
-        raise PreconditionError("t must be positive")
     x = as_point(x, HS.dim)
     p0 = as_point(p0, HS.dim)
+    _check_inputs({"t": t, "x": x, "u0": u0, "p0": p0}, {"steps": steps})
+    if not t > 0:
+        raise PreconditionError("t must be positive")
     y = _characteristics(HS, t, x, u0, p0[None, :], int(steps))[0]
     n = HS.dim
     return CharacteristicState(xi=y[:n], p=y[n:-1], u=float(y[-1]), s=float(t))
+
+
+def _candidate_sweep(HS: HamiltonianSystem, t: float, x, u: float, P: np.ndarray,
+                     steps: int) -> tuple:
+    """One recorded characteristic sweep of the candidate momenta P.
+
+    Each candidate travels with its central-difference rows P +- eps e_j,
+    eps = 1e-6 (1 + max|P|), so its shooting Jacobian comes out of the same
+    sweep.  A fault in a candidate row raises Overflow at once; a fault in
+    a difference row only marks that candidate's Jacobian as spoiled.
+    Returns the candidates' (steps+1, W, 2n+1) path, their Jacobians of
+    xi(t) in p0, shape (W, n, n), and the spoiled mask.
+    """
+    W, n = P.shape
+    eps = 1e-6 * (1.0 + np.abs(P).max(axis=1))
+    rows = [P]
+    for jc in range(n):
+        Pp = P.copy()
+        Pp[:, jc] += eps
+        Pm = P.copy()
+        Pm[:, jc] -= eps
+        rows += [Pp, Pm]
+    faulted = np.zeros(W * (2 * n + 1), dtype=bool)
+
+    def guard(y):
+        bad = ~np.all(np.abs(y) <= OVERFLOW_LIMIT, axis=1)
+        if bad[:W].any():
+            raise Overflow(_OVERFLOW)
+        faulted[bad] = True
+
+    path = _characteristics(HS, t, x, u, np.concatenate(rows), steps, record=True,
+                            guard=guard)
+    ends = path[-1, W:, :n].reshape(2 * n, W, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = np.stack([(ends[2 * jc] - ends[2 * jc + 1]) / (2.0 * eps[:, None])
+                        for jc in range(n)], axis=-1)
+    return path[:, :W], jac, faulted[W:].reshape(2 * n, W).any(axis=0)
 
 
 def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
@@ -433,93 +484,87 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
                          grid_per_axis: int = 9) -> FundamentalResult:
     """Solve the two-point boundary problem xi(t; p0) = y in the momentum.
 
-    Multi-start damped Newton on the shooting map (Jacobian by central
-    finite differences), all starts advanced as one batch.  Among the
-    converged roots the one with minimal terminal cost wins; ties within
-    1e-12 break toward the smallest initial momentum.
+    Multi-start damped Newton on the shooting map, all starts advanced as
+    one batch.  Every characteristic sweep carries, next to each candidate
+    momentum, its central-difference rows (`_candidate_sweep`), so the
+    Jacobian at an accepted candidate is in hand when the next Newton step
+    needs it: one sweep for the start grid and one per backtracking trial.
+    Among the converged roots the one with minimal terminal cost wins;
+    ties within 1e-12 break toward the smallest initial momentum.  When
+    `segments` divides `steps`, the winner's path is the one recorded in
+    the sweep that produced it; otherwise it is re-integrated on
+    segments * ceil(steps / segments) steps.
+
+    Overflow is raised exactly when a characteristic the solve depends on
+    leaves the range: a candidate, or a difference row of a candidate that
+    a Newton step then works from.  A fault in a difference row of a root
+    or of a rejected candidate is never read and raises nothing.
     """
-    if t <= T_MIN:
-        raise PreconditionError(f"t must exceed {T_MIN:g}")
     x = as_point(x, HS.dim)
     y = as_point(y, HS.dim)
+    _check_inputs({"t": t, "x": x, "y": y, "u": u},
+                  {"steps": steps, "segments": segments, "grid_per_axis": grid_per_axis})
+    if t <= T_MIN:
+        raise PreconditionError(f"t must exceed {T_MIN:g}")
     n = HS.dim
     d = float(np.linalg.norm(y - x))
     if p_max is None:
         p_max = 2.0 * d / t + 5.0
     axes = [np.linspace(-p_max, p_max, grid_per_axis)] * n
     p_cur = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    B = p_cur.shape[0]
     tol_abs = newton_tol * max(1.0, d)
 
-    def final_state(P):
-        y = _characteristics(HS, t, x, u, P, int(steps))
-        return y[:, :n], y[:, -1]
-
-    xiT, uT = final_state(p_cur)
-    miss = np.linalg.norm(xiT - y, axis=-1)
-    alive = np.ones(B, dtype=bool)
+    # per start: the recorded path, Jacobian and spoiled flag of its momentum
+    paths, jac, spoiled = _candidate_sweep(HS, t, x, u, p_cur, int(steps))
+    miss = np.linalg.norm(paths[-1, :, :n] - y, axis=-1)
+    alive = np.ones(len(p_cur), dtype=bool)
     iters = 0
 
     for _ in range(max_newton):
         work = alive & (miss > tol_abs)
         if not work.any():
             break
-        iters += 1
         idx = np.where(work)[0]
-        P = p_cur[idx]
-        W = len(idx)
-        eps = 1e-6 * (1.0 + np.abs(P).max(axis=1))
-        jac = np.empty((W, n, n))
-        for jc in range(n):
-            Pp = P.copy()
-            Pp[:, jc] += eps
-            Pm = P.copy()
-            Pm[:, jc] -= eps
-            xp, _ = final_state(Pp)
-            xm, _ = final_state(Pm)
-            jac[:, :, jc] = (xp - xm) / (2.0 * eps[:, None])
-        resid = xiT[idx] - y
-        dets = np.linalg.det(jac)
+        if spoiled[idx].any():
+            raise Overflow(_OVERFLOW)
+        iters += 1
+        P, J = p_cur[idx], jac[idx]
+        resid = paths[-1, idx, :n] - y
+        dets = np.linalg.det(J)
         good = np.isfinite(dets) & (np.abs(dets) > 1e-14)
         dp = np.zeros_like(P)
         if good.any():
-            dp[good] = np.linalg.solve(jac[good], resid[good][..., None])[..., 0]
+            dp[good] = np.linalg.solve(J[good], resid[good][..., None])[..., 0]
         alive[idx[~good]] = False
 
-        alpha = np.ones(W)
-        improved = np.zeros(W, dtype=bool)
+        alpha = np.ones(len(idx))
+        base = miss[idx]
         remaining = good.copy()
-        newP, new_miss = P.copy(), miss[idx].copy()
-        new_xi, new_u = xiT[idx].copy(), uT[idx].copy()
         for _bt in range(30):
             if not remaining.any():
                 break
             rows = np.where(remaining)[0]
             cand = P[rows] - alpha[rows, None] * dp[rows]
-            cxi, cu = final_state(cand)
-            cmiss = np.linalg.norm(cxi - y, axis=-1)
-            ok = cmiss < (1.0 - 1e-4 * alpha[rows]) * miss[idx][rows]
-            hit = rows[ok]
-            newP[hit] = cand[ok]
-            new_miss[hit] = cmiss[ok]
-            new_xi[hit] = cxi[ok]
-            new_u[hit] = cu[ok]
-            improved[hit] = True
-            remaining[hit] = False
-            alpha[np.where(remaining)[0]] *= 0.5
-        alive[idx[good & ~improved]] = False
-        p_cur[idx] = newP
-        miss[idx] = new_miss
-        xiT[idx] = new_xi
-        uT[idx] = new_u
+            cpath, cjac, cspoiled = _candidate_sweep(HS, t, x, u, cand, int(steps))
+            cmiss = np.linalg.norm(cpath[-1, :, :n] - y, axis=-1)
+            ok = cmiss < (1.0 - 1e-4 * alpha[rows]) * base[rows]
+            hit = idx[rows[ok]]
+            p_cur[hit] = cand[ok]
+            miss[hit] = cmiss[ok]
+            paths[:, hit] = cpath[:, ok]
+            jac[hit] = cjac[ok]
+            spoiled[hit] = cspoiled[ok]
+            remaining[rows[ok]] = False
+            alpha[remaining] *= 0.5
+        alive[idx[remaining]] = False
 
-    root_mask = miss <= tol_abs
-    if not root_mask.any():
+    roots = np.where(miss <= tol_abs)[0]
+    if not roots.size:
         raise NoRootFound(
             "no shooting start reached the target endpoint; t may lie beyond "
             "the focal time or the momentum grid is too coarse")
-    roots_p = p_cur[root_mask]
-    roots_u = uT[root_mask]
+    roots_p = p_cur[roots]
+    roots_u = paths[-1, roots, -1]
 
     order = np.lexsort((np.linalg.norm(roots_p, axis=1), roots_u))
     kept = []
@@ -534,7 +579,10 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
 
     stride = max(1, int(np.ceil(steps / segments)))
     steps_eff = segments * stride
-    path = _characteristics(HS, t, x, u, p0_win[None, :], steps_eff, record=True)[:, 0]
+    if steps_eff == steps:
+        path = paths[:, roots[best]]
+    else:
+        path = _characteristics(HS, t, x, u, p0_win[None, :], steps_eff, record=True)[:, 0]
     curve = Curve(t_final=t, nodes=path[::stride, :n])
     traj = CostTrajectory(times=np.linspace(0.0, t, steps_eff + 1),
                           samples=path[:, -1].copy(), u0=float(u))

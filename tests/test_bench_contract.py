@@ -110,3 +110,8 @@ def test_traced_cli_runs_leave_no_metric_missing(tracing, tmp_path, monkeypatch)
     assert metrics["cli.jobs"]["value"] == len(TRACED_JOBS)
     assert metrics["systems.L_calls"]["value"] > 0
     assert metrics["systems.H_calls"]["value"] > 0
+    # a shooting solve that bypasses the `cli:fundamental_shooting` hook
+    # would read 0 here rather than show up as missing
+    points = dict(TRACED_JOBS)["fundamental"]["points"]
+    assert metrics["fundamental.shooting_solves"]["value"] == len(points)
+    assert metrics["fundamental.newton_iters_per_solve"]["value"] > 0

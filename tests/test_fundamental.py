@@ -16,6 +16,7 @@ from contact_hj import (Curve, HamiltonianSystem, NoRootFound,
                         quartic_system, shoot, speed_envelope_check,
                         trig_contact_system)
 from contact_hj import fundamental, perturbed_system
+from contact_hj._util import golden_min
 from contact_hj.cost_ode import integrate_cost_many
 from contact_hj.fundamental import (CharacteristicState, _direct_lockstep, _Lane,
                                     _precondition)
@@ -92,6 +93,37 @@ def test_direct_preconditions():
         fundamental_direct(S, 1.0, 0.0, 1.0, 0.0, segments=1)
     with pytest.raises(PreconditionError):
         fundamental_direct(S, 1.0, 0.0, 1.0, np.inf)
+
+
+SEMIGROUP_XTOL = 1e-6
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(lam=st.floats(0.25, 2.0), h=st.floats(0.1, 0.3), n_t=st.integers(2, 4),
+       n_s=st.integers(2, 4), x=st.floats(-1.5, 1.5), y=st.floats(-1.5, 1.5),
+       u=st.floats(-2.0, 2.0))
+def test_direct_semigroup(lam, h, n_t, n_s, x, y, u):
+    # A_{t+s}(x, y, u) = min_z A_s(z, y, A_t(x, z, u)).  With both legs on
+    # the step h of the whole horizon, the discrete problems obey it
+    # exactly: the two legs glued at z are the (t+s)-curves with node z at
+    # time t, and the cost ODE's RK4 flow composes.  What separates the two
+    # sides is golden's resolution of z, whose cost is the curvature of
+    # z -> A_s(z, y, A_t(x, z, u)) from the closed form (disc_A is
+    # e^{-lam t} u + disc_A(lam, t, 1, 0) d^2), plus each of the three
+    # solves' stopping tolerance.
+    S = discounted_quadratic_system(lam)
+    opt = OptimizerParams()
+    t, s = n_t * h, n_s * h
+
+    def glued(z):
+        inner = fundamental_direct(S, t, x, z, u, segments=n_t, opt=opt).A
+        return fundamental_direct(S, s, z, y, inner, segments=n_s, opt=opt).A
+
+    whole = fundamental_direct(S, t + s, x, y, u, segments=n_t + n_s, opt=opt).A
+    _, best = golden_min(glued, min(x, y) - 0.5, max(x, y) + 0.5, xtol=SEMIGROUP_XTOL)
+    kappa = 2.0 * (np.exp(-lam * s) * disc_A(lam, t, 1.0, 0.0) + disc_A(lam, s, 1.0, 0.0))
+    tol = 0.5 * kappa * SEMIGROUP_XTOL ** 2 + 3.0 * opt.tol
+    assert abs(whole - best) <= tol
 
 
 def test_direct_quartic_constant_speed():
@@ -341,6 +373,35 @@ def test_shooting_unreachable_raises():
     HS = HamiltonianSystem(dim=1, hamiltonian=ham, K=0.0)
     with pytest.raises(NoRootFound):
         fundamental_shooting(HS, 1.0, 0.0, 3.0, 0.0, max_newton=25)
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a characteristic sweep ran on a refused input")
+
+    monkeypatch.setattr(fundamental, "_characteristics", refuse)
+
+
+@pytest.mark.parametrize("bad", [
+    {"t": np.nan}, {"t": np.inf}, {"x": np.nan}, {"y": np.inf}, {"u": np.nan},
+    {"u": -np.inf}, {"steps": 0}, {"steps": -3}, {"segments": 0},
+    {"grid_per_axis": 0},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_shooting_preconditions(bad, no_sweeps):
+    with pytest.raises(PreconditionError):
+        fundamental_shooting(quadratic_hamiltonian(), **{"t": 1.0, "x": 0.0, "y": 1.0,
+                                                         "u": 0.0, **bad})
+
+
+@pytest.mark.parametrize("bad", [
+    {"t": np.nan}, {"t": np.inf}, {"x": np.nan}, {"u0": np.inf}, {"p0": np.nan},
+    {"steps": 0}, {"steps": -3},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_shoot_preconditions(bad, no_sweeps):
+    with pytest.raises(PreconditionError):
+        shoot(quadratic_hamiltonian(), **{"t": 1.0, "x": 0.0, "u0": 0.0, "p0": 1.0,
+                                          "steps": 16, **bad})
 
 
 def test_shooting_trajectory_consistent_with_cost_ode():
