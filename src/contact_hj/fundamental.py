@@ -378,15 +378,20 @@ def fundamental_exponential(S: ContactSystem, xi: Curve, u: float,
 # characteristics
 # ---------------------------------------------------------------------------
 
-def _lie_rhs(HS: HamiltonianSystem, xi, p, u):
+def _lie_rhs(HS: HamiltonianSystem, xi, p, u, out=None):
+    """(xi', p', u') at (xi, p, u), written into one stage array `out` of
+    shape (..., 2n+1) (a fresh one by default) and returned as its views."""
     Hp = np.asarray(HS.Hp(xi, u, p), dtype=float)
     Hx = np.asarray(HS.Hx(xi, u, p), dtype=float)
     Hu = np.asarray(HS.Hu(xi, u, p), dtype=float)
     Hval = np.asarray(HS.H(xi, u, p), dtype=float)
-    dxi = Hp
-    dp = -Hx - Hu[..., None] * p
-    du = np.sum(p * Hp, axis=-1) - Hval
-    return dxi, dp, du
+    n = HS.dim
+    if out is None:
+        out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
+    out[..., :n] = Hp
+    np.subtract(-Hx, Hu[..., None] * p, out=out[..., n:-1])
+    np.subtract(np.add.reduce(p * Hp, axis=-1), Hval, out=out[..., -1])
+    return out[..., :n], out[..., n:-1], out[..., -1]
 
 
 def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):
@@ -411,8 +416,9 @@ def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
                         axis=1)
 
     def rhs(_x, y, _v):  # autonomous: no stage positions
-        dxi, dp, du = _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1])
-        return np.concatenate([dxi, dp, du[:, None]], axis=1)
+        k = np.empty_like(y)
+        _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
+        return k
 
     return _rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record, guard=guard)
 
@@ -463,7 +469,10 @@ def _candidate_sweep(HS: HamiltonianSystem, t: float, x, u: float, P: np.ndarray
     faulted = np.zeros(W * (2 * n + 1), dtype=bool)
 
     def guard(y):
-        bad = ~np.all(np.abs(y) <= OVERFLOW_LIMIT, axis=1)
+        size = np.abs(y)
+        if np.maximum.reduce(size, axis=None) <= OVERFLOW_LIMIT:  # nan fails it
+            return
+        bad = ~np.all(size <= OVERFLOW_LIMIT, axis=1)
         if bad[:W].any():
             raise Overflow(_OVERFLOW)
         faulted[bad] = True

@@ -11,8 +11,11 @@ Evaluator contract
 ------------------
 All evaluators are vectorized over a leading batch axis: x and v have
 shape (..., n), u has shape (...,), and results broadcast accordingly.
-Evaluators must be pure; a system instance may be shared read-only
-between workers (the conjugate cache only performs idempotent inserts).
+The built-ins return fresh float arrays, never views of their arguments,
+of the broadcast batch shape of the arguments they read (a scalar result
+of one lone point is a numpy float).  Evaluators must be pure; a system
+instance may be shared read-only between workers (the conjugate cache
+only performs idempotent inserts).
 
 Each derivative method (`Lx`, `Lu`, `Lv`, `Lvv`; `Hx`, `Hu`, `Hp`, `Hpp`)
 returns its declared field (`L_x`, ...) and otherwise falls back to
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._util import as_point, golden_min, parse_id
 from .errors import NonConvergence, PreconditionError
@@ -380,6 +382,7 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
     theta0(r)/r on the sampled radii; a genuine limit at infinity is not
     numerically decidable.
     """
+    from scipy.stats import qmc  # loaded here only: its import is heavy
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     n = S.dim
@@ -446,7 +449,7 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
 # ---------------------------------------------------------------------------
 
 def _sq(v):
-    return 0.5 * np.sum(np.asarray(v, float) ** 2, axis=-1)
+    return 0.5 * np.add.reduce(np.asarray(v, float) ** 2, axis=-1)
 
 
 def _eye_like(v):
@@ -455,8 +458,11 @@ def _eye_like(v):
     return np.broadcast_to(np.eye(n), v.shape + (n,)).copy()
 
 
-def _zeros_scalar(x, u, v):
-    return np.zeros(np.broadcast(np.asarray(u, float), _sq(v)).shape)
+def _fill(c, u, z):
+    """c over the broadcast batch shape of (u, z), read off their shapes."""
+    out = np.empty(np.broadcast(u, np.asarray(z, float)[..., 0]).shape)
+    out[...] = c
+    return out
 
 
 def quadratic_system(dim: int = 1) -> ContactSystem:
@@ -468,8 +474,8 @@ def quadratic_system(dim: int = 1) -> ContactSystem:
         theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
         theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2,
         c0=0.0,
-        L_x=lambda x, u, v: np.zeros_like(np.asarray(v, float)),
-        L_u=_zeros_scalar,
+        L_x=lambda x, u, v: np.zeros(np.shape(v)),
+        L_u=lambda x, u, v: _fill(0.0, u, v),
         L_v=lambda x, u, v: np.asarray(v, float).copy(),
         L_vv=lambda x, u, v: _eye_like(v),
         theta0_conj=lambda k: 0.5 * float(k) ** 2,
@@ -488,8 +494,8 @@ def discounted_quadratic_system(lam: float, dim: int = 1) -> ContactSystem:
         theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
         theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2,
         c0=0.0,
-        L_x=lambda x, u, v: np.zeros_like(np.asarray(v, float)),
-        L_u=lambda x, u, v: np.broadcast_to(-lam, np.broadcast(np.asarray(u, float), _sq(v)).shape).copy(),
+        L_x=lambda x, u, v: np.zeros(np.shape(v)),
+        L_u=lambda x, u, v: _fill(-lam, u, v),
         L_v=lambda x, u, v: np.asarray(v, float).copy(),
         L_vv=lambda x, u, v: _eye_like(v),
         theta0_conj=lambda k: 0.5 * float(k) ** 2,
@@ -501,15 +507,15 @@ def quartic_system(dim: int = 1) -> ContactSystem:
     """L = |v|^4 / 4 (superlinear beyond quadratic, still value-free)."""
     def lag(x, u, v):
         v = np.asarray(v, float)
-        return 0.25 * np.sum(v * v, axis=-1) ** 2
+        return 0.25 * np.add.reduce(v * v, axis=-1) ** 2
 
     def grad(x, u, v):
         v = np.asarray(v, float)
-        return np.sum(v * v, axis=-1)[..., None] * v
+        return np.add.reduce(v * v, axis=-1)[..., None] * v
 
     def hess(x, u, v):
         v = np.asarray(v, float)
-        s = np.sum(v * v, axis=-1)
+        s = np.add.reduce(v * v, axis=-1)
         return s[..., None, None] * _eye_like(v) + 2.0 * v[..., :, None] * v[..., None, :]
 
     return ContactSystem(
@@ -519,8 +525,8 @@ def quartic_system(dim: int = 1) -> ContactSystem:
         theta0=lambda r: 0.25 * np.asarray(r, float) ** 4,
         theta0_bar=lambda r: 0.25 * np.asarray(r, float) ** 4,
         c0=0.0,
-        L_x=lambda x, u, v: np.zeros_like(np.asarray(v, float)),
-        L_u=_zeros_scalar,
+        L_x=lambda x, u, v: np.zeros(np.shape(v)),
+        L_u=lambda x, u, v: _fill(0.0, u, v),
         L_v=grad,
         L_vv=hess,
         theta0_conj=lambda k: 0.75 * abs(float(k)) ** (4.0 / 3.0),
@@ -536,7 +542,7 @@ def trig_contact_system(dim: int = 1) -> ContactSystem:
 
     def lx(x, u, v):
         x = np.asarray(x, float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         out[..., 0] = np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
         return out
 
@@ -566,8 +572,8 @@ def quadratic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
         dim=dim,
         hamiltonian=lambda x, u, p: _sq(p),
         K=0.0,
-        H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
-        H_u=_zeros_scalar,
+        H_x=lambda x, u, p: np.zeros(np.shape(p)),
+        H_u=lambda x, u, p: _fill(0.0, u, p),
         H_p=lambda x, u, p: np.asarray(p, float).copy(),
         H_pp=lambda x, u, p: _eye_like(p),
         name="quadratic",
@@ -580,8 +586,8 @@ def discounted_quadratic_hamiltonian(lam: float, dim: int = 1) -> HamiltonianSys
         dim=dim,
         hamiltonian=lambda x, u, p: lam * np.asarray(u, float) + _sq(p),
         K=float(lam),
-        H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
-        H_u=lambda x, u, p: np.broadcast_to(lam, np.broadcast(np.asarray(u, float), _sq(p)).shape).copy(),
+        H_x=lambda x, u, p: np.zeros(np.shape(p)),
+        H_u=lambda x, u, p: _fill(lam, u, p),
         H_p=lambda x, u, p: np.asarray(p, float).copy(),
         H_pp=lambda x, u, p: _eye_like(p),
         name=f"discounted-quadratic({lam:g})",
@@ -594,16 +600,16 @@ def quartic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
 
     def ham(x, u, p):
         p = np.asarray(p, float)
-        return 0.75 * np.sum(p * p, axis=-1) ** (2.0 / 3.0)
+        return 0.75 * np.add.reduce(p * p, axis=-1) ** (2.0 / 3.0)
 
     def hp(x, u, p):
         p = np.asarray(p, float)
-        s = np.sum(p * p, axis=-1)
+        s = np.add.reduce(p * p, axis=-1)
         return (s + eps)[..., None] ** (-1.0 / 3.0) * p
 
     return HamiltonianSystem(dim=dim, hamiltonian=ham, K=0.0,
-                             H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
-                             H_u=_zeros_scalar, H_p=hp, name="quartic")
+                             H_x=lambda x, u, p: np.zeros(np.shape(p)),
+                             H_u=lambda x, u, p: _fill(0.0, u, p), H_p=hp, name="quartic")
 
 
 def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
@@ -614,7 +620,7 @@ def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
 
     def hx(x, u, p):
         x = np.asarray(x, float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         out[..., 0] = -np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
         return out
 

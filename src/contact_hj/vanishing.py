@@ -27,7 +27,7 @@ from .cost_ode import Curve, _rk4_sweep, integrate_cost
 from .errors import BoundViolation, PreconditionError
 # unused here; perfbench/tracing.py hooks this module's binding of the name
 from .fundamental import fundamental_direct  # noqa: F401
-from .systems import ContactSystem, _eye_like, _sq
+from .systems import ContactSystem, _eye_like, _fill, _sq
 from .value import (InitialDatum, SearchParams, ValueGrid, _require_classical,
                     solve_value_grid)
 # unused here; perfbench/tracing.py hooks this module's binding of the name
@@ -72,14 +72,13 @@ def perturbed_system(lam: float, dim: int = 1) -> ContactSystem:
 
     def lx(x, u, v):
         x = np.asarray(x, float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)
         out[..., 0] = lam * np.cos(x[..., 0])
         return out
 
     def lu(x, u, v):
         u = np.asarray(u, float)
-        shape = np.broadcast(u, _sq(v)).shape
-        return np.broadcast_to(-lam / (1.0 + u * u), shape).copy()
+        return _fill(-lam / (1.0 + u * u), u, v)
 
     return ContactSystem(
         dim=dim,

@@ -1,6 +1,9 @@
 """CLI: configs, CSV outputs, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import disc_A
@@ -30,6 +33,29 @@ def read_rows(path):
 # ---------------------------------------------------------------------------
 # fundamental
 # ---------------------------------------------------------------------------
+
+# a fresh interpreter: import the CLI, run one job, report what it loaded
+FRESH_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import contact_hj.cli as cli
+rc = cli.main(["fundamental", "--config", sys.argv[2], "--out", sys.argv[3], "--quiet"])
+print(json.dumps([rc, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_fundamental_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats is about half of a fresh interpreter's start-up, and only
+    # the `check` command's condition audit uses it
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": "discounted-quadratic(1.0)", "segments": 8,
+        "points": [{"t": 1.0, "x": [0.0], "y": [1.0], "u": 0.0}]})
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, str(src), cfg,
+                           str(tmp_path / "fund.csv")],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+
 
 def test_fundamental_discounted_rows(tmp_path):
     out = tmp_path / "fund.csv"

@@ -255,6 +255,23 @@ def _walled(power: int, edge: float) -> HamiltonianSystem:
                              H_p=lambda x, u, p: np.asarray(p, float) ** (power - 1))
 
 
+def _p_walled(edge: float) -> HamiltonianSystem:
+    """H = p^2 / 2 for |p| <= edge and nan beyond it, H_p alike.
+
+    Momenta are constant (H_x = H_u = 0), so a characteristic is nan from
+    its first stage on exactly when |p0| > edge, in xi and u alike, where
+    a real Hamiltonian would overflow to +-inf.
+    """
+    def hp(x, u, p):
+        p = np.asarray(p, float)
+        return np.where(np.abs(p) <= edge, p, np.nan)
+
+    return HamiltonianSystem(dim=1, K=0.0,
+                             hamiltonian=lambda x, u, p: 0.5 * np.sum(hp(x, u, p) ** 2, axis=-1),
+                             H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
+                             H_u=lambda x, u, p: np.zeros_like(np.asarray(u, float)), H_p=hp)
+
+
 def _outcomes(HS, *args, **kwargs):
     out = []
     for solve in (fundamental_shooting, _ref_fundamental_shooting):
@@ -273,8 +290,13 @@ QUARTIC_KW = {"steps": 64, "segments": 16, "p_max": 0.5, "grid_per_axis": 2}
 
 
 def test_faulting_candidate_raises_in_both():
-    new, ref = _outcomes(_walled(4, 11458.25), *QUARTIC_WALK, **QUARTIC_KW)
-    assert isinstance(new, str) and new == ref
+    for HS, args, kw in [
+        (_walled(4, 11458.25), QUARTIC_WALK, QUARTIC_KW),
+        # the one start p0 = -1 steps to p0 = 3, a nan candidate
+        (_p_walled(2.0), (1.0, 0.0, 3.0, 0.0), {"p_max": 1.0, "grid_per_axis": 1}),
+    ]:
+        new, ref = _outcomes(HS, *args, **kw)
+        assert isinstance(new, str) and new == ref
 
 
 @pytest.mark.parametrize("HS, args, kw", [
@@ -283,7 +305,9 @@ def test_faulting_candidate_raises_in_both():
     # the one start p0 = -1 is already the root (xi(1) = -0.5); only its
     # -eps row (xi(1) = -0.5 - 2e-6) crosses the wall
     (_walled(2, 0.5 + 1e-6), (1.0, 0.5, -0.5, 0.0), {"p_max": 1.0, "grid_per_axis": 1}),
-], ids=["rejected-candidate", "converged-start"])
+    # the same root, where its -eps row (p0 = -1 - 2e-6) is nan
+    (_p_walled(1.0 + 1e-6), (1.0, 0.5, -0.5, 0.0), {"p_max": 1.0, "grid_per_axis": 1}),
+], ids=["rejected-candidate", "converged-start", "converged-start-nan"])
 def test_speculative_row_fault_raises_nothing(HS, args, kw):
     new, ref = _outcomes(HS, *args, **kw)
     assert isinstance(ref, FundamentalResult)
@@ -298,7 +322,9 @@ def test_speculative_row_fault_raises_nothing(HS, args, kw):
     # which misses y = -0.3, so the next step works from it; its -eps row
     # (xi(1) = -0.3943732) alone crosses the wall
     (_walled(4, 0.394372), QUARTIC_WALK, dict(QUARTIC_KW, grid_per_axis=1)),
-], ids=["start", "accepted-candidate"])
+    # starts p0 = +-1 miss y = 1, and their outer rows p0 = +-(1 + 2e-6) are nan
+    (_p_walled(1.0 + 1e-6), (1.0, 0.5, 1.0, 0.0), {"p_max": 1.0}),
+], ids=["start", "accepted-candidate", "start-nan"])
 def test_faulting_difference_row_of_a_working_row_raises_in_both(HS, args, kw):
     new, ref = _outcomes(HS, *args, **kw)
     assert isinstance(new, str) and new == ref

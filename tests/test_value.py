@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import discounted_value_bruteforce, hopf_lax_bruteforce
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_hj import (InitialDatum, PreconditionError, SearchParams,
                         builtin_datum, datum_abs_window, datum_constant,
@@ -94,6 +96,35 @@ def test_discounted_sin_against_weighted_bruteforce():
     val, y, _ = solve_value(S, datum_sin(), t, x, FAST)
     assert abs(val - oracle) <= 1e-4
     assert abs(y[0] - y_oracle) <= 1e-3
+
+
+COMPARE = SearchParams(segments=8, grid_points=17, ytol=1e-4)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(lam=st.floats(0.0, 2.0), t=st.floats(0.3, 1.0), x=st.floats(-2.0, 2.0),
+       height=st.floats(0.0, 1.0), shift=st.floats(-2.0, 2.0),
+       width=st.floats(0.2, 2.0))
+def test_value_comparison_principle(lam, t, x, height, shift, width):
+    # phi1 = sin <= phi2 = sin + a cosine bump, so u1(t, x) <= u2(t, x).
+    # The discrete cost is increasing in its initial value (the RK4 factor
+    # of du/ds = -lam u + |v|^2/2 is positive), so A(y, phi1(y)) <=
+    # A(y, phi2(y)) at every y, up to the inner solves' stopping tol each.
+    # u2 is such a value at its argmin; u1 is the minimum of y ->
+    # A(y, phi1(y)) up to the search's error.  For this convex objective
+    # golden ends within ytol of the minimizer, and the objective's slope
+    # on the ball B(x, mu t) is at most lam d / (e^{lam t} - 1) + lip(phi1)
+    # <= mu + lip(phi1).
+    S = discounted_quadratic_system(lam)
+    phi1 = datum_sin()
+    center, bump = x + shift, datum_cos_bump(width)
+    phi2 = InitialDatum(phi=lambda y: phi1(y) + height * bump(y - center),
+                        lip=phi1.lip + height * bump.lip,
+                        sup_abs=phi1.sup_abs + height, name="sin+bump")
+    u1 = solve_value(S, phi1, t, x, COMPARE)[0]
+    u2 = solve_value(S, phi2, t, x, COMPARE)[0]
+    tol = (mu_radius(S, phi1, t) + phi1.lip) * COMPARE.ytol + 2.0 * COMPARE.opt.tol
+    assert u1 <= u2 + tol, (u1, u2, tol)
 
 
 def test_quadratic_window_datum_closed_form():
