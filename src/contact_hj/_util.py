@@ -111,7 +111,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 
 
 def parse_id(spec_id: str, kind: str) -> tuple:
-    """Split a built-in id 'name' or 'name(<number>)' into (name, number or None)."""
+    """Split a built-in id 'name' or 'name(<finite number>)' into (name, number or None)."""
     if not isinstance(spec_id, str):
         raise PreconditionError(f"{kind} id must be a string, got {spec_id!r}")
     base = spec_id.strip()
@@ -124,4 +124,6 @@ def parse_id(spec_id: str, kind: str) -> tuple:
             arg = float(raw)
         except ValueError as exc:
             raise PreconditionError(f"malformed {kind} argument in {spec_id!r}") from exc
+        if not math.isfinite(arg):
+            raise PreconditionError(f"{kind} argument must be finite in {spec_id!r}")
     return base, arg

@@ -3,7 +3,8 @@
 Two independent routes compute the same object.  The variational route
 minimizes the terminal running cost u_xi(t) over discretized curves
 pinned at both endpoints (generalized variational principle of Herglotz
-type); the characteristic route shoots the first-order system
+type), by L-BFGS preconditioned with an exponentially weighted Sobolev
+metric; the characteristic route shoots the first-order system
 
     xi' = H_p,   p' = -H_x - H_u p,   u' = <p, xi'> - H
 
@@ -18,11 +19,11 @@ how well a curve satisfies the stationarity ODE
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from ._util import as_point
 from .cost_ode import (_OVERFLOW, CostTrajectory, Curve, _check_range, _rk4,
@@ -40,8 +41,8 @@ T_MIN = 1e-6
 class OptimizerParams:
     """Knobs of the interior-node quasi-Newton minimization.
 
-    L-BFGS-B iterates Sobolev coordinates (see `_direct_lockstep`), but
-    every knob here is in node coordinates.
+    L-BFGS is preconditioned by a Sobolev metric (see `_direct_lockstep`),
+    but every knob here is in node coordinates.
     """
 
     tol: float = 1e-9          # objective decrease defining convergence
@@ -85,8 +86,11 @@ class CharacteristicState:
 
 #: the lockstep driver solves its lanes in slices of at most this many cost
 #: sweep rows (2D + 1 per lane), so that neither the sweep's arrays nor the
-#: lanes' L-BFGS-B workspaces grow with the number of lanes
+#: lanes' curvature memories grow with the number of lanes
 _LOCKSTEP_ROWS = 1024
+
+#: curvature pairs (s, y) each lane keeps for its L-BFGS direction
+_MEMORY = 10
 
 
 def _slice_lanes(D: int) -> int:
@@ -95,91 +99,75 @@ def _slice_lanes(D: int) -> int:
 
 
 class _Lane:
-    """One L-BFGS-B instance: its reverse-communication state and its cache.
+    """One preconditioned L-BFGS solve over the interior nodes z of a curve.
 
-    `setulb` iterates the lane's Sobolev coordinates w, and the interior
-    nodes are z = z0 + R^-1 w; `_precondition` sets R^-1 after the lane's
-    first sweep, whose point w = 0 needs none.  The arrays are those
-    scipy's `_minimize_lbfgsb` hands to `setulb`.  `seen` is the last
-    evaluation, like scipy's x-equality cache, and `kept` the evaluation at
-    the last iterate, to which `setulb` falls back when a line search fails.
+    The lane holds its iterate (z, f, node gradient gz and the cost row of
+    the curve), its last `_MEMORY` curvature pairs, and the point `trial`
+    that the next sweep evaluates.  `_precondition` sets R^-1 after the
+    first sweep, which evaluates the straight starting curve.
     """
 
-    def __init__(self, x, y, u, z0, m):
-        D = z0.size
+    def __init__(self, x, y, u, z0):
         self.x0, self.y0, self.u = x, y, float(u)
-        self.z0 = self.z = np.array(z0, dtype=np.float64)
+        self.trial = np.array(z0, dtype=np.float64)
         self.Rinv = None
-        self.w = np.zeros(D)
-        self.f = np.array(0.0, dtype=np.float64)
-        self.g = np.zeros(D)       # gradient in w: R^-T times the node gradient
-        self.gz = None             # gradient in node coordinates
-        self.wa = np.zeros(2 * m * D + 5 * D + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * D, dtype=np.int32)
-        self.task = np.zeros(2, dtype=np.int32)
-        self.ln_task = np.zeros(2, dtype=np.int32)
-        self.lsave = np.zeros(4, dtype=np.int32)
-        self.isave = np.zeros(44, dtype=np.int32)
-        self.dsave = np.zeros(29)
-        self.nit = 0
-        self.nfev = 0
+        self.pairs = deque(maxlen=_MEMORY)   # (s, y, s.y), oldest first
         self.history = []
-        self.near = False          # some iterate met gtol
-        self.seen = self.kept = None   # (w, z, f, g, gz, unperturbed cost row)
+        self.nit = 0
+        self.done = False
 
-    def take(self, f, gz, samples, opt) -> None:
-        """Record f and the node-space gradient at z, and stop the lane once
-        this point meets the convergence contract: at the first evaluation,
-        or at a trial point after an iterate met gtol that does not raise f
-        above the current iterate's, and then counts as the last iterate."""
-        self.nfev += 1
-        self.f, self.gz, self.g = f, gz, self.Rinv.T @ gz
-        self.seen = (self.w.copy(), self.z, f, self.g, gz, samples)
-        small = np.linalg.norm(gz) < opt.gtol
-        if not self.history:
-            self.history.append(f)
-            self.kept = self.seen
-            stop = small
-        else:
-            stop = self.near and small and 0.0 <= self.history[-1] - f < opt.tol
-            if stop:
-                self.nit += 1
-                self.history.append(f)
-        if stop:
-            self.task[:] = (5, 505)
+    def take(self, f, gz, row, opt) -> None:
+        """Read f, the node gradient gz and the cost row at the trial point.
 
-    def advance(self, m, nbd, bnd, factr, maxls, maxfun, opt) -> bool:
-        """Step `setulb` until it asks for f and g at an unseen point (True)
-        or stops (False), mirroring the loop of scipy's `_minimize_lbfgsb`;
-        `setulb`'s own gradient test (pgtol 0) stops only an iterate whose
-        gradient is exactly 0, and a new iterate that meets the convergence
-        contract stops the lane."""
-        while True:
-            self.g = self.g.astype(np.float64)
-            setulb(m, self.w, bnd, bnd, nbd, self.f, self.g, factr, 0.0,
-                   self.wa, self.iwa, self.task, self.lsave, self.isave,
-                   self.dsave, maxls, self.ln_task)
-            if self.task[0] == 3:
-                if self.seen is None:
-                    return True       # the starting curve, z0
-                if not np.array_equal(self.w, self.seen[0]):
-                    self.z = self.z0 + self.Rinv @ self.w
-                    return True
-                _, self.z, self.f, self.g, self.gz, _ = self.seen
-            elif self.task[0] == 1:
-                self.nit += 1
-                self.history.append(self.seen[2])
-                self.kept = self.seen
-                small = np.linalg.norm(self.gz) < opt.gtol
-                self.near = self.near or small
-                if small and self.history[-2] - self.history[-1] < opt.tol:
-                    self.task[:] = (5, 505)
-                elif self.nit >= opt.max_iter:
-                    self.task[:] = (5, 504)
-                elif self.nfev > maxfun:
-                    self.task[:] = (5, 502)
-            else:
-                return False
+        The starting curve, or a trial step that meets Armijo's condition
+        (c1 = 1e-4), becomes the iterate, and the lane stops there if it meets the
+        convergence contract or has used max_iter iterations.  A step that
+        fails the condition is halved, unless its predicted decrease is
+        already below tol: then the lane ends on a null iteration that
+        repeats f.
+        """
+        if self.history:
+            if f > self.f + 1e-4 * self.alpha * self.slope:
+                if -self.alpha * self.slope < opt.tol:
+                    self.nit += 1
+                    self.history.append(self.f)
+                    self.done = True
+                else:
+                    self.alpha *= 0.5
+                    self.trial = self.z + self.alpha * self.d
+                return
+            s, y = self.trial - self.z, gz - self.gz
+            sy = float(s @ y)
+            if sy > 0.0:
+                self.pairs.append((s, y, sy))
+            self.nit += 1
+        self.z, self.f, self.gz, self.row = self.trial, f, gz, row.copy()
+        self.history.append(f)
+        last = self.history[-2] - f if self.nit else 0.0
+        if (np.linalg.norm(gz) < opt.gtol and last < opt.tol) or self.nit >= opt.max_iter:
+            self.done = True
+            return
+        self.d = self._direction()
+        self.slope = float(gz @ self.d)
+        self.alpha = 1.0
+        self.trial = self.z + self.d
+
+    def _direction(self) -> np.ndarray:
+        """-H gz by the two-loop recursion over the kept pairs, from
+        H0 = R^-1 R^-T = P^-1; if that is no descent direction, the pairs
+        are dropped and the direction is -P^-1 gz."""
+        q = -self.gz
+        coef = []
+        for s, y, sy in reversed(self.pairs):
+            coef.append((s @ q) / sy)
+            q = q - coef[-1] * y
+        d = self.Rinv @ (self.Rinv.T @ q)
+        for (s, y, sy), a in zip(self.pairs, reversed(coef)):
+            d = d + (a - (y @ d) / sy) * s
+        if not d @ self.gz < 0.0:
+            self.pairs.clear()
+            d = -(self.Rinv @ (self.Rinv.T @ self.gz))
+        return d
 
 
 def _precondition(S, t, lanes, rows, N, substeps) -> None:
@@ -190,7 +178,7 @@ def _precondition(S, t, lanes, rows, N, substeps) -> None:
     at the segment midpoints s_k, with u read off the unperturbed cost row
     of the lane's first sweep (`rows`); diagonal blocks c_{k-1} + c_k and
     off-diagonal blocks -c_k.  A lane whose P is not positive definite, or
-    whose factor is not finite, keeps node coordinates (R = I).
+    whose factor is not finite, gets R = I (no preconditioning).
     """
     B, n = len(lanes), lanes[0].x0.size
     D = (N - 1) * n
@@ -223,13 +211,14 @@ def _precondition(S, t, lanes, rows, N, substeps) -> None:
 
 
 def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
-    """Answer every lane's f and g request with one batched cost sweep."""
+    """Evaluate every lane's trial point and its central differences in
+    one batched cost sweep."""
     n = lanes[0].x0.size
     D = eye.shape[0]
     R = 2 * D + 1
     nodes = np.empty((R * len(lanes), N + 1, n))
     for k, ln in enumerate(lanes):
-        z = ln.z
+        z = ln.trial
         zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
         block = nodes[k * R:(k + 1) * R]
         block[:, 0, :] = ln.x0
@@ -244,23 +233,23 @@ def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
     for k, ln in enumerate(lanes):
         finals = samples[k * R:(k + 1) * R, -1]
         g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        ln.take(float(finals[0]), g, samples[k * R].copy(), opt)
+        ln.take(float(finals[0]), g, samples[k * R], opt)
 
 
 def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
                      opt: OptimizerParams, outcomes: bool = False) -> list:
     """Minimize the terminal running cost for a batch of (x, y, u) lanes.
 
-    Each lane runs scipy's L-BFGS-B (`setulb`) in its Sobolev coordinates
-    (see `_Lane`, `_precondition`), with the finite-difference gradient
-    taken in node coordinates and mapped by R^-T.  A lane stops on the
-    convergence contract itself: node-space gradient norm below gtol and
-    last decrease below tol, checked at its first point, at every new
-    iterate and, once an iterate met gtol, at line-search trial points.
-    Every round, the lanes that ask for f and g are answered together by
-    one `integrate_cost_many` sweep, and each lane follows, bit for bit,
-    the iterates it would follow alone.  The lanes run in successive
-    slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
+    Each lane runs L-BFGS on its interior nodes (see `_Lane`), with the
+    Sobolev metric P of `_precondition` as its initial inverse Hessian
+    P^-1, a finite-difference gradient in node coordinates, and a
+    backtracking line search from the unit step.  A lane stops on the
+    convergence contract: node-space gradient norm below gtol and last
+    decrease below tol, checked at its first point and at every iterate.
+    Every round, the trial points of all running lanes are evaluated
+    together by one `integrate_cost_many` sweep, and each lane follows,
+    bit for bit, the iterates it would follow alone.  The lanes run in
+    successive slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
     FundamentalResult per lane; when lanes miss their criteria within
     max_iter, raises the NonConvergence of the first such lane, as solving
     the lanes one after another would, unless `outcomes` is set, in which
@@ -275,11 +264,6 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     N = int(segments)
     D = (N - 1) * n
     eye = np.eye(D) * opt.fd_step
-    m = min(max(D, 1), 64)
-    factr = 1e-15 / np.finfo(float).eps
-    nbd = np.zeros(D, dtype=np.int32)
-    bnd = np.zeros(D)
-    settings = (m, nbd, bnd, factr, 100, 15000, opt)
 
     width = _slice_lanes(D)
     results = []
@@ -289,11 +273,11 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
             if not np.isfinite(u):
                 raise PreconditionError("u must be finite")
             x, y = as_point(x, n), as_point(y, n)
-            lanes.append(_Lane(x, y, u, Curve.straight(x, y, t, N).interior, m))
-        active = [ln for ln in lanes if ln.advance(*settings)]
+            lanes.append(_Lane(x, y, u, Curve.straight(x, y, t, N).interior))
+        active = lanes
         while active:
             _sweep_lanes(S, t, active, N, opt, eye)
-            active = [ln for ln in active if ln.advance(*settings)]
+            active = [ln for ln in active if not ln.done]
         for ln in lanes:
             res = _finish(t, ln, N, opt)
             if isinstance(res, NonConvergence) and not outcomes:
@@ -304,19 +288,14 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
 
 def _finish(t, ln: _Lane, N: int, opt: OptimizerParams):
     """Result of a stopped lane, or its NonConvergence if it exhausted max_iter."""
-    # setulb stops at its last evaluation, or falls back to its last iterate
-    _, z, _, _, gz, samples = (ln.seen if np.array_equal(ln.w, ln.seen[0])
-                               else ln.kept)
-    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(z)
+    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(ln.z)
+    samples = ln.row
     samples[0] = ln.u
     traj = CostTrajectory(times=np.linspace(0.0, float(t), samples.size),
                           samples=samples, u0=ln.u)
     A = traj.final
     history = ln.history
-    if history[-1] != A:
-        history.append(A)
-
-    grad_norm = float(np.linalg.norm(gz))
+    grad_norm = float(np.linalg.norm(ln.gz))
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
     converged = grad_norm < opt.gtol and last_dec < opt.tol
     if ln.nit >= opt.max_iter and not converged:
@@ -336,10 +315,10 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     The decision variables are the interior nodes of a piecewise-linear
     curve initialized as the straight segment; the objective value is the
-    final sample of the cost ODE.  L-BFGS-B runs in Sobolev coordinates,
-    a change of variables by the exponentially weighted discrete
-    Laplacian of the starting curve; gradients are central differences on
-    the node coordinates, evaluated as one batched integration sweep, and
+    final sample of the cost ODE.  L-BFGS starts from the inverse of the
+    exponentially weighted discrete Laplacian of the starting curve (a
+    Sobolev-gradient metric); gradients are central differences on the
+    node coordinates, evaluated as one batched integration sweep, and
     `converged` is judged in node coordinates.  This is the one-lane case
     of `_direct_lockstep`, which also solves the value search's screen and
     golden rounds as batches.

@@ -542,8 +542,9 @@ def trig_contact_system(dim: int = 1) -> ContactSystem:
 
     def lx(x, u, v):
         x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        out[..., 0] = np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
+        dx = np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
+        out = np.zeros(np.shape(dx) + x.shape[-1:])
+        out[..., 0] = dx
         return out
 
     def lu(x, u, v):
@@ -620,8 +621,9 @@ def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
 
     def hx(x, u, p):
         x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        out[..., 0] = -np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
+        dx = -np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
+        out = np.zeros(np.shape(dx) + x.shape[-1:])
+        out[..., 0] = dx
         return out
 
     def hu(x, u, p):

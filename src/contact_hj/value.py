@@ -6,10 +6,11 @@ mu(t) bounds every minimizing y inside the closed ball B(x, mu(t) t), so
 the search is a coarse grid over that ball followed by per-coordinate
 golden-section refinement; the rest point y = x is always a candidate.
 The rest point and the grid are screened as one batch of inner solves
-(`fundamental._direct_lockstep`, L-BFGS-B instances advanced in lockstep
-with one cost sweep per round).  The golden walk runs in rounds: before
-each, every point its next few steps could request is solved as one
-more such batch, and the walk then reads its own points from them.
+(`fundamental._direct_lockstep`, preconditioned L-BFGS lanes advanced in
+lockstep with one cost sweep per round).  The golden walk runs in
+rounds: before each, every point its next few steps could request is
+solved as one more such batch, and the walk then reads its own points
+from them.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -92,6 +93,8 @@ def datum_sin() -> InitialDatum:
 def datum_cos_bump(width: float = math.pi) -> InitialDatum:
     """Compactly supported cosine bump (1 + cos(pi |y| / width)) / 2."""
     w = float(width)
+    if not 0.0 < w < math.inf:
+        raise PreconditionError(f"cos-bump width must be positive and finite, got {width!r}")
 
     def phi(y):
         r = np.linalg.norm(y, axis=-1)

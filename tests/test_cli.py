@@ -34,27 +34,35 @@ def read_rows(path):
 # fundamental
 # ---------------------------------------------------------------------------
 
-# a fresh interpreter: import the CLI, run one job, report what it loaded
+# a fresh interpreter: import the CLI, run the given jobs, report their
+# exit codes and the scipy modules they loaded
 FRESH_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import contact_hj.cli as cli
-rc = cli.main(["fundamental", "--config", sys.argv[2], "--out", sys.argv[3], "--quiet"])
-print(json.dumps([rc, "scipy.stats" in sys.modules]))
+jobs = json.loads(sys.argv[2])
+rcs = [cli.main([cmd, "--config", cfg, "--out", out, "--quiet"]) for cmd, cfg, out in jobs]
+print(json.dumps([rcs, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
 
 def test_fundamental_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy.stats is about half of a fresh interpreter's start-up, and only
-    # the `check` command's condition audit uses it
+    # scipy is most of a fresh interpreter's start-up, and only the `check`
+    # command's condition audit uses it (scipy.stats)
     src = Path(__file__).resolve().parent.parent / "src"
-    cfg = write_config(tmp_path / "cfg.json", {
-        "system": "discounted-quadratic(1.0)", "segments": 8,
-        "points": [{"t": 1.0, "x": [0.0], "y": [1.0], "u": 0.0}]})
-    done = subprocess.run([sys.executable, "-c", FRESH_RUN, str(src), cfg,
-                           str(tmp_path / "fund.csv")],
+    tiny = {
+        "fundamental": {"system": "discounted-quadratic(1.0)", "segments": 8,
+                        "points": [{"t": 1.0, "x": [0.0], "y": [1.0], "u": 0.0}]},
+        "solve": dict(SOLVE_PAYLOAD, times=[0.3], space={"min": 0.0, "max": 1.0, "points": 1},
+                      grid_points=5, ytol=1e-3),
+        "vanishing": dict(VANISH_PAYLOAD, times=[0.3],
+                          space={"min": 0.0, "max": 1.0, "points": 1}, grid_points=5),
+    }
+    jobs = [(cmd, write_config(tmp_path / f"{cmd}.json", cfg), str(tmp_path / f"{cmd}.csv"))
+            for cmd, cfg in tiny.items()]
+    done = subprocess.run([sys.executable, "-c", FRESH_RUN, str(src), json.dumps(jobs)],
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 def test_fundamental_discounted_rows(tmp_path):
@@ -288,6 +296,27 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, override
     out = tmp_path / "o.csv"
     base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,
             "vanishing": VANISH_PAYLOAD, "check": {"samples": 8}}[command]
+    cfg = write_config(tmp_path / "cfg.json", dict(base, out=str(out), **overrides))
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("fundamental", {"system": "discounted-quadratic(nan)"}),
+    ("fundamental", {"system": "discounted-quadratic(inf)"}),
+    ("fundamental", {"system": "discounted-quadratic(-inf)"}),
+    ("solve", {"datum": "cos-bump(0)"}),
+    ("solve", {"datum": "cos-bump(-2)"}),
+    ("solve", {"datum": "cos-bump(inf)"}),
+    ("solve", {"datum": "constant(nan)"}),
+    ("solve", {"datum": {"id": "cos-bump", "c": 0.0}}),
+], ids=["lambda-nan", "lambda-inf", "lambda-minus-inf", "cos-bump-zero", "cos-bump-negative",
+        "cos-bump-inf", "constant-nan", "cos-bump-c-zero"])
+def test_non_finite_or_empty_id_arguments_are_config_errors(tmp_path, capsys, command,
+                                                           overrides):
+    out = tmp_path / "o.csv"
+    base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD}[command]
     cfg = write_config(tmp_path / "cfg.json", dict(base, out=str(out), **overrides))
     assert main([command, "--config", cfg, "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -1,12 +1,11 @@
-"""The lockstep L-BFGS-B driver against scipy's `minimize`, one solve at a time.
+"""The lockstep L-BFGS driver against a one-solve loop, one solve at a time.
 
-The reference loops below are a `fundamental_direct` that runs one
-`scipy.optimize.minimize` call per inner solve in the same Sobolev
-coordinates and stops it on the same contract, the sequential
-`_search_ball` and the earlier `golden_min`, kept verbatim apart from
-their names.  Every lane of the driver must follow its reference solve
-bit for bit: same optimum, minimizer, trajectory, iteration count,
-objective history and verdict.
+The reference loops below are a `fundamental_direct` that writes the
+preconditioned L-BFGS iteration out for a single solve, with no lanes and
+no batching, the sequential `_search_ball` and the earlier `golden_min`,
+kept verbatim apart from their names.  Every lane of the driver must
+follow its reference solve bit for bit: same optimum, minimizer,
+trajectory, iteration count, objective history and verdict.
 """
 
 import math
@@ -15,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
                         NonConvergence, Overflow, PreconditionError, SearchParams,
@@ -25,31 +23,30 @@ from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
 from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
 from contact_hj.cost_ode import Curve, integrate_cost, integrate_cost_many
 from contact_hj import fundamental, value
-from contact_hj.fundamental import T_MIN, OptimizerParams, _direct_lockstep, _precondition
+from contact_hj.fundamental import (_MEMORY, T_MIN, OptimizerParams, _direct_lockstep,
+                                    _precondition)
 from contact_hj.value import mu_radius
 
 # ---------------------------------------------------------------------------
 # reference loops
 # ---------------------------------------------------------------------------
 
-class _Stop(Exception):
-    """A line-search trial point met the convergence contract."""
-
-
 def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
                             segments: int = 32,
                             opt: Optional[OptimizerParams] = None) -> FundamentalResult:
     """Minimize the terminal running cost over curves from x to y.
 
-    scipy's `minimize` (L-BFGS-B, pgtol 0) iterates the Sobolev coordinates
-    w of the interior nodes z = z0 + R^-1 w, where R is the factor that
-    `_precondition` builds from the straight curve; gradients are central
-    differences on the node coordinates, evaluated as one batched
-    integration sweep and mapped by R^-T.  The solve stops on the
-    node-space contract: at the first evaluation, at an iterate (the
-    callback halts `minimize`), or, once an iterate met gtol, at the first
-    later trial point that meets it without raising f above the last
-    iterate's, which counts as the last iteration (`_Stop`).
+    L-BFGS on the interior nodes z, one solve in one loop.  The direction
+    is the two-loop recursion over the last `_MEMORY` curvature pairs
+    (s, y) with s.y > 0, started from H0 = R^-1 R^-T, where R is the
+    factor that `_precondition` builds from the straight curve; when that
+    is no descent direction the pairs are dropped and the direction is
+    -R^-1 R^-T g.  The step starts at 1 and halves until Armijo's
+    condition (c1 = 1e-4) holds, unless the predicted decrease falls below
+    tol first, which ends the solve with a null iteration that repeats f.
+    Gradients are central differences on the node coordinates, evaluated
+    as one integration sweep.  The solve stops on the node-space contract,
+    checked at the first point and at every iterate.
     """
     opt = opt or OptimizerParams()
     if t <= T_MIN:
@@ -65,61 +62,59 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     D = (N - 1) * n
 
     base = Curve.straight(x, y, t, N)
-    z0 = base.interior
     lane = SimpleNamespace(x0=x, y0=y)
     _precondition(S, t, [lane], integrate_cost_many(S, t, base.nodes[None], u,
                                                     opt.substeps), N, opt.substeps)
     Rinv = lane.Rinv
     eye = np.eye(D) * opt.fd_step
-    seen = {}            # w -> (f, node gradient)
-    history = []
-    near = [False]       # some iterate met gtol
 
-    def fun_and_grad(w):
-        z = z0 + Rinv @ w
+    def fun_and_grad(z):
         zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
         nodes = np.empty((2 * D + 1, N + 1, n))
         nodes[:, 0, :] = x
         nodes[:, -1, :] = y
         nodes[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
         finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
-        f = float(finals[0])
-        gz = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        seen[w.tobytes()] = (f, gz)
-        small = np.linalg.norm(gz) < opt.gtol
-        if not history:
-            history.append(f)
-            if small:
-                raise _Stop(w.copy())
-        elif near[0] and small and 0.0 <= history[-1] - f < opt.tol:
-            history.append(f)
-            raise _Stop(w.copy())
-        return f, Rinv.T @ gz
+        return float(finals[0]), (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
 
-    def callback(wk):
-        f, gz = seen[wk.tobytes()]
+    z = base.interior
+    f, g = fun_and_grad(z)
+    history, pairs, nit = [f], [], 0
+    while nit < opt.max_iter:
+        last = history[-2] - history[-1] if nit else 0.0
+        if np.linalg.norm(g) < opt.gtol and last < opt.tol:
+            break
+        q, coef = -g, []
+        for s, yy in reversed(pairs):
+            coef.append((s @ q) / float(s @ yy))
+            q = q - coef[-1] * yy
+        d = Rinv @ (Rinv.T @ q)
+        for (s, yy), a in zip(pairs, reversed(coef)):
+            d = d + (a - (yy @ d) / float(s @ yy)) * s
+        if not d @ g < 0.0:
+            pairs = []
+            d = -(Rinv @ (Rinv.T @ g))
+        slope, alpha = float(g @ d), 1.0
+        nit += 1
+        while True:
+            z_new = z + alpha * d
+            f_new, g_new = fun_and_grad(z_new)
+            if f_new <= f + 1e-4 * alpha * slope or -alpha * slope < opt.tol:
+                break
+            alpha *= 0.5
+        if f_new > f + 1e-4 * alpha * slope:  # the noise floor: a null iteration
+            history.append(f)
+            break
+        if float((z_new - z) @ (g_new - g)) > 0.0:
+            pairs = (pairs + [(z_new - z, g_new - g)])[-_MEMORY:]
+        z, f, g = z_new, f_new, g_new
         history.append(f)
-        small = np.linalg.norm(gz) < opt.gtol
-        near[0] = near[0] or small
-        if small and history[-2] - history[-1] < opt.tol:
-            raise StopIteration
-
-    try:
-        res = minimize(fun_and_grad, np.zeros(D), jac=True, method="L-BFGS-B",
-                       callback=callback,
-                       options={"maxiter": opt.max_iter, "ftol": 1e-15, "gtol": 0.0,
-                                "maxls": 100, "maxcor": min(max(D, 1), 64)})
-        w, nit = res.x, int(res.nit)
-    except _Stop as stop:
-        w, nit = stop.args[0], len(history) - 1
-    gz = seen[w.tobytes()][1]
-    curve = base.with_interior(z0 + Rinv @ w)
+    curve = base.with_interior(z)
     traj = integrate_cost(S, curve, u, opt.substeps)
     A = traj.final
-    if history[-1] != A:
-        history.append(A)
+    assert A == history[-1]
 
-    grad_norm = float(np.linalg.norm(gz))
+    grad_norm = float(np.linalg.norm(g))
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
     converged = grad_norm < opt.gtol and last_dec < opt.tol
     if nit >= opt.max_iter and not converged:
@@ -453,10 +448,10 @@ def test_search_raises_the_first_failing_lane_like_the_sequential_search():
 
 
 def test_search_completes_past_a_failing_speculative_lane(monkeypatch):
-    # at max_iter 5 every screen lane and every point on the golden path
+    # at max_iter 4 every screen lane and every point on the golden path
     # converges, while golden points the walk never reaches run out
-    search = SearchParams(segments=6, grid_points=3, ytol=1e-4,
-                          opt=OptimizerParams(substeps=2, max_iter=5))
+    search = SearchParams(segments=6, grid_points=4, ytol=1e-4,
+                          opt=OptimizerParams(substeps=2, max_iter=4))
     S, x = trig_contact_system(), np.array([0.3])
     failed, iterations = [], []
     lockstep = value._direct_lockstep
@@ -468,24 +463,37 @@ def test_search_completes_past_a_failing_speculative_lane(monkeypatch):
         return outs
 
     monkeypatch.setattr(value, "_direct_lockstep", spy)
-    val, y_star, _ = solve_value(S, datum_sin(), 0.5, x, search)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 0.5, x, search)
+    val, y_star, _ = solve_value(S, datum_sin(), 0.4, x, search)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 0.4, x, search)
     assert failed
-    assert all("exhausted 5 iterations" in str(f) for f in failed)
+    assert all("exhausted 4 iterations" in str(f) for f in failed)
     assert np.median(iterations) <= 3  # the failures sit among short solves
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
 
 
-def test_search_with_far_screen_lanes_matches_sequential_search():
+def test_search_with_far_screen_lanes_matches_sequential_search(monkeypatch):
     # the ball radius mu(t) t is 123 at t = 1.5, so the screen's far lanes
-    # take up to 25 iterations (several end unconverged) and the golden
-    # rounds run their speculative lanes through `outcomes`
+    # take up to 18 iterations (several end unconverged, on the noise floor
+    # before max_iter) and the golden rounds run their speculative lanes
+    # through `outcomes`
     search = SearchParams(segments=6, grid_points=7, ytol=1e-5,
                           opt=OptimizerParams(substeps=2, max_iter=30))
     S, x = trig_contact_system(), np.array([0.3])
+    screen = []
+    lockstep = value._direct_lockstep
+
+    def spy(*args, outcomes=False):
+        outs = lockstep(*args, outcomes=outcomes)
+        if not outcomes:
+            screen.extend(outs)
+        return outs
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
     val, y_star, _ = solve_value(S, datum_sin(), 1.5, x, search)
     ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 1.5, x, search)
+    assert 10 < max(r.iterations for r in screen) < 30
+    assert sum(not r.converged for r in screen) > 1
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
 
