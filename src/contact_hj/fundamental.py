@@ -19,7 +19,6 @@ how well a curve satisfies the stationarity ODE
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -98,80 +97,13 @@ def _slice_lanes(D: int) -> int:
     return max(1, _LOCKSTEP_ROWS // (2 * D + 1))
 
 
-class _Lane:
-    """One preconditioned L-BFGS solve over the interior nodes z of a curve.
-
-    The lane holds its iterate (z, f, node gradient gz and the cost row of
-    the curve), its last `_MEMORY` curvature pairs, and the point `trial`
-    that the next sweep evaluates.  `_precondition` sets R^-1 after the
-    first sweep, which evaluates the straight starting curve.
-    """
-
-    def __init__(self, x, y, u, z0):
-        self.x0, self.y0, self.u = x, y, float(u)
-        self.trial = np.array(z0, dtype=np.float64)
-        self.Rinv = None
-        self.pairs = deque(maxlen=_MEMORY)   # (s, y, s.y), oldest first
-        self.history = []
-        self.nit = 0
-        self.done = False
-
-    def take(self, f, gz, row, opt) -> None:
-        """Read f, the node gradient gz and the cost row at the trial point.
-
-        The starting curve, or a trial step that meets Armijo's condition
-        (c1 = 1e-4), becomes the iterate, and the lane stops there if it meets the
-        convergence contract or has used max_iter iterations.  A step that
-        fails the condition is halved, unless its predicted decrease is
-        already below tol: then the lane ends on a null iteration that
-        repeats f.
-        """
-        if self.history:
-            if f > self.f + 1e-4 * self.alpha * self.slope:
-                if -self.alpha * self.slope < opt.tol:
-                    self.nit += 1
-                    self.history.append(self.f)
-                    self.done = True
-                else:
-                    self.alpha *= 0.5
-                    self.trial = self.z + self.alpha * self.d
-                return
-            s, y = self.trial - self.z, gz - self.gz
-            sy = float(s @ y)
-            if sy > 0.0:
-                self.pairs.append((s, y, sy))
-            self.nit += 1
-        self.z, self.f, self.gz, self.row = self.trial, f, gz, row.copy()
-        self.history.append(f)
-        last = self.history[-2] - f if self.nit else 0.0
-        if (np.linalg.norm(gz) < opt.gtol and last < opt.tol) or self.nit >= opt.max_iter:
-            self.done = True
-            return
-        self.d = self._direction()
-        self.slope = float(gz @ self.d)
-        self.alpha = 1.0
-        self.trial = self.z + self.d
-
-    def _direction(self) -> np.ndarray:
-        """-H gz by the two-loop recursion over the kept pairs, from
-        H0 = R^-1 R^-T = P^-1; if that is no descent direction, the pairs
-        are dropped and the direction is -P^-1 gz."""
-        q = -self.gz
-        coef = []
-        for s, y, sy in reversed(self.pairs):
-            coef.append((s @ q) / sy)
-            q = q - coef[-1] * y
-        d = self.Rinv @ (self.Rinv.T @ q)
-        for (s, y, sy), a in zip(self.pairs, reversed(coef)):
-            d = d + (a - (y @ d) / sy) * s
-        if not d @ self.gz < 0.0:
-            self.pairs.clear()
-            d = -(self.Rinv @ (self.Rinv.T @ self.gz))
-        return d
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[k] @ b[k] of (B, D) stacks, each bitwise the 1-D product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _precondition(S, t, lanes, rows, N, substeps) -> None:
-    """Set each lane's R^-1, where R^T R = P is its Sobolev metric.
+def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
+    """R^-1 of each lane from x to y (B, n), where R^T R = P is its Sobolev metric.
 
     P models the Hessian of the discrete action on the lane's straight
     starting curve: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h
@@ -180,11 +112,7 @@ def _precondition(S, t, lanes, rows, N, substeps) -> None:
     off-diagonal blocks -c_k.  A lane whose P is not positive definite, or
     whose factor is not finite, gets R = I (no preconditioning).
     """
-    B, n = len(lanes), lanes[0].x0.size
-    D = (N - 1) * n
-    h = t / N
-    x = np.array([ln.x0 for ln in lanes])
-    y = np.array([ln.y0 for ln in lanes])
+    (B, n), h = x.shape, t / N
     frac = ((np.arange(N) + 0.5) / N)[None, :, None]
     xm = (1.0 - frac) * x[:, None] + frac * y[:, None]
     vm = np.broadcast_to(((y - x) / t)[:, None], (B, N, n))
@@ -201,111 +129,185 @@ def _precondition(S, t, lanes, rows, N, substeps) -> None:
     P[:, j, :, j, :] = (c[:, :-1] + c[:, 1:]).swapaxes(0, 1)
     P[:, j[:-1], :, j[1:], :] = -c[:, 1:-1].swapaxes(0, 1)
     P[:, j[1:], :, j[:-1], :] = -c[:, 1:-1].swapaxes(0, 1).swapaxes(-1, -2)
-    for ln, p in zip(lanes, P.reshape(B, D, D)):
-        try:
-            # R = chol^T, so R^-1 = (chol^-1)^T
-            rinv = np.ascontiguousarray(np.linalg.inv(np.linalg.cholesky(p)).T)
-        except np.linalg.LinAlgError:
-            rinv = np.eye(D)
-        ln.Rinv = rinv if np.all(np.isfinite(rinv)) else np.eye(D)
+    return _inverse_factor(P.reshape(B, (N - 1) * n, (N - 1) * n))
 
 
-def _sweep_lanes(S, t, lanes, N, opt, eye) -> None:
-    """Evaluate every lane's trial point and its central differences in
-    one batched cost sweep."""
-    n = lanes[0].x0.size
-    D = eye.shape[0]
-    R = 2 * D + 1
-    nodes = np.empty((R * len(lanes), N + 1, n))
-    for k, ln in enumerate(lanes):
-        z = ln.trial
-        zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
-        block = nodes[k * R:(k + 1) * R]
-        block[:, 0, :] = ln.x0
-        block[:, -1, :] = ln.y0
-        block[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
-    u0 = np.repeat([ln.u for ln in lanes], R)
-    samples = integrate_cost_many(S, t, nodes, u0, opt.substeps)
-    fresh = [k for k, ln in enumerate(lanes) if ln.Rinv is None]
-    if fresh:
-        _precondition(S, t, [lanes[k] for k in fresh], samples[np.array(fresh) * R],
-                      N, opt.substeps)
-    for k, ln in enumerate(lanes):
-        finals = samples[k * R:(k + 1) * R, -1]
-        g = (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
-        ln.take(float(finals[0]), g, samples[k * R], opt)
+def _inverse_factor(P: np.ndarray) -> np.ndarray:
+    """C-contiguous (chol(P)^-1)^T of each P of a (B, D, D) stack, or I where
+    that fails or is not finite."""
+    try:  # LAPACK factors a stack matrix by matrix, bitwise as alone
+        rinv = np.linalg.inv(np.linalg.cholesky(P)).swapaxes(1, 2).copy()
+    except np.linalg.LinAlgError:  # halve the stack until a failing P stands alone
+        if len(P) == 1:
+            return np.eye(P.shape[1])[None]
+        return np.concatenate([_inverse_factor(half) for half in np.split(P, [len(P) // 2])])
+    if not np.isfinite(rinv).all():
+        rinv[~np.isfinite(rinv).all(axis=(1, 2))] = np.eye(P.shape[1])
+    return rinv
+
+
+def _direction(gz, Rinv, ps, py, psy, count, new) -> np.ndarray:
+    """-H gz for every lane by the two-loop recursion over its count[k] newest
+    curvature pairs (slot 0 of ps, py and psy = s.y is the newest), from
+    H0 = R^-1 R^-T = P^-1, on (B, D, 1) columns and (B, 1, D) rows.  A `new`
+    lane whose result is no descent direction drops its pairs for -P^-1 gz."""
+    s_row, y_row, s_col, y_col = ps[:, :, None], py[:, :, None], ps[..., None], py[..., None]
+    sy, g = psy[..., None, None], gz[..., None]
+    q, coef, top = -g, [], int(count.max())
+    live = count[:, None, None] > np.arange(top) if count.min() < top else None
+    for j in range(top):
+        coef.append((s_row[:, j] @ q) / sy[:, j])
+        step = q - coef[-1] * y_col[:, j]
+        q = step if live is None else np.where(live[..., j:j + 1], step, q)
+    RinvT = Rinv.swapaxes(1, 2)
+    d = Rinv @ (RinvT @ q)
+    for j in reversed(range(top)):
+        step = d + (coef[j] - (y_row[:, j] @ d) / sy[:, j]) * s_col[:, j]
+        d = step if live is None else np.where(live[..., j:j + 1], step, d)
+    flat = new & ~((d.swapaxes(1, 2) @ g)[:, 0, 0] < 0.0)
+    if np.count_nonzero(flat):
+        count[flat] = 0
+        d[flat] = -(Rinv[flat] @ (RinvT[flat] @ g[flat]))
+    return d[..., 0]
 
 
 def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
                      opt: OptimizerParams, outcomes: bool = False) -> list:
     """Minimize the terminal running cost for a batch of (x, y, u) lanes.
 
-    Each lane runs L-BFGS on its interior nodes (see `_Lane`), with the
-    Sobolev metric P of `_precondition` as its initial inverse Hessian
-    P^-1, a finite-difference gradient in node coordinates, and a
-    backtracking line search from the unit step.  A lane stops on the
-    convergence contract: node-space gradient norm below gtol and last
-    decrease below tol, checked at its first point and at every iterate.
-    Every round, the trial points of all running lanes are evaluated
-    together by one `integrate_cost_many` sweep, and each lane follows,
-    bit for bit, the iterates it would follow alone.  The lanes run in
-    successive slices of at most `_LOCKSTEP_ROWS` sweep rows.  Returns one
-    FundamentalResult per lane; when lanes miss their criteria within
-    max_iter, raises the NonConvergence of the first such lane, as solving
-    the lanes one after another would, unless `outcomes` is set, in which
-    case that lane's entry is its NonConvergence and every lane is solved.
-    An Overflow in any sweep ends the whole batch.
+    Each lane runs L-BFGS on its interior nodes: the two-loop recursion over
+    its last `_MEMORY` pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev
+    metric of `_precondition`), or -P^-1 g without the pairs when that is no
+    descent direction; a step from 1, halved until Armijo's condition
+    (c1 = 1e-4) holds, unless the predicted decrease falls below tol first:
+    then the lane ends on a null iteration that repeats f.  It stops where
+    its node gradient norm is below gtol and its last decrease below tol
+    (its first point or an iterate), or after max_iter iterations.
+    The lanes are rows of stacked arrays: (B, D) points, (B,) scalars and
+    masks, (B, `_MEMORY`, D) pairs and a (B, D, D) stack of R^-1.  A round is
+    one `integrate_cost_many` sweep of every running lane's trial point and
+    central differences, then a fixed number of numpy calls whatever B is.
+    Each lane follows its lone solve bit for bit: every per-lane product is a
+    stacked `matmul` or LAPACK call that repeats the lone call row by row
+    (never `einsum`, which sums in another order).  Slices of at most
+    `_LOCKSTEP_ROWS` sweep rows run one after another.  Returns one
+    FundamentalResult per lane, but raises the NonConvergence of the first
+    lane that misses its criteria within max_iter, as solving the lanes one
+    after another would; with `outcomes` set, that NonConvergence is the
+    lane's entry instead.  An Overflow in any sweep ends the batch.
     """
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     if segments < 2:
         raise PreconditionError("need at least 2 segments")
-    n = S.dim
-    N = int(segments)
-    D = (N - 1) * n
-    eye = np.eye(D) * opt.fd_step
-
-    width = _slice_lanes(D)
+    width = _slice_lanes((int(segments) - 1) * S.dim)
     results = []
     for i in range(0, len(ends), width):
-        lanes = []
-        for x, y, u in ends[i:i + width]:
-            if not np.isfinite(u):
-                raise PreconditionError("u must be finite")
-            x, y = as_point(x, n), as_point(y, n)
-            lanes.append(_Lane(x, y, u, Curve.straight(x, y, t, N).interior))
-        active = lanes
-        while active:
-            _sweep_lanes(S, t, active, N, opt, eye)
-            active = [ln for ln in active if not ln.done]
-        for ln in lanes:
-            res = _finish(t, ln, N, opt)
+        for res in _solve_slice(S, t, ends[i:i + width], int(segments), opt):
             if isinstance(res, NonConvergence) and not outcomes:
                 raise res
             results.append(res)
     return results
 
 
-def _finish(t, ln: _Lane, N: int, opt: OptimizerParams):
-    """Result of a stopped lane, or its NonConvergence if it exhausted max_iter."""
-    curve = Curve.straight(ln.x0, ln.y0, t, N).with_interior(ln.z)
-    samples = ln.row
-    samples[0] = ln.u
-    traj = CostTrajectory(times=np.linspace(0.0, float(t), samples.size),
-                          samples=samples, u0=ln.u)
-    A = traj.final
-    history = ln.history
-    grad_norm = float(np.linalg.norm(ln.gz))
-    last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
-    converged = grad_norm < opt.gtol and last_dec < opt.tol
-    if ln.nit >= opt.max_iter and not converged:
-        return NonConvergence(
-            f"curve minimization exhausted {opt.max_iter} iterations "
-            f"(gradient norm {grad_norm:.3g})")
-    return FundamentalResult(h=A - ln.u, A=A, minimizer=curve, trajectory=traj,
-                             iterations=int(ln.nit),
-                             objective_history=np.asarray(history),
-                             converged=bool(converged))
+def _solve_slice(S, t, ends, N, opt) -> list:
+    """One slice of `_direct_lockstep`: each lane's FundamentalResult, or its
+    NonConvergence when it exhausted max_iter unconverged."""
+    B, n = len(ends), S.dim
+    x, y, u = np.empty((B, n)), np.empty((B, n)), np.empty(B)
+    for k, (xk, yk, uk) in enumerate(ends):
+        if not np.isfinite(uk):
+            raise PreconditionError("u must be finite")
+        x[k], y[k], u[k] = as_point(xk, n), as_point(yk, n), uk
+        if not (np.isfinite(x[k]).all() and np.isfinite(y[k]).all()):
+            raise PreconditionError("curve nodes must be finite")
+    D, R = (N - 1) * n, 2 * (N - 1) * n + 1
+    lam = np.linspace(0.0, 1.0, N + 1)[:, None]
+    curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
+    fd = (np.eye(D) * opt.fd_step).reshape(D, N - 1, n)
+    lane, xa, ya, ua = np.arange(B), x, y, np.repeat(u, R)  # row k runs lane lane[k]
+    trial = curves[:, 1:-1].reshape(B, D).copy()
+    z, gz, d = np.zeros((3, B, D))
+    f, slope, alpha, out_gn = np.zeros((4, B))  # out_gn: the final gradient norms
+    nit, count, out_nit, out_conv = np.zeros((4, B), dtype=int)
+    ps, py, psy = np.zeros((B, _MEMORY, D)), np.zeros((B, _MEMORY, D)), np.ones((B, _MEMORY))
+    hist, Rinv, rounds = np.empty((B, 8)), None, 0  # hist[k, i]: f after i iterations
+    while True:
+        nodes = np.empty((len(lane), R, N + 1, n))
+        nodes[:, :, 0], nodes[:, :, -1] = xa[:, None], ya[:, None]
+        inner, z4 = nodes[:, :, 1:-1], trial.reshape(-1, 1, N - 1, n)
+        inner[:, :1] = z4
+        np.add(z4, fd, out=inner[:, 1:D + 1])
+        np.subtract(z4, fd, out=inner[:, D + 1:])
+        samples = integrate_cost_many(S, t, nodes.reshape(-1, N + 1, n), ua,
+                                      opt.substeps).reshape(len(lane), R, -1)
+        f_new, rows = samples[:, 0, -1], samples[:, 0]
+        g_new = (samples[:, 1:D + 1, -1] - samples[:, D + 1:, -1]) / (2.0 * opt.fd_step)
+        if Rinv is None:  # the straight curves: set up the metric
+            Rinv = _precondition(S, t, x, y, rows, N, opt.substeps)
+            row, out_row = np.zeros((2,) + rows.shape)
+            last, acc, null, some = 0.0, np.ones(B, dtype=bool), False, False
+        else:  # some: whether some lane failed Armijo's condition
+            fail = f_new > f + 1e-4 * alpha * slope
+            acc, null, some, last = ~fail, False, np.count_nonzero(fail) > 0, f - f_new
+            if some:
+                null = fail & (-alpha * slope < opt.tol)
+                alpha = 0.5 * alpha  # an accepted lane restarts at 1 below
+                last[null] = 0.0  # a null iteration repeats f
+            sv, yv = trial - z, g_new - gz
+            sy = _dot(sv, yv)
+            keep = acc & (sy > 0.0)
+            kept = np.count_nonzero(keep)
+            if kept:
+                sel = slice(None) if kept == len(keep) else keep
+                for buf, new in ((ps, sv), (py, yv), (psy, sy)):
+                    buf[sel, 1:] = buf[sel, :-1]
+                    buf[sel, 0] = new[sel]
+                count = np.minimum(count + keep, _MEMORY)
+            nit = nit + (acc | null)
+        sel = acc if some else slice(None)  # the lanes that take their trial point
+        z[sel], f[sel], gz[sel], row[sel] = trial[sel], f_new[sel], g_new[sel], rows[sel]
+        del samples, rows, f_new  # free the sweep's path, its largest array, before the next
+        if rounds == hist.shape[1]:  # nit <= rounds
+            hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
+        hist[lane, nit] = f  # a lane that only halved rewrites its entry
+        gn = np.sqrt(_dot(gz, gz))
+        conv = (gn < opt.gtol) & (last < opt.tol)
+        done = conv | (nit >= opt.max_iter)
+        stop = null | (acc & done) if some else done
+        stopped = np.count_nonzero(stop)
+        if stopped:
+            k = lane[stop]
+            curves[k, 1:-1], out_row[k] = z[stop].reshape(-1, N - 1, n), row[stop]
+            out_nit[k], out_gn[k], out_conv[k] = nit[stop], gn[stop], conv[stop]
+            if stopped == len(stop):
+                break
+            run = ~stop
+            (lane, xa, ya, z, f, gz, row, d, slope, alpha, ps, py, psy, count, nit, Rinv,
+             acc) = (a[run] for a in (lane, xa, ya, z, f, gz, row, d, slope, alpha, ps, py,
+                                      psy, count, nit, Rinv, acc))
+            ua, some = np.repeat(u[lane], R), not acc.all()
+        sel = acc if some else slice(None)  # and so a new direction and the unit step
+        d[sel] = _direction(gz, Rinv, ps, py, psy, count, acc)[sel]
+        slope[sel], alpha[sel] = _dot(gz, d)[sel], 1.0
+        trial = z + alpha[:, None] * d
+        rounds += 1
+    out_row[:, 0] = u
+    times = np.linspace(0.0, float(t), out_row.shape[1])
+    results = []
+    for k in range(B):
+        if out_nit[k] >= opt.max_iter and not out_conv[k]:
+            results.append(NonConvergence(
+                f"curve minimization exhausted {opt.max_iter} iterations "
+                f"(gradient norm {out_gn[k]:.3g})"))
+            continue
+        A = float(out_row[k, -1])
+        results.append(FundamentalResult(
+            h=A - float(u[k]), A=A, minimizer=Curve(float(t), curves[k]),
+            trajectory=CostTrajectory(times=times.copy(), samples=out_row[k], u0=float(u[k])),
+            iterations=int(out_nit[k]), objective_history=hist[k, :out_nit[k] + 1].copy(),
+            converged=bool(out_conv[k])))
+    return results
 
 
 def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
@@ -317,11 +319,9 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     curve initialized as the straight segment; the objective value is the
     final sample of the cost ODE.  L-BFGS starts from the inverse of the
     exponentially weighted discrete Laplacian of the starting curve (a
-    Sobolev-gradient metric); gradients are central differences on the
-    node coordinates, evaluated as one batched integration sweep, and
-    `converged` is judged in node coordinates.  This is the one-lane case
-    of `_direct_lockstep`, which also solves the value search's screen and
-    golden rounds as batches.
+    Sobolev-gradient metric), with central-difference gradients in node
+    coordinates, where `converged` is judged.  This is the one-lane case of
+    `_direct_lockstep`, which also solves the value search's batches.
     """
     return _direct_lockstep(S, t, [(x, y, u)], segments, opt or OptimizerParams())[0]
 

@@ -6,8 +6,10 @@ mu(t) bounds every minimizing y inside the closed ball B(x, mu(t) t), so
 the search is a coarse grid over that ball followed by per-coordinate
 golden-section refinement; the rest point y = x is always a candidate.
 The rest point and the grid are screened as one batch of inner solves
-(`fundamental._direct_lockstep`, preconditioned L-BFGS lanes advanced in
-lockstep with one cost sweep per round).  The golden walk runs in
+(`fundamental._direct_lockstep`: preconditioned L-BFGS lanes held as rows
+of stacked arrays and advanced in lockstep, one cost sweep per round, each
+lane bitwise its lone solve because its products are stacked `matmul` and
+LAPACK calls, never `einsum`).  The golden walk runs in
 rounds: before each, every point its next few steps could request is
 solved as one more such batch, and the walk then reads its own points
 from them.

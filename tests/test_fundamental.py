@@ -18,8 +18,7 @@ from contact_hj import (ContactSystem, Curve, HamiltonianSystem, NoRootFound,
 from contact_hj import fundamental, perturbed_system
 from contact_hj._util import golden_min
 from contact_hj.cost_ode import integrate_cost_many
-from contact_hj.fundamental import (CharacteristicState, _direct_lockstep, _Lane,
-                                    _precondition)
+from contact_hj.fundamental import CharacteristicState, _direct_lockstep, _precondition
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +92,9 @@ def test_direct_preconditions():
         fundamental_direct(S, 1.0, 0.0, 1.0, 0.0, segments=1)
     with pytest.raises(PreconditionError):
         fundamental_direct(S, 1.0, 0.0, 1.0, np.inf)
+    for substeps in (0, -1):  # the cost sweep refuses them before any lane array is sized
+        with pytest.raises(PreconditionError):
+            fundamental_direct(S, 1.0, 0.0, 1.0, 0.0, opt=OptimizerParams(substeps=substeps))
 
 
 SEMIGROUP_XTOL = 1e-6
@@ -223,12 +225,11 @@ def test_direct_quartic_rest_lane_keeps_node_coordinates():
     # P is zero; that lane uses R = I while the other lane keeps its metric
     S, N, t = quartic_system(), 16, 1.0
     ends = [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0)]
-    lanes = [_Lane(np.array([x]), np.array([y]), u, Curve.straight(x, y, t, N).interior)
-             for x, y, u in ends]
+    xs, ys = np.array([[x] for x, _, _ in ends]), np.array([[y] for _, y, _ in ends])
     nodes = np.stack([Curve.straight(x, y, t, N).nodes for x, y, _ in ends])
-    _precondition(S, t, lanes, integrate_cost_many(S, t, nodes, 0.0, 2), N, 2)
-    assert np.array_equal(lanes[0].Rinv, np.eye(N - 1))
-    assert not np.array_equal(lanes[1].Rinv, np.eye(N - 1))
+    Rinv = _precondition(S, t, xs, ys, integrate_cost_many(S, t, nodes, 0.0, 2), N, 2)
+    assert np.array_equal(Rinv[0], np.eye(N - 1))
+    assert not np.array_equal(Rinv[1], np.eye(N - 1))
     rest, moving = _direct_lockstep(S, t, ends, N, OptimizerParams(substeps=2))
     assert rest.converged and rest.A == 0.0
     assert moving.converged

@@ -9,7 +9,6 @@ trajectory, iteration count, objective history and verdict.
 """
 
 import math
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
 from contact_hj.cost_ode import Curve, integrate_cost, integrate_cost_many
 from contact_hj import fundamental, value
 from contact_hj.fundamental import (_MEMORY, T_MIN, OptimizerParams, _direct_lockstep,
-                                    _precondition)
+                                    _direction, _precondition)
 from contact_hj.value import mu_radius
 
 # ---------------------------------------------------------------------------
@@ -62,10 +61,9 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     D = (N - 1) * n
 
     base = Curve.straight(x, y, t, N)
-    lane = SimpleNamespace(x0=x, y0=y)
-    _precondition(S, t, [lane], integrate_cost_many(S, t, base.nodes[None], u,
-                                                    opt.substeps), N, opt.substeps)
-    Rinv = lane.Rinv
+    Rinv = _precondition(S, t, x[None], y[None],
+                         integrate_cost_many(S, t, base.nodes[None], u, opt.substeps),
+                         N, opt.substeps)[0]
     eye = np.eye(D) * opt.fd_step
 
     def fun_and_grad(z):
@@ -263,6 +261,17 @@ def test_lanes_stopping_at_different_rounds_match_alone():
     assert len(iters) > 1  # the lanes really left the batch at different rounds
 
 
+def test_float32_horizon_is_used_as_given():
+    # the horizon reaches the cost sweep and the metric as passed, like a
+    # lone solve's: a float32 t gives a float32 step h = t / N in the metric
+    # (N = 6, so h is rounded differently than float(t) / N would be)
+    S, t = trig_contact_system(), np.float32(0.7)
+    ends = [(0.0, 1.0, 0.2), (0.3, -0.5, 0.0)]
+    for res, (x, y, u) in zip(_direct_lockstep(S, t, ends, 6, OPT), ends):
+        _same(res, _ref_fundamental_direct(S, t, x, y, u, segments=6, opt=OPT))
+        assert type(res.minimizer.t_final) is float
+
+
 def test_lanes_split_into_slices_match_alone(monkeypatch):
     # 19 sweep rows per lane at 10 segments in 1-D: slices of two lanes
     monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", 40)
@@ -281,6 +290,104 @@ def test_lanes_split_into_slices_match_alone(monkeypatch):
     assert len(got) == len(ends)
     for res, (x, y, u) in zip(got, ends):
         _same(res, _ref_fundamental_direct(S, 0.9, x, y, u, segments=10, opt=OPT))
+
+
+def test_2d_lanes_stopping_at_different_rounds_match_alone():
+    S = trig_contact_system(2)
+    ends = [([0.0, 0.0], [0.0, 0.0], 0.2), ([0.1, -0.3], [0.8, 0.6], -0.2),
+            ([-0.5, 0.4], [0.3, -0.9], 0.7), ([0.2, 0.2], [1.4, 1.1], 0.0),
+            ([1.0, -1.0], [-0.2, 0.5], 1.1), ([-1.2, 0.3], [1.0, 1.5], -0.5)]
+    got = _direct_lockstep(S, 0.7, ends, 6, OPT)
+    for res, (x, y, u) in zip(got, ends):
+        _same(res, _ref_fundamental_direct(S, 0.7, x, y, u, segments=6, opt=OPT))
+    assert len({res.iterations for res in got}) == 3  # 3, 4 and 5 iterations
+
+
+def _quartic_potential(x, u, v):
+    v = np.asarray(v, float)
+    return 0.25 * np.add.reduce(v * v, axis=-1) ** 2 + 0.5 * np.sin(np.asarray(x)[..., 0])
+
+
+# L_vv = 3 v^2 vanishes on a rest lane's straight curve, so its P is zero and
+# it runs in node coordinates (R = I); the potential keeps every lane moving
+QUARTIC_SIN = ContactSystem(dim=1, lagrangian=_quartic_potential, K=0.0,
+                            theta0=lambda r: 0.25 * np.asarray(r, float) ** 4,
+                            theta0_bar=lambda r: 0.25 * np.asarray(r, float) ** 4 + 1.0,
+                            c0=1.0)
+
+
+def test_rest_lanes_without_a_metric_beside_preconditioned_lanes_match_alone():
+    S, t, N = QUARTIC_SIN, 1.2, 10
+    ends = [(0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (-0.4, 0.9, 0.3), (0.2, -1.5, -0.1),
+            (1.0, 1.0, 0.4), (0.0, 0.6, 0.0)]
+    xs, ys = np.array([[x] for x, _, _ in ends]), np.array([[y] for _, y, _ in ends])
+    nodes = np.stack([Curve.straight(x, y, t, N).nodes for x, y, _ in ends])
+    rows = integrate_cost_many(S, t, nodes, [u for _, _, u in ends], OPT.substeps)
+    Rinv = _precondition(S, t, xs, ys, rows, N, OPT.substeps)
+    assert [np.array_equal(r, np.eye(N - 1)) for r in Rinv] == [x == y for x, y, _ in ends]
+    got = _direct_lockstep(S, t, ends, N, OPT, outcomes=True)
+    for res, (x, y, u) in zip(got, ends):
+        _same(res, _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
+    # the rest lanes outlast the ring of curvature pairs and end on the noise floor
+    assert all(got[k].iterations > _MEMORY and not got[k].converged for k in (0, 4))
+    assert all(got[k].converged for k in (1, 2, 3, 5))
+
+
+def test_far_screen_lanes_match_alone():
+    # the screen of solve_value(trig-contact, sin, t = 1.5, x = 0.3) with 7
+    # grid points: the ball radius mu(t) t is 123, so the far lanes run 10 to
+    # 20 iterations, wrap their ring of pairs and end unconverged, on the
+    # noise floor, far below max_iter
+    S, datum, t, x = trig_contact_system(), datum_sin(), 1.5, np.array([0.3])
+    search = SearchParams(segments=6, grid_points=7)
+    radius = mu_radius(S, datum, t) * t
+    mesh = np.linspace(x[0] - radius, x[0] + radius, 7)
+    ys = [x] + [np.array([c]) for c in mesh if abs(c - x[0]) <= radius + 1e-12]
+    ends = [(y, x, float(datum(y))) for y in ys]
+    got = _direct_lockstep(S, t, ends, search.segments, search.opt, outcomes=True)
+    for res, (y, _, u) in zip(got, ends):
+        _same(res, _ref_fundamental_direct(S, t, y, x, u, segments=search.segments,
+                                           opt=search.opt))
+    assert len(got) == 8
+    assert sorted(res.iterations for res in got)[-3:] == [13, 14, 20]
+    assert sum(not res.converged for res in got) == 4
+
+
+def test_direction_rows_match_the_two_loop_recursion_of_each_lane():
+    # lanes with 0, 3, 10 and 2 pairs, stale pairs in their unused slots, and
+    # a zero gradient (no descent direction) on a lane that takes a new
+    # direction and on one that does not
+    rng = np.random.default_rng(5)
+    B, D = 6, 7
+    counts = np.array([0, 3, _MEMORY, 2, 4, 1])
+    new = np.array([True, True, True, True, True, False])
+    gz = rng.standard_normal((B, D))
+    gz[4] = gz[5] = 0.0
+    Rinv = np.tril(rng.standard_normal((B, D, D))) + 3.0 * np.eye(D)
+    ps, py = rng.standard_normal((2, B, _MEMORY, D)) * 10.0
+    psy = rng.standard_normal((B, _MEMORY)) * 10.0
+    for k in range(B):
+        for j in range(counts[k]):  # slot 0 is the newest pair
+            py[k, j] = ps[k, j] + 0.1 * rng.standard_normal(D)
+            psy[k, j] = ps[k, j] @ py[k, j]
+    count = counts.copy()
+    got = _direction(gz, Rinv, ps, py, psy, count, new)
+    for k in range(B):
+        pairs = [(ps[k, j], py[k, j]) for j in reversed(range(counts[k]))]
+        q, coef = -gz[k], []
+        for s, yy in reversed(pairs):
+            coef.append((s @ q) / float(s @ yy))
+            q = q - coef[-1] * yy
+        d = Rinv[k] @ (Rinv[k].T @ q)
+        for (s, yy), a in zip(pairs, reversed(coef)):
+            d = d + (a - (yy @ d) / float(s @ yy)) * s
+        flat = not d @ gz[k] < 0.0
+        if flat:
+            d = -(Rinv[k] @ (Rinv[k].T @ gz[k]))
+        if new[k]:
+            assert np.array_equal(got[k], d)
+        assert count[k] == (0 if flat and new[k] else counts[k])
+    assert count[4] == 0 and count[5] == 1
 
 
 def test_first_failing_lane_of_a_later_slice_raises(monkeypatch):

@@ -13,7 +13,8 @@ from contact_hj import (InitialDatum, PreconditionError, SearchParams,
                         discounted_quadratic_system, fundamental_direct,
                         initial_condition_check, lax_oleinik_classical,
                         mu_radius, pde_residual, quadratic_hamiltonian,
-                        quadratic_system, solve_value, solve_value_grid)
+                        quadratic_system, solve_value, solve_value_grid,
+                        trig_contact_system)
 from contact_hj.fundamental import OptimizerParams
 
 FAST = SearchParams(segments=8, grid_points=13, ytol=1e-7,
@@ -404,3 +405,21 @@ def test_cos_bump_is_continuous_at_support_edge():
     edge = np.array([[np.pi]])
     assert abs(datum(edge)[0]) <= 1e-12
     assert datum(edge * 1.01)[0] == 0.0
+
+
+def test_winning_solve_converges_where_far_screen_lanes_do_not():
+    # the ball radius mu(t) t is 123, and half of the screen's lanes (the
+    # far ones) end unconverged on the noise floor; the value comes from a
+    # lane that meets the convergence contract
+    val, y_star, best = solve_value(trig_contact_system(), datum_sin(), 1.5, [0.3],
+                                    SearchParams(segments=6, grid_points=7))
+    assert best.converged and best.A == val
+    assert abs(y_star[0] - 0.3) < 1.0
+
+
+def test_winning_solves_of_the_readme_sample_converge():
+    search = SearchParams(segments=16, grid_points=33, ytol=1e-6)
+    grid = solve_value_grid(discounted_quadratic_system(0.5), datum_sin(), [0.5, 1.0],
+                            np.linspace(-2.0, 2.0, 9)[:, None], search)
+    assert all(res.converged for row in grid.results for res in row)
+    assert np.array_equal(grid.values, [[res.A for res in row] for row in grid.results])
