@@ -12,84 +12,36 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
-def _golden_step(a: float, b: float, c: float, d: float, left: bool) -> tuple:
-    """One golden-section step: shrink [a, b] to [a, d] (left) or [c, b].
-
-    Returns the new (a, b, c, d, h) and the one new interior point.  The
-    walk of `golden_min` and its lookahead share this arithmetic, so a
-    point enumerated ahead is bitwise the point the walk requests.
-    """
-    if left:
-        b, d = d, c
-        h = b - a
-        c = a + _INVPHI2 * h
-        return (a, b, c, d, h), c
-    a, c = c, d
-    h = b - a
-    d = a + _INVPHI * h
-    return (a, b, c, d, h), d
-
-
-def golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200,
-               prefetch=None, depth: int = 1):
+def golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int = 200):
     """Golden-section minimum of a scalar function on [lo, hi].
 
     Deterministic and derivative-free; returns (x_best, f_best).  The
     endpoints are always candidates, so a monotone f cannot escape the
     bracket; f is called once per distinct point.
-
-    With `prefetch`, the walk runs in rounds of `depth` steps.  Before a
-    round, `prefetch(points)` receives, in one call, every point the next
-    `depth` steps could request (up to 2^(depth+1) - 2, since each step's
-    point depends only on the outcome of one comparison) that no earlier
-    call named; the first round also names the two first interior points
-    and the bracket ends.  Every point reaches `prefetch` before `f` is
-    called on it, and `f` is called exactly as without `prefetch`: the
-    points on the walk's path only, in the same order, each one once.
     """
     a, b = float(lo), float(hi)
     if b < a:
         a, b = b, a
     h = b - a
-    asked = set()
-
-    def ahead(state, k, points=()):
-        # every point the steps k .. k + depth - 1 could request from state
-        if prefetch is None:
-            return
-        points, level = list(points), [state]
-        for _ in range(min(depth, max_iter - k)):
-            level = [_golden_step(*s[:4], left) for s in level if s[4] > xtol
-                     for left in (True, False)]
-            points += [p for _, p in level]
-            level = [s for s, _ in level]
-        new = [p for p in dict.fromkeys(points) if p not in asked]
-        if new:
-            asked.update(new)
-            prefetch(new)
-
     if h <= xtol:
         m = 0.5 * (a + b)
-        if prefetch is not None:
-            prefetch([m])
         return m, f(m)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    ahead((a, b, c, d, h), 0, (c, d, a, b))
     fc, fd = f(c), f(d)
     fa = fb = None  # an endpoint's value is known once it was an interior point
-    for k in range(max_iter):
+    for _ in range(max_iter):
         if h <= xtol:
             break
-        if k and k % depth == 0:
-            ahead((a, b, c, d, h), k)
         if fc < fd:
-            fb, fd = fd, fc
-            (a, b, c, d, h), _ = _golden_step(a, b, c, d, True)
+            b, d, fb, fd = d, c, fd, fc
+            h = b - a
+            c = a + _INVPHI2 * h
             fc = f(c)
         else:
-            fa, fc = fc, fd
-            (a, b, c, d, h), _ = _golden_step(a, b, c, d, False)
+            a, c, fa, fc = c, d, fc, fd
+            h = b - a
+            d = a + _INVPHI * h
             fd = f(d)
     if fa is None:
         fa = f(a)

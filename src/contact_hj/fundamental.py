@@ -172,7 +172,7 @@ def _direction(gz, Rinv, ps, py, psy, count, new) -> np.ndarray:
 
 
 def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
-                     opt: OptimizerParams, outcomes: bool = False) -> list:
+                     opt: OptimizerParams) -> list:
     """Minimize the terminal running cost for a batch of (x, y, u) lanes.
 
     Each lane runs L-BFGS on its interior nodes: the two-loop recursion over
@@ -193,8 +193,7 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     `_LOCKSTEP_ROWS` sweep rows run one after another.  Returns one
     FundamentalResult per lane, but raises the NonConvergence of the first
     lane that misses its criteria within max_iter, as solving the lanes one
-    after another would; with `outcomes` set, that NonConvergence is the
-    lane's entry instead.  An Overflow in any sweep ends the batch.
+    after another would.  An Overflow in any sweep ends the batch.
     """
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
@@ -203,16 +202,13 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     width = _slice_lanes((int(segments) - 1) * S.dim)
     results = []
     for i in range(0, len(ends), width):
-        for res in _solve_slice(S, t, ends[i:i + width], int(segments), opt):
-            if isinstance(res, NonConvergence) and not outcomes:
-                raise res
-            results.append(res)
+        results += _solve_slice(S, t, ends[i:i + width], int(segments), opt)
     return results
 
 
 def _solve_slice(S, t, ends, N, opt) -> list:
-    """One slice of `_direct_lockstep`: each lane's FundamentalResult, or its
-    NonConvergence when it exhausted max_iter unconverged."""
+    """One slice of `_direct_lockstep`: each lane's FundamentalResult; raises
+    the NonConvergence of the first lane that exhausted max_iter unconverged."""
     B, n = len(ends), S.dim
     x, y, u = np.empty((B, n)), np.empty((B, n)), np.empty(B)
     for k, (xk, yk, uk) in enumerate(ends):
@@ -297,10 +293,9 @@ def _solve_slice(S, t, ends, N, opt) -> list:
     results = []
     for k in range(B):
         if out_nit[k] >= opt.max_iter and not out_conv[k]:
-            results.append(NonConvergence(
+            raise NonConvergence(
                 f"curve minimization exhausted {opt.max_iter} iterations "
-                f"(gradient norm {out_gn[k]:.3g})"))
-            continue
+                f"(gradient norm {out_gn[k]:.3g})")
         A = float(out_row[k, -1])
         results.append(FundamentalResult(
             h=A - float(u[k]), A=A, minimizer=Curve(float(t), curves[k]),

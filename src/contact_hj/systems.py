@@ -382,18 +382,21 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
     theta0(r)/r on the sampled radii; a genuine limit at infinity is not
     numerically decidable.
     """
-    from scipy.stats import qmc  # loaded here only: its import is heavy
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     n = S.dim
     d = 2 * n + 1
-    sampler = qmc.LatinHypercube(d=d, seed=seed)
-    unit = sampler.random(samples)
+    # Latin hypercube: one shuffled stratum per sample and axis, jittered
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(samples, d))
+    perms = np.tile(np.arange(1, samples + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
     lows = np.array([b[0] for b in box.x_bounds] + [box.u_bounds[0]]
                     + [b[0] for b in box.v_bounds])
     highs = np.array([b[1] for b in box.x_bounds] + [box.u_bounds[1]]
                      + [b[1] for b in box.v_bounds])
-    pts = qmc.scale(unit, lows, highs)
+    pts = (perms.T - jitter) / samples * (highs - lows) + lows
     x = pts[:, :n]
     u = pts[:, n]
     v = pts[:, n + 1:]

@@ -4,15 +4,14 @@ The solution is u(t, x) = inf_y A(t, y, x, phi(y)), with A produced by
 the fundamental-solution machinery.  A quantitative localization radius
 mu(t) bounds every minimizing y inside the closed ball B(x, mu(t) t), so
 the search is a coarse grid over that ball followed by per-coordinate
-golden-section refinement; the rest point y = x is always a candidate.
+bracket refinement; the rest point y = x is always a candidate.
 The rest point and the grid are screened as one batch of inner solves
 (`fundamental._direct_lockstep`: preconditioned L-BFGS lanes held as rows
 of stacked arrays and advanced in lockstep, one cost sweep per round, each
 lane bitwise its lone solve because its products are stacked `matmul` and
-LAPACK calls, never `einsum`).  The golden walk runs in
-rounds: before each, every point its next few steps could request is
-solved as one more such batch, and the walk then reads its own points
-from them.
+LAPACK calls, never `einsum`).  Each refinement round solves evenly spaced
+interior points of a coordinate's bracket as one more such batch and
+narrows the bracket around the best point so far.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -27,12 +26,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import as_point, golden_min, parse_id
-from .errors import NonConvergence, Overflow, PreconditionError
-# fundamental_direct also re-solves golden points whose batch failed, and
-# perfbench/tracing.py hooks this module's binding of the name
-from .fundamental import (OptimizerParams, _direct_lockstep, _slice_lanes,
-                          fundamental_direct)
+from ._util import as_point, parse_id
+from .errors import PreconditionError
+from .fundamental import OptimizerParams, _direct_lockstep, _slice_lanes
+# unused here; perfbench/tracing.py hooks this module's binding of the names
+from ._util import golden_min  # noqa: F401
+from .fundamental import fundamental_direct  # noqa: F401
 from .systems import (ContactSystem, HamiltonianSystem, legendre_to_hamiltonian)
 
 
@@ -55,8 +54,10 @@ class InitialDatum:
     name: str = ""
 
     def __post_init__(self):
-        if self.lip < 0 or self.sup_abs < 0:
-            raise PreconditionError("lip and sup_abs must be nonnegative")
+        for key in ("lip", "sup_abs"):
+            v = getattr(self, key)
+            if not 0.0 <= v < math.inf:
+                raise PreconditionError(f"{key} must be finite and nonnegative, got {v!r}")
 
     def __call__(self, y):
         return self.phi(np.asarray(y, dtype=float))
@@ -198,91 +199,64 @@ class SearchParams:
 
     segments: int = 16         # curve segments of every inner solve
     grid_points: int = 33      # coarse grid points per axis
-    ytol: float = 1e-6         # golden-section tolerance in y
+    ytol: float = 1e-6         # refinement stops once a bracket is this narrow
     refine_sweeps: int = 2     # coordinate-descent sweeps (n = 2; n = 1 needs one)
     opt: OptimizerParams = field(default_factory=OptimizerParams)
 
 
 def _search_ball(S, datum, t, x, search) -> tuple:
-    """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball.
+    """Coarse grid + bracket refinement of y -> A(t, y, x, phi(y)) over the ball.
 
     The rest point y = x and every grid point inside the ball are solved
-    as one `_direct_lockstep` batch.  Each golden refinement prefetches its
-    rounds: the up to 2^(depth+1) - 2 points the next `depth` steps could
-    request are solved as one batch, depth being the largest (at most 4)
-    whose round fits in one lockstep slice.  Every lane is bitwise the
-    solve it would be alone and the walk visits the same points, so the
-    result is that of solving each visited point one after another; a
-    lane that exhausts max_iter raises only when the walk reaches its
-    point, and a batch that fails otherwise leaves the walk to solve its
-    points alone.  Returns (value, argmin, winning `FundamentalResult`).
+    as one `_direct_lockstep` batch.  Then each coordinate in turn is
+    refined by rounds: the K evenly spaced interior points of its bracket
+    (one grid step either side of the best point, clipped to the ball) are
+    solved as one batch, K being the lanes of one lockstep slice but at
+    least 2 and at most 30, and the bracket narrows to +-(hi - lo) / (K + 1)
+    around the best point so far, until it is at most `ytol` wide or
+    rounding stops it narrowing.  Every
+    lane is bitwise the solve it would be alone, so the result is that of
+    solving the points one after another, and a lane that exhausts
+    max_iter raises, the first in point order.  Returns (value, argmin,
+    winning `FundamentalResult`).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
+    best_y = best = None
+
+    def solve(ys):
+        nonlocal best_y, best
+        outs = _direct_lockstep(S, t, [(y, x, float(datum(y))) for y in ys],
+                                search.segments, search.opt)
+        for y, res in zip(ys, outs):
+            if best is None or res.A < best.A:
+                best_y, best = y.copy(), res
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
-    # the rest point always participates, and comes first
-    ys = np.concatenate([x[None], mesh[inside]])
-    screen = _direct_lockstep(S, t, [(y, x, float(datum(y))) for y in ys],
-                              search.segments, search.opt)
-    best_y, best = x.copy(), screen[0]
-    best_val = best.A
-    for y, res in zip(ys[1:], screen[1:]):
-        if res.A < best_val:
-            best_val, best_y, best = res.A, y.copy(), res
+    solve(np.concatenate([x[None], mesh[inside]]))  # the rest point comes first
     step = 2.0 * radius / (G - 1)
-    # golden rounds as deep as fit in one lockstep slice, up to 4 steps
-    width = _slice_lanes((int(search.segments) - 1) * n)
-    depth = 1
-    while depth < 4 and 2 ** (depth + 2) - 2 <= width:
-        depth += 1
-    y_cur = best_y.copy()
+    K = max(2, min(30, _slice_lanes((int(search.segments) - 1) * n)))
     # a single coordinate is settled by one sweep
     sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
     for _ in range(sweeps):
         for i in range(n):
-            others = np.delete(y_cur - x, i)
+            others = np.delete(best_y - x, i)
             half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
-            lo = max(x[i] - half, y_cur[i] - step)
-            hi = min(x[i] + half, y_cur[i] + step)
-            if hi <= lo:
-                continue
-
-            seen = {}  # coordinate -> its solve, so the winner is kept exactly
-
-            def at(c, i=i):
-                yy = y_cur.copy()
-                yy[i] = c
-                return yy, x, float(datum(yy))
-
-            def prefetch(cs, seen=seen):
-                try:
-                    outs = _direct_lockstep(S, t, [at(c) for c in cs],
-                                            search.segments, search.opt, outcomes=True)
-                except (Overflow, PreconditionError):
-                    return  # the walk solves its own points alone, raising as they do
-                seen.update(zip(cs, outs))
-
-            def gi(c, seen=seen):
-                res = seen.get(c)
-                if res is None:
-                    res = seen[c] = fundamental_direct(S, t, *at(c),
-                                                       segments=search.segments,
-                                                       opt=search.opt)
-                if isinstance(res, NonConvergence):
-                    raise res
-                return res.A
-
-            ci, vi = golden_min(gi, lo, hi, xtol=search.ytol, prefetch=prefetch,
-                                depth=depth)
-            if vi < best_val:
-                best_val, best = vi, seen[ci]
-                y_cur[i] = ci
-                best_y = y_cur.copy()
-    return float(best_val), best_y, best
+            lo = max(x[i] - half, best_y[i] - step)
+            hi = min(x[i] + half, best_y[i] + step)
+            while hi - lo > search.ytol:
+                w = (hi - lo) / (K + 1)
+                ys = np.repeat(best_y[None], K, axis=0)
+                ys[:, i] = lo + w * np.arange(1, K + 1)
+                solve(ys)
+                a, b = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
+                if b - a >= hi - lo:  # rounding stalls a bracket a few ulps wide
+                    break
+                lo, hi = a, b
+    return float(best.A), best_y, best
 
 
 def solve_value(S: ContactSystem, datum: InitialDatum, t: float, x,

@@ -47,8 +47,8 @@ print(json.dumps([rcs, sorted(m for m in sys.modules if m.split(".")[0] == "scip
 
 
 def test_fundamental_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy is most of a fresh interpreter's start-up, and only the `check`
-    # command's condition audit uses it (scipy.stats)
+    # scipy is not a dependency: no command loads any scipy module, the
+    # `check` command's Latin-hypercube condition audit included
     src = Path(__file__).resolve().parent.parent / "src"
     tiny = {
         "fundamental": {"system": "discounted-quadratic(1.0)", "segments": 8,
@@ -57,12 +57,15 @@ def test_fundamental_leaves_scipy_stats_unloaded(tmp_path):
                       grid_points=5, ytol=1e-3),
         "vanishing": dict(VANISH_PAYLOAD, times=[0.3],
                           space={"min": 0.0, "max": 1.0, "points": 1}, grid_points=5),
+        "check": {"samples": 8, "systems": ["quadratic"]},
     }
     jobs = [(cmd, write_config(tmp_path / f"{cmd}.json", cfg), str(tmp_path / f"{cmd}.csv"))
             for cmd, cfg in tiny.items()]
     done = subprocess.run([sys.executable, "-c", FRESH_RUN, str(src), json.dumps(jobs)],
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+    rcs, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert rcs == [0, 0, 0, 0]
+    assert scipy_modules == []  # no scipy module loaded
 
 
 def test_fundamental_discounted_rows(tmp_path):

@@ -2,10 +2,10 @@
 
 The reference loops below are a `fundamental_direct` that writes the
 preconditioned L-BFGS iteration out for a single solve, with no lanes and
-no batching, the sequential `_search_ball` and the earlier `golden_min`,
-kept verbatim apart from their names.  Every lane of the driver must
-follow its reference solve bit for bit: same optimum, minimizer,
-trajectory, iteration count, objective history and verdict.
+no batching, a `_search_ball` that solves its points one at a time, and
+the earlier `golden_min`, kept verbatim apart from its name.  Every lane
+of the driver must follow its reference solve bit for bit: same optimum,
+minimizer, trajectory, iteration count, objective history and verdict.
 """
 
 import math
@@ -168,7 +168,13 @@ def _ref_value_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray
 
 
 def _ref_search_ball(S, datum, t, x, search) -> tuple:
-    """Coarse grid + golden refinement of y -> A(t, y, x, phi(y)) over the ball."""
+    """Coarse grid + bracket refinement of y -> A(t, y, x, phi(y)) over the ball.
+
+    Each round solves, one after another, the K evenly spaced interior
+    points of the bracket, K being the lanes of one lockstep slice clamped
+    to [2, 30], then narrows the bracket to +-(hi - lo) / (K + 1) around the
+    best point so far.
+    """
     n = x.size
     radius = mu_radius(S, datum, t) * t
 
@@ -187,6 +193,8 @@ def _ref_search_ball(S, datum, t, x, search) -> tuple:
         if val < best_val:
             best_val, best_y = val, y.copy()
     step = 2.0 * radius / (G - 1)
+    rows = 2 * (search.segments - 1) * n + 1
+    K = max(2, min(30, fundamental._LOCKSTEP_ROWS // rows))
     y_cur = best_y.copy()
     # a single coordinate is settled by one sweep
     sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
@@ -196,19 +204,19 @@ def _ref_search_ball(S, datum, t, x, search) -> tuple:
             half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
             lo = max(x[i] - half, y_cur[i] - step)
             hi = min(x[i] + half, y_cur[i] + step)
-            if hi <= lo:
-                continue
-
-            def gi(c, i=i):
-                yy = y_cur.copy()
-                yy[i] = c
-                return g(yy)
-
-            ci, vi = _ref_golden_min(gi, lo, hi, xtol=search.ytol)
-            if vi < best_val:
-                best_val = vi
-                y_cur[i] = ci
-                best_y = y_cur.copy()
+            while hi - lo > search.ytol:
+                w = (hi - lo) / (K + 1)
+                for j in range(1, K + 1):
+                    yy = y_cur.copy()
+                    yy[i] = lo + w * j
+                    val = g(yy)
+                    if val < best_val:
+                        best_val, best_y = val, yy
+                new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
+                if new_hi - new_lo >= hi - lo:
+                    break
+                lo, hi = new_lo, new_hi
+            y_cur = best_y.copy()
     return float(best_val), best_y, radius
 
 
@@ -325,7 +333,7 @@ def test_rest_lanes_without_a_metric_beside_preconditioned_lanes_match_alone():
     rows = integrate_cost_many(S, t, nodes, [u for _, _, u in ends], OPT.substeps)
     Rinv = _precondition(S, t, xs, ys, rows, N, OPT.substeps)
     assert [np.array_equal(r, np.eye(N - 1)) for r in Rinv] == [x == y for x, y, _ in ends]
-    got = _direct_lockstep(S, t, ends, N, OPT, outcomes=True)
+    got = _direct_lockstep(S, t, ends, N, OPT)
     for res, (x, y, u) in zip(got, ends):
         _same(res, _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
     # the rest lanes outlast the ring of curvature pairs and end on the noise floor
@@ -344,7 +352,7 @@ def test_far_screen_lanes_match_alone():
     mesh = np.linspace(x[0] - radius, x[0] + radius, 7)
     ys = [x] + [np.array([c]) for c in mesh if abs(c - x[0]) <= radius + 1e-12]
     ends = [(y, x, float(datum(y))) for y in ys]
-    got = _direct_lockstep(S, t, ends, search.segments, search.opt, outcomes=True)
+    got = _direct_lockstep(S, t, ends, search.segments, search.opt)
     for res, (y, _, u) in zip(got, ends):
         _same(res, _ref_fundamental_direct(S, t, y, x, u, segments=search.segments,
                                            opt=search.opt))
@@ -451,62 +459,25 @@ GOLDEN_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
-def test_golden_min_prefetch_walks_the_sequential_path(name, depth):
+def test_golden_min_walks_the_reference_path(name):
     fn, lo, hi, xtol, max_iter = GOLDEN_INPUTS[name]
-    plain = []
-    want = golden_min(lambda c: plain.append(c) or fn(c), lo, hi, xtol=xtol,
-                      max_iter=max_iter)
-    assert want == _ref_golden_min(fn, lo, hi, xtol=xtol, max_iter=max_iter)
-
-    events, rounds = [], []
-
-    def prefetch(points):
-        rounds.append(list(points))
-        events.extend(("prefetch", p) for p in points)
-
-    got = golden_min(lambda c: events.append(("f", c)) or fn(c), lo, hi, xtol=xtol,
-                     max_iter=max_iter, prefetch=prefetch, depth=depth)
+    calls, ref_calls = [], []
+    got = golden_min(lambda c: calls.append(c) or fn(c), lo, hi, xtol=xtol,
+                     max_iter=max_iter)
+    want = _ref_golden_min(lambda c: ref_calls.append(c) or fn(c), lo, hi, xtol=xtol,
+                           max_iter=max_iter)
     assert got == want
-    calls = [p for kind, p in events if kind == "f"]
-    assert calls == plain  # on-path points only, in the same order
-    asked = [p for kind, p in events if kind == "prefetch"]
-    assert len(asked) == len(set(asked))  # no point prefetched twice
-    for k, (kind, p) in enumerate(events):
-        if kind == "f":
-            assert ("prefetch", p) in events[:k]
-    assert all(len(r) <= 2 ** (depth + 1) - 2 + 4 for r in rounds)
-    # steps of the walk: the calls after the first two interior points that
-    # are not a final call at an unmoved bracket end
-    steps = len([c for c in calls[2:] if c not in (lo, hi)])
-    assert len(rounds) == max(1, math.ceil(steps / depth))
-
-
-def test_golden_min_never_calls_an_off_path_failure():
-    fn, lo, hi, xtol, _ = GOLDEN_INPUTS["quadratic"]
-    path = []
-    want = golden_min(lambda c: path.append(c) or fn(c), lo, hi, xtol=xtol)
-    stored = {}
-
-    def prefetch(points):  # every point off the walk's path fails
-        stored.update((p, fn(p) if p in path else NonConvergence(f"off {p}"))
-                      for p in points)
-
-    def f(c):
-        if isinstance(stored[c], Exception):
-            raise stored[c]
-        return stored[c]
-
-    assert golden_min(f, lo, hi, xtol=xtol, prefetch=prefetch, depth=3) == want
-    assert any(isinstance(v, Exception) for v in stored.values())
+    assert len(calls) == len(set(calls))
+    # the same interior points in the same order; a moved end is not asked again
+    assert calls == [c for k, c in enumerate(ref_calls) if c not in ref_calls[:k]]
 
 
 FAST = SearchParams(segments=6, grid_points=9, ytol=1e-5, refine_sweeps=1,
                     opt=OptimizerParams(substeps=2))
 
 # phi(y) = 3 y declared 0-Lipschitz: the ball B(x, mu(t) t) is too small for
-# the argmin, so the screen wins on its rim and the golden bracket is clipped
+# the argmin, so the screen wins on its rim and the refinement bracket is clipped
 STEEP = InitialDatum(phi=lambda y: 3.0 * y[..., 0], lip=0.0, sup_abs=0.0)
 
 
@@ -519,8 +490,8 @@ STEEP = InitialDatum(phi=lambda y: 3.0 * y[..., 0], lip=0.0, sup_abs=0.0)
     (trig_contact_system(2), datum_cos_bump(), 0.4, [0.3, -0.2],
      SearchParams(segments=4, grid_points=5, ytol=1e-4, refine_sweeps=2,
                   opt=OptimizerParams(substeps=2)), None),
-    # 11 sweep rows per lane: golden rounds of depth 2, the first one
-    # (10 points) split over two slices of six lanes
+    # 11 sweep rows per lane: slices of six lanes, so the screen's 10 lanes
+    # run as two slices and every refinement round has K = 6 points
     (trig_contact_system(), datum_sin(), 0.6, [0.5], FAST, 70),
 ], ids=["disc-1d", "trig-1d", "perturbed-1d", "quadratic-2d", "clipped-1d",
         "trig-2d-two-sweeps", "golden-rounds-in-slices"])
@@ -554,51 +525,20 @@ def test_search_raises_the_first_failing_lane_like_the_sequential_search():
     assert str(got.value) == str(ref.value)
 
 
-def test_search_completes_past_a_failing_speculative_lane(monkeypatch):
-    # at max_iter 4 every screen lane and every point on the golden path
-    # converges, while golden points the walk never reaches run out
-    search = SearchParams(segments=6, grid_points=4, ytol=1e-4,
-                          opt=OptimizerParams(substeps=2, max_iter=4))
-    S, x = trig_contact_system(), np.array([0.3])
-    failed, iterations = [], []
-    lockstep = value._direct_lockstep
-
-    def spy(*args, **kwargs):
-        outs = lockstep(*args, **kwargs)
-        failed.extend(o for o in outs if isinstance(o, NonConvergence))
-        iterations.extend(o.iterations for o in outs if not isinstance(o, NonConvergence))
-        return outs
-
-    monkeypatch.setattr(value, "_direct_lockstep", spy)
-    val, y_star, _ = solve_value(S, datum_sin(), 0.4, x, search)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 0.4, x, search)
-    assert failed
-    assert all("exhausted 4 iterations" in str(f) for f in failed)
-    assert np.median(iterations) <= 3  # the failures sit among short solves
-    assert val == ref_val
-    assert np.array_equal(y_star, ref_y)
-
-
 def test_search_with_far_screen_lanes_matches_sequential_search(monkeypatch):
     # the ball radius mu(t) t is 123 at t = 1.5, so the screen's far lanes
-    # take up to 18 iterations (several end unconverged, on the noise floor
-    # before max_iter) and the golden rounds run their speculative lanes
-    # through `outcomes`
+    # take up to 18 iterations and several end unconverged, on the noise
+    # floor before max_iter
     search = SearchParams(segments=6, grid_points=7, ytol=1e-5,
                           opt=OptimizerParams(substeps=2, max_iter=30))
     S, x = trig_contact_system(), np.array([0.3])
-    screen = []
+    batches = []
     lockstep = value._direct_lockstep
-
-    def spy(*args, outcomes=False):
-        outs = lockstep(*args, outcomes=outcomes)
-        if not outcomes:
-            screen.extend(outs)
-        return outs
-
-    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    monkeypatch.setattr(value, "_direct_lockstep",
+                        lambda *args: batches.append(lockstep(*args)) or batches[-1])
     val, y_star, _ = solve_value(S, datum_sin(), 1.5, x, search)
     ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 1.5, x, search)
+    screen = batches[0]
     assert 10 < max(r.iterations for r in screen) < 30
     assert sum(not r.converged for r in screen) > 1
     assert val == ref_val
@@ -606,35 +546,86 @@ def test_search_with_far_screen_lanes_matches_sequential_search(monkeypatch):
 
 
 def test_golden_stage_failure_raises_like_the_sequential_search(monkeypatch):
-    # at max_iter 4 the screen converges and a point on the golden path does not
+    # at max_iter 4 the screen converges and a point of a refinement round
+    # does not
     search = SearchParams(segments=6, grid_points=3, ytol=1e-4,
                           opt=OptimizerParams(substeps=2, max_iter=4))
     S, x = trig_contact_system(), np.array([0.3])
-    golden = []
-    monkeypatch.setattr(value, "golden_min",
-                        lambda *a, **k: golden.append(a) or golden_min(*a, **k))
+    batches = []
+    lockstep = value._direct_lockstep
+    monkeypatch.setattr(value, "_direct_lockstep",
+                        lambda S, t, ends, *rest: batches.append(len(ends))
+                        or lockstep(S, t, ends, *rest))
     with pytest.raises(NonConvergence, match="exhausted 4 iterations") as ref:
         _ref_search_ball(S, datum_sin(), 0.5, x, search)
     with pytest.raises(NonConvergence) as got:
         solve_value(S, datum_sin(), 0.5, x, search)
-    assert golden  # the screen passed
+    assert len(batches) > 1 and batches[1:] == [30] * (len(batches) - 1)  # the screen passed
     assert str(got.value) == str(ref.value)
 
 
-def test_failed_golden_batch_leaves_the_walk_to_lone_solves(monkeypatch):
-    lockstep, lone = value._direct_lockstep, []
+def test_overflow_in_a_refinement_round_raises(monkeypatch):
+    lockstep, calls = value._direct_lockstep, []
 
-    def overflowing(*args, outcomes=False):
-        if outcomes:
-            raise Overflow("speculative lane overflowed")
+    def overflowing(*args):
+        calls.append(args)
+        if len(calls) > 1:  # every batch after the screen
+            raise Overflow("refinement lane overflowed")
         return lockstep(*args)
 
     monkeypatch.setattr(value, "_direct_lockstep", overflowing)
-    monkeypatch.setattr(value, "fundamental_direct",
-                        lambda *a, **k: lone.append(a) or fundamental_direct(*a, **k))
-    S, datum, x = trig_contact_system(), datum_cos_bump(), np.array([-0.3])
-    val, y_star, _ = solve_value(S, datum, 0.8, x, FAST)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum, 0.8, x, FAST)
-    assert lone  # every golden point was solved alone
+    with pytest.raises(Overflow, match="refinement lane overflowed"):
+        solve_value(trig_contact_system(), datum_cos_bump(), 0.8, [-0.3], FAST)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rows, K", [(None, 30), (70, 6), (20, 2)])
+def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, monkeypatch):
+    # 11 sweep rows per lane at 6 segments in 1-D: K = 30 fits the default
+    # slice, 70 rows hold six lanes and 20 rows one, so K is clamped to 2
+    if rows is not None:
+        monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", rows)
+    S, datum, t, x = discounted_quadratic_system(1.0), datum_sin(), 0.5, np.array([0.4])
+    rounds = []
+    lockstep = value._direct_lockstep
+
+    def spy(S, t, ends, *rest):
+        rounds.append([float(y[0]) for y, _, _ in ends])
+        return lockstep(S, t, ends, *rest)
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    val, y_star, _ = solve_value(S, datum, t, x, FAST)
+    assert any(y_star[0] in r for r in rounds)  # the argmin is a solved point
+    rounds = rounds[1:]  # after the screen
+    assert rounds and all(len(r) == K for r in rounds)
+    # evenly spaced interior points: the bracket is (K + 1) / (K - 1) times their span
+    widths = [(r[-1] - r[0]) * (K + 1) / (K - 1) for r in rounds]
+    for r, w in zip(rounds, widths):
+        assert np.allclose(np.diff(r), w / (K + 1), rtol=1e-6, atol=0.0)
+    assert np.allclose(np.array(widths[:-1]) / widths[1:], (K + 1) / 2, rtol=1e-6)
+    assert widths[-1] > FAST.ytol >= widths[-1] * 2 / (K + 1)
+
+
+@pytest.mark.parametrize("rows, ytol", [(None, 0.0), (None, -1.0), (20, 0.0)])
+def test_refinement_ends_when_rounding_stalls_the_bracket(rows, ytol, monkeypatch):
+    # a bracket a few ulps wide can no longer narrow (at K = 2 its ends
+    # round back out), so a ytol of 0 or below ends there, not never
+    if rows is not None:
+        monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", rows)
+    search = SearchParams(segments=6, grid_points=9, ytol=ytol,
+                          opt=OptimizerParams(substeps=2))
+    S, datum, x = discounted_quadratic_system(1.0), datum_sin(), np.array([0.4])
+    calls = []
+    lockstep = value._direct_lockstep
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        assert len(calls) < 500, "the refinement does not end"
+        return lockstep(*args)
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    val, y_star, _ = solve_value(S, datum, 0.5, x, search)
+    ref_val, ref_y, _ = _ref_search_ball(S, datum, 0.5, x, search)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
+    assert len(calls) > 10  # the rounds ran down to the last bits

@@ -189,6 +189,28 @@ def test_conditions_trig_variant_against_grid_oracle():
     assert report.passed, report.violations
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_latin_hypercube_samples_match_scipy_qmc(dim):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    base = trig_contact_system(dim)
+    seen = []
+    S = ContactSystem(dim=dim, lagrangian=lambda x, u, v: seen.append((x, u, v))
+                      or base.lagrangian(x, u, v), K=base.K, theta0=base.theta0,
+                      theta0_bar=base.theta0_bar, c0=base.c0)
+    box = SampleBox(x_bounds=((-1.0, 2.0), (-3.0, 0.5))[:dim], u_bounds=(-4.0, 4.0),
+                    v_bounds=((-2.0, 2.5), (-1.0, 1.0))[:dim])
+    lows = np.array([b[0] for b in box.x_bounds + (box.u_bounds,) + box.v_bounds])
+    highs = np.array([b[1] for b in box.x_bounds + (box.u_bounds,) + box.v_bounds])
+    for samples in (1, 7, 64):
+        for seed in (0, 3, 11):
+            seen.clear()
+            verify_conditions(S, box, samples=samples, seed=seed)
+            x, u, v = seen[0]
+            want = qmc.scale(qmc.LatinHypercube(d=2 * dim + 1, seed=seed).random(samples),
+                             lows, highs)
+            assert np.array_equal(np.column_stack([x, u, v]), want)
+
+
 def test_condition_report_deterministic_under_seed():
     S = trig_contact_system()
     box = SampleBox.cube(1, 3.0)

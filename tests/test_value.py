@@ -59,6 +59,18 @@ def test_mu_radius_rejects_nonpositive_time():
         mu_radius(quadratic_system(), datum_sin(), 0.0)
 
 
+@pytest.mark.parametrize("lip, sup_abs, field", [
+    (float("nan"), 1.0, "lip"), (float("inf"), 1.0, "lip"), (-1.0, 1.0, "lip"),
+    (1.0, float("nan"), "sup_abs"), (1.0, float("inf"), "sup_abs"),
+    (1.0, -0.5, "sup_abs"),
+])
+def test_datum_rejects_nonfinite_or_negative_constants(lip, sup_abs, field):
+    # a NaN constant would otherwise surface only inside the search, as a
+    # NaN radius and "u must be finite"
+    with pytest.raises(PreconditionError, match=f"^{field} must be finite"):
+        InitialDatum(phi=lambda y: np.sin(y[..., 0]), lip=lip, sup_abs=sup_abs)
+
+
 # ---------------------------------------------------------------------------
 # value solves against oracles
 # ---------------------------------------------------------------------------
@@ -113,7 +125,7 @@ def test_value_comparison_principle(lam, t, x, height, shift, width):
     # A(y, phi2(y)) at every y, up to the inner solves' stopping tol each.
     # u2 is such a value at its argmin; u1 is the minimum of y ->
     # A(y, phi1(y)) up to the search's error.  For this convex objective
-    # golden ends within ytol of the minimizer, and the objective's slope
+    # refinement ends within ytol of the minimizer, and the objective's slope
     # on the ball B(x, mu t) is at most lam d / (e^{lam t} - 1) + lip(phi1)
     # <= mu + lip(phi1).
     S = discounted_quadratic_system(lam)
