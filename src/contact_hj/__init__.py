@@ -24,7 +24,7 @@ from .systems import (ConditionReport, ContactSystem, HamiltonianSystem,
                       discounted_quadratic_hamiltonian,
                       discounted_quadratic_system, hamiltonian_from_contact,
                       legendre_to_hamiltonian, legendre_to_lagrangian,
-                      quadratic_hamiltonian, quadratic_system,
+                      perturbed_system, quadratic_hamiltonian, quadratic_system,
                       quartic_hamiltonian, quartic_system,
                       trig_contact_hamiltonian, trig_contact_system,
                       verify_conditions, with_overrides)
@@ -36,6 +36,6 @@ from .value import (InitialDatum, InitialGapReport, ResidualReport,
                     solve_value, solve_value_grid)
 from .vanishing import (ContactBoundResult, ConvergenceReport, LambdaFamily,
                         builtin_family, contact_bound, family_discounted,
-                        family_perturbed, perturbed_system, run_vanishing)
+                        family_perturbed, run_vanishing)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

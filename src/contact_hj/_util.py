@@ -62,20 +62,31 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def parse_id(spec_id: str, kind: str) -> tuple:
-    """Split a built-in id 'name' or 'name(<finite number>)' into (name, number or None)."""
+def resolve_id(spec_id: str, kind: str, registry: dict, *extra):
+    """Build the built-in named by 'name' or 'name(<finite number>)'.
+
+    `registry` maps a name to (builder, arity): arity 0 takes no argument,
+    1 requires one and None allows either.  The builder gets the argument,
+    if any, then `extra`.
+    """
     if not isinstance(spec_id, str):
         raise PreconditionError(f"{kind} id must be a string, got {spec_id!r}")
-    base = spec_id.strip()
-    arg = None
+    base, args = spec_id.strip(), ()
     if "(" in base:
         if not base.endswith(")"):
             raise PreconditionError(f"malformed {kind} id {spec_id!r}")
         base, raw = base[:-1].split("(", 1)
         try:
-            arg = float(raw)
+            args = (float(raw),)
         except ValueError as exc:
             raise PreconditionError(f"malformed {kind} argument in {spec_id!r}") from exc
-        if not math.isfinite(arg):
+        if not math.isfinite(args[0]):
             raise PreconditionError(f"{kind} argument must be finite in {spec_id!r}")
-    return base, arg
+    if base not in registry:
+        raise PreconditionError(f"unknown {kind} id {spec_id!r}; known: {tuple(registry)}")
+    build, arity = registry[base]
+    if arity == 0 and args:
+        raise PreconditionError(f"{base} takes no argument, got {spec_id!r}")
+    if arity == 1 and not args:
+        raise PreconditionError(f"{base} requires an argument, e.g. {base}(1.0)")
+    return build(*args, *extra)

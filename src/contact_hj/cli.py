@@ -34,9 +34,8 @@ from .errors import (ConfigError, ContactHJError, NonConvergence, Overflow,
 from .fundamental import (T_MIN, OptimizerParams, fundamental_direct,
                           fundamental_exponential, fundamental_shooting,
                           herglotz_residual)
-from .systems import (SampleBox, builtin_hamiltonian, builtin_system,
-                      legendre_to_lagrangian, verify_conditions,
-                      with_overrides)
+from .systems import (SampleBox, _builtin, hamiltonian_from_contact,
+                      legendre_to_lagrangian, verify_conditions, with_overrides)
 from .value import SearchParams, builtin_datum, solve_value_grid
 # unused here; perfbench/tracing.py hooks this module's binding of the name
 from .value import solve_value  # noqa: F401
@@ -124,39 +123,33 @@ def _nonnegative(value, key: str) -> float:
     return v
 
 
-def _system_id(spec) -> str:
-    """Built-in id string of a 'system' spec: a string or {"id", "lambda"}."""
+def _spec_id(spec, key: str, arg: str) -> str:
+    """Built-in id of a spec: a string, or an object with an 'id' and maybe `arg`."""
     if isinstance(spec, str):
         return spec
     if isinstance(spec, dict):
         base = _require(spec, "id")
-        return f"{base}({_number(spec['lambda'], 'lambda')})" if "lambda" in spec else base
-    raise ConfigError("'system' must be a string id or an object with an 'id'")
+        return f"{base}({_number(spec[arg], f'{key}.{arg}')})" if arg in spec else base
+    raise ConfigError(f"'{key}' must be a string id or an object with an 'id'")
 
 
 def _resolve_system(spec, dim: int = 1):
-    S = builtin_system(_system_id(spec), dim)
+    """Both sides of a 'system' spec; the Lagrangian takes its metadata overrides."""
+    builtin = _builtin(_spec_id(spec, "system", "lambda"))
+    S = builtin.side(dim)
     if isinstance(spec, dict):
         overrides = {k: _number(spec[k], k) for k in ("K", "c0", "C_const") if k in spec}
         if overrides:
             S = with_overrides(S, **overrides)
-    return S
+    return S, builtin.side(dim, dual=True)
 
 
 def _resolve_datum(spec):
-    if isinstance(spec, str):
-        return builtin_datum(spec)
-    if isinstance(spec, dict):
-        base = _require(spec, "id")
-        if "c" in spec:
-            base = f"{base}({_number(spec['c'], 'datum.c')})"
-        datum = builtin_datum(base)
-        if "lip" in spec:
-            datum.lip = _nonnegative(spec["lip"], "datum.lip")
-        if "sup_abs" in spec:
-            datum.sup_abs = _nonnegative(spec["sup_abs"], "datum.sup_abs")
-        return datum
-    raise ConfigError("'datum' must be a string id or an object with an 'id'")
+    datum = builtin_datum(_spec_id(spec, "datum", "c"))
+    for k in ("lip", "sup_abs"):
+        if isinstance(spec, dict) and k in spec:
+            setattr(datum, k, _nonnegative(spec[k], f"datum.{k}"))
+    return datum
 
 
 def _search_params(cfg: dict) -> SearchParams:
@@ -253,8 +246,7 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
             raise ConfigError("all points must share one spatial dimension")
         parsed.append((t, x, y, u))
 
-    S = _resolve_system(system_spec, dim)
-    HS = builtin_hamiltonian(_system_id(system_spec), dim)
+    S, HS = _resolve_system(system_spec, dim)
     opt = OptimizerParams(substeps=substeps)
 
     def solve_point(rec):
@@ -281,7 +273,7 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
 def cmd_solve(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     axes, points = _space_lattice(cfg)
-    S = _resolve_system(_require(cfg, "system"), dim=points.shape[1])
+    S, _ = _resolve_system(_require(cfg, "system"), dim=points.shape[1])
     datum = _resolve_datum(_require(cfg, "datum"))
     times = _times_list(cfg)
     search = _search_params(cfg)
@@ -315,7 +307,8 @@ def cmd_solve(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
 
 def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
-    family = builtin_family(_require(cfg, "family"))
+    _, points = _space_lattice(cfg)
+    family = builtin_family(_require(cfg, "family"), dim=points.shape[1])
     datum = _resolve_datum(_require(cfg, "datum"))
     lambdas = _require(cfg, "lambdas")
     if not isinstance(lambdas, list) or not lambdas:
@@ -324,7 +317,6 @@ def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     if any(v <= 0 for v in lambdas) or any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise ConfigError("'lambdas' must be positive and strictly descending")
     times = _times_list(cfg)
-    _, points = _space_lattice(cfg)
     gap_tol = _number(cfg.get("gap_tol", 0.05), "gap_tol")
     if not 0.0 <= gap_tol < 1.0:
         raise ConfigError(f"'gap_tol' must lie in [0, 1), got {gap_tol!r}")
@@ -370,7 +362,7 @@ def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 
     rng = np.random.default_rng(seed)
     for spec in specs:
-        S = _resolve_system(spec)
+        S, _ = _resolve_system(spec)
         name = S.name or str(spec)
         box = SampleBox.cube(S.dim, half)
         rep = verify_conditions(S, box, samples=samples, seed=seed)
@@ -378,7 +370,6 @@ def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
                "; ".join(rep.violations) if rep.violations else "all margins ok")
 
         # convex duality round trip on a few sampled states
-        from .systems import hamiltonian_from_contact
         Hs = hamiltonian_from_contact(S)
         worst = 0.0
         for _ in range(5):

@@ -28,12 +28,14 @@ the Legendre duality share one transform (`_legendre`).
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_point, golden_min, parse_id
+from ._util import as_point, golden_min, resolve_id
 from .errors import NonConvergence, PreconditionError
 
 Evaluator = Callable[..., np.ndarray]
@@ -448,17 +450,22 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# built-in systems
+# built-in systems, each declared once (see `_Separable`)
 # ---------------------------------------------------------------------------
 
-def _sq(v):
-    return 0.5 * np.add.reduce(np.asarray(v, float) ** 2, axis=-1)
+def _sq(x, u, z):
+    """|z|^2 / 2."""
+    return 0.5 * np.add.reduce(np.asarray(z, float) ** 2, axis=-1)
 
 
-def _eye_like(v):
-    v = np.asarray(v, float)
-    n = v.shape[-1]
-    return np.broadcast_to(np.eye(n), v.shape + (n,)).copy()
+def _copy(x, u, z):
+    return np.asarray(z, float).copy()
+
+
+def _eye(x, u, z):
+    z = np.asarray(z, float)
+    n = z.shape[-1]
+    return np.broadcast_to(np.eye(n), z.shape + (n,)).copy()
 
 
 def _fill(c, u, z):
@@ -468,225 +475,236 @@ def _fill(c, u, z):
     return out
 
 
-def quadratic_system(dim: int = 1) -> ContactSystem:
-    """L = |v|^2 / 2 (classical kinetic action, no value coupling)."""
-    return ContactSystem(
-        dim=dim,
-        lagrangian=lambda x, u, v: _sq(v),
-        K=0.0,
-        theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        c0=0.0,
-        L_x=lambda x, u, v: np.zeros(np.shape(v)),
-        L_u=lambda x, u, v: _fill(0.0, u, v),
-        L_v=lambda x, u, v: np.asarray(v, float).copy(),
-        L_vv=lambda x, u, v: _eye_like(v),
-        theta0_conj=lambda k: 0.5 * float(k) ** 2,
-        name="quadratic",
-    )
+def _zero_x(x, u, z):
+    return np.zeros(np.shape(z))
 
 
-def discounted_quadratic_system(lam: float, dim: int = 1) -> ContactSystem:
-    """L = -lam*u + |v|^2 / 2 (discounted kinetic action)."""
-    if lam < 0:
-        raise PreconditionError("discount rate must be nonnegative")
-    return ContactSystem(
-        dim=dim,
-        lagrangian=lambda x, u, v: -lam * np.asarray(u, float) + _sq(v),
-        K=float(lam),
-        theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        c0=0.0,
-        L_x=lambda x, u, v: np.zeros(np.shape(v)),
-        L_u=lambda x, u, v: _fill(-lam, u, v),
-        L_v=lambda x, u, v: np.asarray(v, float).copy(),
-        L_vv=lambda x, u, v: _eye_like(v),
-        theta0_conj=lambda k: 0.5 * float(k) ** 2,
-        name=f"discounted-quadratic({lam:g})",
-    )
+def _zero_u(x, u, z):
+    return _fill(0.0, u, z)
 
 
-def quartic_system(dim: int = 1) -> ContactSystem:
-    """L = |v|^4 / 4 (superlinear beyond quadratic, still value-free)."""
-    def lag(x, u, v):
-        v = np.asarray(v, float)
-        return 0.25 * np.add.reduce(v * v, axis=-1) ** 2
-
-    def grad(x, u, v):
-        v = np.asarray(v, float)
-        return np.add.reduce(v * v, axis=-1)[..., None] * v
-
-    def hess(x, u, v):
-        v = np.asarray(v, float)
-        s = np.add.reduce(v * v, axis=-1)
-        return s[..., None, None] * _eye_like(v) + 2.0 * v[..., :, None] * v[..., None, :]
-
-    return ContactSystem(
-        dim=dim,
-        lagrangian=lag,
-        K=0.0,
-        theta0=lambda r: 0.25 * np.asarray(r, float) ** 4,
-        theta0_bar=lambda r: 0.25 * np.asarray(r, float) ** 4,
-        c0=0.0,
-        L_x=lambda x, u, v: np.zeros(np.shape(v)),
-        L_u=lambda x, u, v: _fill(0.0, u, v),
-        L_v=grad,
-        L_vv=hess,
-        theta0_conj=lambda k: 0.75 * abs(float(k)) ** (4.0 / 3.0),
-        name="quartic",
-    )
+def _quartic(x, u, v):
+    v = np.asarray(v, float)
+    return 0.25 * np.add.reduce(v * v, axis=-1) ** 2
 
 
-def trig_contact_system(dim: int = 1) -> ContactSystem:
-    """L = |v|^2/2 + sin(x_1) sin(u): genuine, bounded value coupling."""
-    def lag(x, u, v):
-        x = np.asarray(x, float)
-        return _sq(v) + np.sin(x[..., 0]) * np.sin(np.asarray(u, float))
+def _quartic_v(x, u, v):
+    v = np.asarray(v, float)
+    return np.add.reduce(v * v, axis=-1)[..., None] * v
 
-    def lx(x, u, v):
-        x = np.asarray(x, float)
-        dx = np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
-        out = np.zeros(np.shape(dx) + x.shape[-1:])
-        out[..., 0] = dx
+
+def _quartic_vv(x, u, v):
+    v = np.asarray(v, float)
+    s = np.add.reduce(v * v, axis=-1)
+    return s[..., None, None] * _eye(x, u, v) + 2.0 * v[..., :, None] * v[..., None, :]
+
+
+def _quartic_dual(x, u, p):
+    p = np.asarray(p, float)
+    return 0.75 * np.add.reduce(p * p, axis=-1) ** (2.0 / 3.0)
+
+
+def _quartic_dual_p(x, u, p):
+    p = np.asarray(p, float)
+    s = np.add.reduce(p * p, axis=-1)
+    return (s + 1e-300)[..., None] ** (-1.0 / 3.0) * p  # finite at p = 0
+
+
+#: k(v) = theta0(|v|) and its dual k*(p), each with its gradient and Hessian
+#: (None: finite differences), and the closed form of theta0*
+_Kinetic = namedtuple("_Kinetic", "k k_v k_vv dual dual_p dual_pp theta0 theta0_conj")
+_QUADRATIC = _Kinetic(_sq, _copy, _eye, _sq, _copy, _eye,
+                      lambda r: 0.5 * np.asarray(r, float) ** 2,
+                      lambda k: 0.5 * float(k) ** 2)
+_QUARTIC = _Kinetic(_quartic, _quartic_v, _quartic_vv, _quartic_dual, _quartic_dual_p, None,
+                    lambda r: 0.25 * np.asarray(r, float) ** 4,
+                    lambda k: 0.75 * abs(float(k)) ** (4.0 / 3.0))
+
+#: a coupling term f with its derivatives in x_1 (no other coordinate
+#: enters) and in u; None is identically zero
+_Coupling = namedtuple("_Coupling", "f x1 u", defaults=(None, None))
+
+
+def _discount(w):
+    """a(u) = w u."""
+    return _Coupling(lambda x, u, z: w * np.asarray(u, float), u=lambda x, u, z: _fill(w, u, z))
+
+
+def _arctan(w):
+    """a(u) = w arctan(u)."""
+    def a_u(x, u, z):
+        u = np.asarray(u, float)
+        return _fill(w / (1.0 + u * u), u, z)
+    return _Coupling(lambda x, u, z: w * np.arctan(np.asarray(u, float)), u=a_u)
+
+
+_SIN_SIN = _Coupling(  # c(x, u) = sin(x_1) sin(u)
+    lambda x, u, z: np.sin(np.asarray(x, float)[..., 0]) * np.sin(np.asarray(u, float)),
+    lambda x, u, z: np.cos(np.asarray(x, float)[..., 0]) * np.sin(np.asarray(u, float)),
+    lambda x, u, z: np.sin(np.asarray(x, float)[..., 0]) * np.cos(np.asarray(u, float)))
+
+
+def _plus(f, g):
+    return lambda x, u, z: f(x, u, z) + g(x, u, z)
+
+
+def _minus(f, g):
+    return lambda x, u, z: f(x, u, z) - g(x, u, z)
+
+
+def _gradient_x(g, negate):
+    """The x-gradient of a term whose x_1-derivative is g, negated if asked."""
+    def d_x(x, u, z):
+        d = g(x, u, z)
+        out = np.zeros(d.shape + np.shape(x)[-1:])
+        out[..., 0] = -d if negate else d
         return out
-
-    def lu(x, u, v):
-        x = np.asarray(x, float)
-        return np.sin(x[..., 0]) * np.cos(np.asarray(u, float))
-
-    return ContactSystem(
-        dim=dim,
-        lagrangian=lag,
-        K=1.0,
-        theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2 + 1.0,
-        c0=1.0,
-        L_x=lx,
-        L_u=lu,
-        L_v=lambda x, u, v: np.asarray(v, float).copy(),
-        L_vv=lambda x, u, v: _eye_like(v),
-        theta0_conj=lambda k: 0.5 * float(k) ** 2,
-        name="trig-contact",
-    )
+    return d_x
 
 
-def quadratic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
-    """H = |p|^2 / 2, dual of the quadratic system."""
-    return HamiltonianSystem(
-        dim=dim,
-        hamiltonian=lambda x, u, p: _sq(p),
-        K=0.0,
-        H_x=lambda x, u, p: np.zeros(np.shape(p)),
-        H_u=lambda x, u, p: _fill(0.0, u, p),
-        H_p=lambda x, u, p: np.asarray(p, float).copy(),
-        H_pp=lambda x, u, p: _eye_like(p),
-        name="quadratic",
-    )
+@dataclass(frozen=True)
+class _Separable:
+    """A built-in declared once, as L(x, u, v) = a(u) + k(v) + c(x, u).
+
+    The couplings leave the dual slot alone, so the Legendre dual is
+    H(x, u, p) = k*(p) - a(u) - c(x, u), and `side` builds either.  Each
+    term is an evaluator of (x, u, z), z the dual slot.  The coupling
+    a(u) = rate * g(u) is given by its factory `a(w)` and its rate, so H
+    holds the same term at the opposite rate, at the same cost; c is
+    subtracted.  The envelopes are theta0 = k's profile and theta0 + bar.
+    """
+
+    name: str
+    kinetic: _Kinetic
+    K: float = 0.0
+    c0: float = 0.0
+    bar: float = 0.0
+    a: Optional[Callable[[float], _Coupling]] = None
+    rate: float = 0.0
+    c: Optional[_Coupling] = None
+
+    def __post_init__(self):
+        if self.K < 0:
+            raise PreconditionError(f"{self.name}: the rate must be nonnegative")
+
+    def side(self, dim: int, dual: bool = False):
+        """The ContactSystem, or its dual HamiltonianSystem; terms evaluate
+        in the order a, k, c."""
+        kin, c = self.kinetic, self.c
+        f, d_x, d_u = kin.dual if dual else kin.k, _zero_x, _zero_u
+        if self.a is not None:
+            a = self.a(-self.rate if dual else self.rate)
+            f, d_u = _plus(a.f, f), a.u
+        if c is not None:
+            f = _minus(f, c.f) if dual else _plus(f, c.f)
+            if c.x1 is not None:
+                d_x = _gradient_x(c.x1, dual)
+            if c.u is not None:
+                c_u = (lambda x, u, z, g=c.u: -g(x, u, z)) if dual else c.u
+                d_u = c_u if self.a is None else _plus(d_u, c_u)
+        if dual:
+            return HamiltonianSystem(dim=dim, hamiltonian=f, K=self.K, H_x=d_x, H_u=d_u,
+                                     H_p=kin.dual_p, H_pp=kin.dual_pp, name=self.name)
+        theta0, bar = kin.theta0, self.bar
+        return ContactSystem(dim=dim, lagrangian=f, K=self.K, theta0=theta0,
+                             theta0_bar=(lambda r: theta0(r) + bar) if bar else theta0,
+                             c0=self.c0, L_x=d_x, L_u=d_u, L_v=kin.k_v, L_vv=kin.k_vv,
+                             theta0_conj=kin.theta0_conj, name=self.name)
 
 
-def discounted_quadratic_hamiltonian(lam: float, dim: int = 1) -> HamiltonianSystem:
-    """H = lam*u + |p|^2 / 2, dual of the discounted quadratic system."""
-    return HamiltonianSystem(
-        dim=dim,
-        hamiltonian=lambda x, u, p: lam * np.asarray(u, float) + _sq(p),
-        K=float(lam),
-        H_x=lambda x, u, p: np.zeros(np.shape(p)),
-        H_u=lambda x, u, p: _fill(lam, u, p),
-        H_p=lambda x, u, p: np.asarray(p, float).copy(),
-        H_pp=lambda x, u, p: _eye_like(p),
-        name=f"discounted-quadratic({lam:g})",
-    )
+def _discounted(lam: float) -> _Separable:
+    return _Separable(f"discounted-quadratic({lam:g})", _QUADRATIC, K=float(lam),
+                      a=_discount, rate=-lam)
 
 
-def quartic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
-    """H = (3/4) |p|^(4/3), dual of the quartic system (singular at p=0)."""
-    eps = 1e-300
+_QUADRATIC_SYSTEM = _Separable("quadratic", _QUADRATIC)
+_QUARTIC_SYSTEM = _Separable("quartic", _QUARTIC)
+_TRIG_SYSTEM = _Separable("trig-contact", _QUADRATIC, K=1.0, c0=1.0, bar=1.0, c=_SIN_SIN)
 
-    def ham(x, u, p):
-        p = np.asarray(p, float)
-        return 0.75 * np.add.reduce(p * p, axis=-1) ** (2.0 / 3.0)
-
-    def hp(x, u, p):
-        p = np.asarray(p, float)
-        s = np.add.reduce(p * p, axis=-1)
-        return (s + eps)[..., None] ** (-1.0 / 3.0) * p
-
-    return HamiltonianSystem(dim=dim, hamiltonian=ham, K=0.0,
-                             H_x=lambda x, u, p: np.zeros(np.shape(p)),
-                             H_u=lambda x, u, p: _fill(0.0, u, p), H_p=hp, name="quartic")
+#: built-in system id -> (declaration builder, arity)
+_BUILTINS = {"quadratic": (lambda: _QUADRATIC_SYSTEM, 0), "discounted-quadratic": (_discounted, 1),
+             "quartic": (lambda: _QUARTIC_SYSTEM, 0), "trig-contact": (lambda: _TRIG_SYSTEM, 0)}
 
 
-def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
-    """H = |p|^2/2 - sin(x_1) sin(u), dual of the trig-contact system."""
-    def ham(x, u, p):
-        x = np.asarray(x, float)
-        return _sq(p) - np.sin(x[..., 0]) * np.sin(np.asarray(u, float))
-
-    def hx(x, u, p):
-        x = np.asarray(x, float)
-        dx = -np.cos(x[..., 0]) * np.sin(np.asarray(u, float))
-        out = np.zeros(np.shape(dx) + x.shape[-1:])
-        out[..., 0] = dx
-        return out
-
-    def hu(x, u, p):
-        x = np.asarray(x, float)
-        return -np.sin(x[..., 0]) * np.cos(np.asarray(u, float))
-
-    return HamiltonianSystem(
-        dim=dim,
-        hamiltonian=ham,
-        K=1.0,
-        H_x=hx,
-        H_u=hu,
-        H_p=lambda x, u, p: np.asarray(p, float).copy(),
-        H_pp=lambda x, u, p: _eye_like(p),
-        name="trig-contact",
-    )
-
-
-BUILTIN_SYSTEM_IDS = ("quadratic", "discounted-quadratic(<lambda>)", "quartic", "trig-contact")
-
-
-#: id -> (Lagrangian builder, Hamiltonian builder, takes a rate argument)
-_BUILTINS = {
-    "quadratic": (quadratic_system, quadratic_hamiltonian, False),
-    "discounted-quadratic": (discounted_quadratic_system,
-                             discounted_quadratic_hamiltonian, True),
-    "quartic": (quartic_system, quartic_hamiltonian, False),
-    "trig-contact": (trig_contact_system, trig_contact_hamiltonian, False),
-}
-
-
-def _builtin(spec_id: str, dim: int, side: int):
-    """Resolve a built-in id to its Lagrangian (side 0) or Hamiltonian (side 1) system."""
-    base, arg = parse_id(spec_id, "system")
-    if base not in _BUILTINS:
-        raise PreconditionError(f"unknown system id {spec_id!r}; known: {BUILTIN_SYSTEM_IDS}")
-    *builders, takes_rate = _BUILTINS[base]
-    if not takes_rate:
-        if arg is not None:
-            raise PreconditionError(f"{base} takes no argument, got {spec_id!r}")
-        return builders[side](dim)
-    if arg is None:
-        raise PreconditionError(f"{base} requires a rate, e.g. {base}(1.0)")
-    return builders[side](arg, dim)
+def _builtin(spec_id: str) -> _Separable:
+    """The declaration of a built-in system id such as 'discounted-quadratic(0.5)'."""
+    return resolve_id(spec_id, "system", _BUILTINS)
 
 
 def builtin_system(spec_id: str, dim: int = 1) -> ContactSystem:
     """Resolve a built-in Lagrangian system id such as 'discounted-quadratic(0.5)'."""
-    return _builtin(spec_id, dim, 0)
+    return _builtin(spec_id).side(dim)
 
 
 def builtin_hamiltonian(spec_id: str, dim: int = 1) -> HamiltonianSystem:
     """Resolve the Hamiltonian dual of a built-in system id."""
-    return _builtin(spec_id, dim, 1)
+    return _builtin(spec_id).side(dim, dual=True)
+
+
+def quadratic_system(dim: int = 1) -> ContactSystem:
+    """L = |v|^2 / 2 (classical kinetic action, no value coupling)."""
+    return _QUADRATIC_SYSTEM.side(dim)
+
+
+def discounted_quadratic_system(lam: float, dim: int = 1) -> ContactSystem:
+    """L = -lam*u + |v|^2 / 2 (discounted kinetic action)."""
+    return _discounted(lam).side(dim)
+
+
+def quartic_system(dim: int = 1) -> ContactSystem:
+    """L = |v|^4 / 4 (superlinear beyond quadratic, still value-free)."""
+    return _QUARTIC_SYSTEM.side(dim)
+
+
+def trig_contact_system(dim: int = 1) -> ContactSystem:
+    """L = |v|^2/2 + sin(x_1) sin(u): genuine, bounded value coupling."""
+    return _TRIG_SYSTEM.side(dim)
+
+
+def quadratic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
+    """H = |p|^2 / 2, dual of the quadratic system."""
+    return _QUADRATIC_SYSTEM.side(dim, dual=True)
+
+
+def discounted_quadratic_hamiltonian(lam: float, dim: int = 1) -> HamiltonianSystem:
+    """H = lam*u + |p|^2 / 2, dual of the discounted quadratic system."""
+    return _discounted(lam).side(dim, dual=True)
+
+
+def quartic_hamiltonian(dim: int = 1) -> HamiltonianSystem:
+    """H = (3/4) |p|^(4/3), dual of the quartic system (singular at p=0)."""
+    return _QUARTIC_SYSTEM.side(dim, dual=True)
+
+
+def trig_contact_hamiltonian(dim: int = 1) -> HamiltonianSystem:
+    """H = |p|^2/2 - sin(x_1) sin(u), dual of the trig-contact system."""
+    return _TRIG_SYSTEM.side(dim, dual=True)
+
+
+def perturbed_system(lam: float, dim: int = 1) -> ContactSystem:
+    """L^lambda = -lambda arctan(u) + |v|^2/2 + lambda sin(x_1).
+
+    A family whose frozen-value member L_lambda(x, v) also moves with
+    lambda, so the general exponential-weight machinery is genuinely
+    exercised (L - u dL/du is not lambda-free here).
+    """
+    sine = _Coupling(lambda x, u, z: lam * np.sin(np.asarray(x, float)[..., 0]),
+                     lambda x, u, z: lam * np.cos(np.asarray(x, float)[..., 0]))
+    return _Separable(f"perturbed({lam:g})", _QUADRATIC, K=float(lam), c0=float(lam),
+                      bar=lam * (1.0 + 0.5 * math.pi), a=_arctan, rate=-lam, c=sine).side(dim)
 
 
 def with_overrides(S: ContactSystem, **kwargs) -> ContactSystem:
-    """Copy a system with replaced metadata (used by config-level overrides)."""
+    """Copy a system with replaced metadata (used by config-level overrides).
+
+    A new theta0 drops the closed-form theta0_conj, and a new theta0_bar
+    recomputes C_const = theta0_bar(0), unless they are overridden too."""
     allowed = {"K", "c0", "C_const", "theta0", "theta0_bar", "theta0_conj", "name"}
     bad = set(kwargs) - allowed
     if bad:
         raise PreconditionError(f"cannot override fields {sorted(bad)}")
+    if "theta0" in kwargs:
+        kwargs.setdefault("theta0_conj", None)
+    if "theta0_bar" in kwargs:
+        kwargs.setdefault("C_const", None)
     return replace(S, _conj_cache={}, **kwargs)

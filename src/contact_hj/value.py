@@ -26,13 +26,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import as_point, parse_id
+from ._util import as_point, resolve_id
 from .errors import PreconditionError
 from .fundamental import OptimizerParams, _direct_lockstep, _slice_lanes
 # unused here; perfbench/tracing.py hooks this module's binding of the names
 from ._util import golden_min  # noqa: F401
 from .fundamental import fundamental_direct  # noqa: F401
-from .systems import (ContactSystem, HamiltonianSystem, legendre_to_hamiltonian)
+from .systems import ContactSystem, HamiltonianSystem, hamiltonian_from_contact
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +139,14 @@ def datum_linear_window(slope: float, window: float = 10.0) -> InitialDatum:
                         name=f"linear-window({a:g},{w:g})")
 
 
-BUILTIN_DATUM_IDS = ("sin", "cos-bump", "constant(<c>)")
+#: built-in datum id -> (builder, arity)
+_DATA = {"sin": (datum_sin, 0), "cos-bump": (datum_cos_bump, None),
+         "constant": (datum_constant, 1)}
 
 
 def builtin_datum(spec_id: str) -> InitialDatum:
     """Resolve a built-in initial datum id."""
-    s, arg = parse_id(spec_id, "datum")
-    if s == "sin":
-        if arg is not None:
-            raise PreconditionError(f"sin takes no argument, got {spec_id!r}")
-        return datum_sin()
-    if s == "cos-bump":
-        return datum_cos_bump() if arg is None else datum_cos_bump(arg)
-    if s == "constant":
-        if arg is None:
-            raise PreconditionError("constant datum requires a value, e.g. constant(0.5)")
-        return datum_constant(arg)
-    raise PreconditionError(f"unknown datum id {spec_id!r}; known: {BUILTIN_DATUM_IDS}")
+    return resolve_id(spec_id, "datum", _DATA)
 
 
 # ---------------------------------------------------------------------------
@@ -375,42 +366,27 @@ def pde_residual(system, grid: ValueGrid) -> ResidualReport:
         raise PreconditionError("grid points do not form the recorded lattice")
     U = grid.values.reshape(shape)
 
-    if isinstance(system, HamiltonianSystem):
-        def ham(xv, uv, pv):
-            return float(system.H(xv, uv, pv))
-    elif isinstance(system, ContactSystem):
-        def ham(xv, uv, pv):
-            return legendre_to_hamiltonian(system, xv, uv, pv)[0]
-    else:
+    if isinstance(system, ContactSystem):
+        system = hamiltonian_from_contact(system)
+    elif not isinstance(system, HamiltonianSystem):
         raise PreconditionError("system must be a ContactSystem or HamiltonianSystem")
 
-    if len(axes) == 1:
-        u_t = (U[2:, 1:-1] - U[:-2, 1:-1]) / (2.0 * dt)
-        grads = [(U[1:-1, 2:] - U[1:-1, :-2]) / (2.0 * dxs[0])]
-        u_mid = U[1:-1, 1:-1]
-        coords = np.stack(np.meshgrid(axes[0][1:-1], indexing="ij"), axis=-1)
-    else:
-        inner = (slice(1, -1), slice(1, -1), slice(1, -1))
-        u_t = (U[2:, 1:-1, 1:-1] - U[:-2, 1:-1, 1:-1]) / (2.0 * dt)
-        grads = [
-            (U[1:-1, 2:, 1:-1] - U[1:-1, :-2, 1:-1]) / (2.0 * dxs[0]),
-            (U[1:-1, 1:-1, 2:] - U[1:-1, 1:-1, :-2]) / (2.0 * dxs[1]),
-        ]
-        u_mid = U[inner]
-        coords = np.stack(np.meshgrid(axes[0][1:-1], axes[1][1:-1],
-                                      indexing="ij"), axis=-1)
+    inner = (slice(1, -1),) * U.ndim
 
-    res = np.empty_like(u_t)
-    flat_coords = coords.reshape(-1, len(axes))
-    for a in range(res.shape[0]):
-        flat_u = u_mid[a].reshape(-1)
-        flat_p = np.stack([g[a].reshape(-1) for g in grads], axis=-1)
-        flat_ut = u_t[a].reshape(-1)
-        vals = np.array([
-            abs(flat_ut[i] + ham(flat_coords[i], flat_u[i], flat_p[i]))
-            for i in range(flat_coords.shape[0])
-        ])
-        res[a] = vals.reshape(res.shape[1:])
+    def central(axis, h):
+        """Central difference along `axis` at the interior points."""
+        hi, lo = (inner[:axis] + (end,) + inner[axis + 1:]
+                  for end in (slice(2, None), slice(None, -2)))
+        return (U[hi] - U[lo]) / (2.0 * h)
+
+    u_t, *grads = [central(i, h) for i, h in enumerate([dt] + dxs)]
+    n = len(axes)
+    p = np.stack(grads, axis=-1)
+    x = np.broadcast_to(np.stack(np.meshgrid(*[a[1:-1] for a in axes], indexing="ij"),
+                                 axis=-1), p.shape)
+    # point by point: a batched call may round differently (np.power does)
+    H = [float(system.H(*pt)) for pt in zip(x.reshape(-1, n), U[inner].ravel(), p.reshape(-1, n))]
+    res = np.abs(u_t + np.reshape(H, u_t.shape))
     flat = res.ravel()
     return ResidualReport(median=float(np.median(flat)),
                           p90=float(np.percentile(flat, 90)),

@@ -22,12 +22,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import parse_id
+from ._util import resolve_id
 from .cost_ode import Curve, _rk4_sweep, integrate_cost
 from .errors import BoundViolation, PreconditionError
 # unused here; perfbench/tracing.py hooks this module's binding of the name
 from .fundamental import fundamental_direct  # noqa: F401
-from .systems import ContactSystem, _eye_like, _fill, _sq
+from .systems import (ContactSystem, discounted_quadratic_system, perturbed_system,
+                      quadratic_system)
 from .value import (InitialDatum, SearchParams, ValueGrid, _require_classical,
                     solve_value_grid)
 # unused here; perfbench/tracing.py hooks this module's binding of the name
@@ -39,84 +40,27 @@ class LambdaFamily:
     """Family lambda -> L^lambda with its declared limit system."""
 
     builder: Callable[[float], ContactSystem]
-    K_of_lambda: Callable[[float], float]
     limit_system: ContactSystem
     name: str = ""
 
 
 def family_discounted(dim: int = 1) -> LambdaFamily:
     """L^lambda = -lambda u + |v|^2/2; the classical discounted family."""
-    from .systems import discounted_quadratic_system, quadratic_system
-    return LambdaFamily(
-        builder=lambda lam: discounted_quadratic_system(lam, dim),
-        K_of_lambda=lambda lam: float(lam),
-        limit_system=quadratic_system(dim),
-        name="discounted",
-    )
-
-
-def perturbed_system(lam: float, dim: int = 1) -> ContactSystem:
-    """L^lambda = -lambda arctan(u) + |v|^2/2 + lambda sin(x_1).
-
-    A family whose frozen-value member L_lambda(x, v) also moves with
-    lambda, so the general exponential-weight machinery is genuinely
-    exercised (L - u dL/du is not lambda-free here).
-    """
-    if lam < 0:
-        raise PreconditionError("lambda must be nonnegative")
-
-    def lag(x, u, v):
-        x = np.asarray(x, float)
-        return (-lam * np.arctan(np.asarray(u, float)) + _sq(v)
-                + lam * np.sin(x[..., 0]))
-
-    def lx(x, u, v):
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape)
-        out[..., 0] = lam * np.cos(x[..., 0])
-        return out
-
-    def lu(x, u, v):
-        u = np.asarray(u, float)
-        return _fill(-lam / (1.0 + u * u), u, v)
-
-    return ContactSystem(
-        dim=dim,
-        lagrangian=lag,
-        K=float(lam),
-        theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
-        theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2 + lam * (1.0 + 0.5 * math.pi),
-        c0=float(lam),
-        L_x=lx,
-        L_u=lu,
-        L_v=lambda x, u, v: np.asarray(v, float).copy(),
-        L_vv=lambda x, u, v: _eye_like(v),
-        theta0_conj=lambda k: 0.5 * float(k) ** 2,
-        name=f"perturbed({lam:g})",
-    )
+    return LambdaFamily(builder=lambda lam: discounted_quadratic_system(lam, dim),
+                        limit_system=quadratic_system(dim), name="discounted")
 
 
 def family_perturbed(dim: int = 1) -> LambdaFamily:
-    from .systems import quadratic_system
-    return LambdaFamily(
-        builder=lambda lam: perturbed_system(lam, dim),
-        K_of_lambda=lambda lam: float(lam),
-        limit_system=quadratic_system(dim),
-        name="perturbed",
-    )
+    return LambdaFamily(builder=lambda lam: perturbed_system(lam, dim),
+                        limit_system=quadratic_system(dim), name="perturbed")
 
 
-_FAMILIES = {"discounted": family_discounted, "perturbed": family_perturbed}
-BUILTIN_FAMILY_IDS = tuple(_FAMILIES)
+#: built-in family id -> (builder, arity)
+_FAMILIES = {"discounted": (family_discounted, 0), "perturbed": (family_perturbed, 0)}
 
 
 def builtin_family(spec_id: str, dim: int = 1) -> LambdaFamily:
-    base, arg = parse_id(spec_id, "family")
-    if base not in _FAMILIES:
-        raise PreconditionError(f"unknown family id {spec_id!r}; known: {BUILTIN_FAMILY_IDS}")
-    if arg is not None:
-        raise PreconditionError(f"{base} takes no argument, got {spec_id!r}")
-    return _FAMILIES[base](dim)
+    return resolve_id(spec_id, "family", _FAMILIES, dim)
 
 
 # ---------------------------------------------------------------------------

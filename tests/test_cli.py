@@ -373,6 +373,17 @@ def test_vanishing_pass(tmp_path):
     assert float(rows[1]["sup_gap"]) <= float(rows[0]["sup_gap"]) + 1e-6
 
 
+def test_vanishing_on_a_2d_lattice(tmp_path):
+    # the family is built at the lattice's dimension
+    out = tmp_path / "van.csv"
+    space = {"min": [0, 0], "max": [0.5, 0.5], "points": [2, 2]}
+    cfg = write_config(tmp_path / "cfg.json", dict(VANISH_PAYLOAD, space=space, out=str(out)))
+    assert main(["vanishing", "--config", cfg, "--quiet"]) == 0
+    header, rows = read_rows(out)
+    assert [float(r["lambda"]) for r in rows] == VANISH_PAYLOAD["lambdas"]
+    assert all(r["bound_check"] == "1" for r in rows)
+
+
 def test_vanishing_zero_tolerance_fails_with_code_4(tmp_path):
     out = tmp_path / "van.csv"
     cfg = write_config(tmp_path / "cfg.json",

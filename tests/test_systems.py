@@ -92,6 +92,21 @@ def test_legendre_involution(spec_id):
         assert abs(back - direct) <= 10 * 1e-10
 
 
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("spec_id", ALL_IDS)
+def test_builtin_hamiltonian_is_the_legendre_dual_of_its_lagrangian(spec_id, dim):
+    # the declared dual side against the numeric transform of the Lagrangian side
+    S, HS = builtin_system(spec_id, dim), builtin_hamiltonian(spec_id, dim)
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        x = rng.uniform(-2, 2, dim)
+        r = float(rng.uniform(-2, 2))
+        p = rng.uniform(-2, 2, dim)
+        H, v = legendre_to_hamiltonian(S, x, r, p)
+        assert abs(float(HS.H(x, r, p)) - H) <= 1e-9
+        assert np.max(np.abs(HS.Hp(x, r, p) - v)) <= 1e-9
+
+
 def test_legendre_nonconvex_raises():
     H = HamiltonianSystem(dim=1, hamiltonian=lambda x, u, p: -0.5 * np.sum(np.asarray(p, float) ** 2, axis=-1), K=0.0)
     with pytest.raises(NonConvergence):
@@ -165,6 +180,25 @@ def test_conditions_flag_misdeclared_K():
     assert not report.passed
     assert report.lu_bound_margin == pytest.approx(-1.0, abs=1e-12)
     assert any("K" in msg for msg in report.violations)
+
+
+def test_overriding_theta0_drops_the_stale_closed_form_conjugate():
+    from contact_hj import with_overrides
+    S = with_overrides(quadratic_system(), theta0=lambda r: np.asarray(r, float) ** 4 / 4)
+    assert S.theta0_conj is None
+    # sup_r 2 r - r^4 / 4 = (3/4) 2^(4/3), not the quadratic conjugate 2
+    assert S.theta0_star(2.0) == pytest.approx(0.75 * 2.0 ** (4.0 / 3.0), abs=1e-9)
+    kept = with_overrides(quadratic_system(), theta0=S.theta0, theta0_conj=lambda k: 7.0)
+    assert kept.theta0_star(2.0) == 7.0
+
+
+def test_overriding_theta0_bar_recomputes_c_const():
+    from contact_hj import with_overrides
+    S = with_overrides(quadratic_system(),
+                       theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2 + 3.0)
+    assert S.C_const == 3.0
+    kept = with_overrides(quadratic_system(), theta0_bar=S.theta0_bar, C_const=5.0)
+    assert kept.C_const == 5.0
 
 
 def test_conditions_trig_variant_against_grid_oracle():

@@ -271,6 +271,18 @@ def test_pde_residual_linear_datum_smooth_region():
     assert rep.median <= 1e-5
 
 
+def test_pde_residual_linear_datum_on_a_2d_lattice():
+    # u = a x_1 - a^2 t / 2 exactly, so every interior point sees zero residual
+    xs = np.linspace(-1, 1, 4)
+    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    search = SearchParams(segments=4, grid_points=7, opt=OptimizerParams(substeps=2))
+    grid = solve_value_grid(quadratic_system(2), datum_linear_window(0.7), [0.25, 0.3, 0.35],
+                            pts, search, axes=[xs, xs])
+    rep = pde_residual(quadratic_hamiltonian(2), grid)
+    assert rep.residuals.shape == (1, 2, 2)
+    assert rep.p90 <= 1e-8
+
+
 def test_pde_residual_decreases_under_refinement():
     S = quadratic_system()
     datum = datum_sin()

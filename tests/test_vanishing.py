@@ -27,7 +27,7 @@ def test_discounted_family_members_are_valid_systems():
     box = SampleBox.cube(1, 4.0)
     for lam in (0.5, 0.1):
         S = fam.builder(lam)
-        assert S.K == fam.K_of_lambda(lam) == lam
+        assert S.K == fam.builder(lam).K == lam
         assert verify_conditions(S, box, samples=128, seed=0).passed
 
 
@@ -43,7 +43,7 @@ def test_perturbed_family_members_are_valid_systems():
 
 def test_family_value_coupling_shrinks():
     for fam in (family_discounted(), family_perturbed()):
-        ks = [fam.K_of_lambda(l) for l in (0.5, 0.2, 0.1, 0.05)]
+        ks = [fam.builder(l).K for l in (0.5, 0.2, 0.1, 0.05)]
         assert all(b < a for a, b in zip(ks, ks[1:]))
         assert ks[-1] <= 0.05
 
@@ -135,7 +135,6 @@ def test_contact_bound_checks_endpoint_distance():
 
 def test_run_vanishing_constant_family_has_zero_gaps():
     fam = LambdaFamily(builder=lambda lam: quadratic_system(),
-                       K_of_lambda=lambda lam: 0.0,
                        limit_system=quadratic_system(), name="constant")
     report = run_vanishing(fam, datum_sin(), [0.1], [0.5],
                            np.linspace(-1, 1, 3)[:, None], FAST)
@@ -181,7 +180,6 @@ def test_run_vanishing_pointwise_estimate_skeleton():
 def test_run_vanishing_flags_nonmonotone_family():
     # members deliberately ordered so the gap grows as lambda shrinks
     fam = LambdaFamily(builder=lambda lam: discounted_quadratic_system(0.6 - lam),
-                       K_of_lambda=lambda lam: 0.6 - lam,
                        limit_system=quadratic_system(), name="inverted")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -219,7 +217,6 @@ def test_builtin_family_registry():
 def test_run_vanishing_requires_a_classical_limit():
     # the baseline is the classical (K = 0) value function
     fam = LambdaFamily(builder=discounted_quadratic_system,
-                       K_of_lambda=float,
                        limit_system=discounted_quadratic_system(0.5),
                        name="coupled-limit")
     with pytest.raises(PreconditionError, match="K = 0"):
