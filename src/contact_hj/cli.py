@@ -34,7 +34,7 @@ from .errors import (ConfigError, ContactHJError, NonConvergence, Overflow,
 from .fundamental import (T_MIN, OptimizerParams, fundamental_direct,
                           fundamental_exponential, fundamental_shooting,
                           herglotz_residual)
-from .systems import (SampleBox, _builtin, hamiltonian_from_contact,
+from .systems import (_BUILTINS, SampleBox, _builtin, hamiltonian_from_contact,
                       legendre_to_lagrangian, verify_conditions, with_overrides)
 from .value import SearchParams, builtin_datum, solve_value_grid
 # unused here; perfbench/tracing.py hooks this module's binding of the name
@@ -344,8 +344,8 @@ def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     seed = _count(cfg.get("seed", 0), "seed", least=0)
     samples = _count(cfg.get("samples", 256), "samples")
     half = _positive(cfg.get("box_half_width", 3.0), "box_half_width")
-    default_ids = ["quadratic", "discounted-quadratic(1.0)", "quartic", "trig-contact"]
-    specs = cfg.get("systems", default_ids)
+    specs = cfg.get("systems", [name + "(1.0)" * (arity == 1)
+                                for name, (_, arity) in _BUILTINS.items()])
     if "system" in cfg:
         specs = [cfg["system"]]
     if not isinstance(specs, list) or not specs:

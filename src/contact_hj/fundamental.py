@@ -467,15 +467,20 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
                          grid_per_axis: int = 9) -> FundamentalResult:
     """Solve the two-point boundary problem xi(t; p0) = y in the momentum.
 
-    Multi-start damped Newton on the shooting map, all starts advanced as
-    one batch.  Every characteristic sweep carries, next to each candidate
-    momentum, its central-difference rows (`_candidate_sweep`), so the
-    Jacobian at an accepted candidate is in hand when the next Newton step
-    needs it: one sweep for the start grid and one per backtracking trial.
-    Among the converged roots the one with minimal terminal cost wins;
-    ties within 1e-12 break toward the smallest initial momentum.  When
-    `segments` divides `steps`, the winner's path is the one recorded in
-    the sweep that produced it; otherwise it is re-integrated on
+    Multi-start damped Newton on the shooting map.  Each start of the
+    momentum grid is a lane with its own Newton step count, step dp and
+    damping alpha; a trial p - alpha dp is accepted when it cuts the miss
+    by the factor 1 - 1e-4 alpha, and is otherwise halved.  A lane stops at
+    a root, at a singular Jacobian (|det| <= 1e-14), after 30 rejected
+    trials of one step or after max_newton steps.  A round is one
+    `_candidate_sweep` of every running lane's trial, which carries its
+    central-difference rows, so an accepted lane takes its next Newton
+    step from the Jacobian of that sweep; round 0 sweeps the starts.
+    `iterations` is the most Newton steps of any lane.  Among the roots
+    the one with minimal terminal cost wins; ties within 1e-12 break
+    toward the smallest initial momentum.  When `segments` divides
+    `steps`, the winner's path is the one recorded in the sweep that
+    produced it; otherwise it is re-integrated on
     segments * ceil(steps / segments) steps.
 
     Overflow is raised exactly when a characteristic the solve depends on
@@ -497,51 +502,37 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     p_cur = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     tol_abs = newton_tol * max(1.0, d)
 
-    # per start: the recorded path, Jacobian and spoiled flag of its momentum
-    paths, jac, spoiled = _candidate_sweep(HS, t, x, u, p_cur, int(steps))
-    miss = np.linalg.norm(paths[-1, :, :n] - y, axis=-1)
-    alive = np.ones(len(p_cur), dtype=bool)
-    iters = 0
-
-    for _ in range(max_newton):
-        work = alive & (miss > tol_abs)
-        if not work.any():
-            break
-        idx = np.where(work)[0]
-        if spoiled[idx].any():
+    # per lane: its accepted momentum with that momentum's miss, recorded
+    # path, Jacobian and spoiled flag; the miss of no momentum is inf, so
+    # round 0 accepts every start (dp = 0 makes each trial the start itself)
+    B = len(p_cur)
+    miss, paths = np.full(B, np.inf), np.empty((int(steps) + 1, B, 2 * n + 1))
+    jac, spoiled = np.empty((B, n, n)), np.zeros(B, dtype=bool)
+    alpha, dp, (nit, rejected) = np.ones(B), np.zeros((B, n)), np.zeros((2, B), dtype=int)
+    run = np.ones(B, dtype=bool)  # the lanes with a trial to sweep
+    while run.any():
+        lane = np.flatnonzero(run)
+        trial = p_cur[lane] - alpha[lane, None] * dp[lane]
+        path, J, bad = _candidate_sweep(HS, t, x, u, trial, int(steps))
+        tmiss = np.linalg.norm(path[-1, :, :n] - y, axis=-1)
+        ok = tmiss < (1.0 - 1e-4 * alpha[lane]) * miss[lane]
+        acc, rej = lane[ok], lane[~ok]
+        p_cur[acc], miss[acc], paths[:, acc] = trial[ok], tmiss[ok], path[:, ok]
+        jac[acc], spoiled[acc] = J[ok], bad[ok]
+        rejected[rej] += 1
+        alpha[rej] *= 0.5
+        run[rej] = rejected[rej] < 30
+        step = acc[(miss[acc] > tol_abs) & (nit[acc] < max_newton)]
+        if spoiled[step].any():
             raise Overflow(_OVERFLOW)
-        iters += 1
-        P, J = p_cur[idx], jac[idx]
-        resid = paths[-1, idx, :n] - y
-        dets = np.linalg.det(J)
-        good = np.isfinite(dets) & (np.abs(dets) > 1e-14)
-        dp = np.zeros_like(P)
-        if good.any():
-            dp[good] = np.linalg.solve(J[good], resid[good][..., None])[..., 0]
-        alive[idx[~good]] = False
+        nit[step] += 1
+        dets = np.linalg.det(jac[step])
+        go = step[np.isfinite(dets) & (np.abs(dets) > 1e-14)]
+        dp[go] = np.linalg.solve(jac[go], (paths[-1, go, :n] - y)[..., None])[..., 0]
+        alpha[go], rejected[go] = 1.0, 0
+        run[acc] = np.isin(acc, go)  # an accepted lane runs on with a new Newton step
 
-        alpha = np.ones(len(idx))
-        base = miss[idx]
-        remaining = good.copy()
-        for _bt in range(30):
-            if not remaining.any():
-                break
-            rows = np.where(remaining)[0]
-            cand = P[rows] - alpha[rows, None] * dp[rows]
-            cpath, cjac, cspoiled = _candidate_sweep(HS, t, x, u, cand, int(steps))
-            cmiss = np.linalg.norm(cpath[-1, :, :n] - y, axis=-1)
-            ok = cmiss < (1.0 - 1e-4 * alpha[rows]) * base[rows]
-            hit = idx[rows[ok]]
-            p_cur[hit] = cand[ok]
-            miss[hit] = cmiss[ok]
-            paths[:, hit] = cpath[:, ok]
-            jac[hit] = cjac[ok]
-            spoiled[hit] = cspoiled[ok]
-            remaining[rows[ok]] = False
-            alpha[remaining] *= 0.5
-        alive[idx[remaining]] = False
-
-    roots = np.where(miss <= tol_abs)[0]
+    roots = np.flatnonzero(miss <= tol_abs)
     if not roots.size:
         raise NoRootFound(
             "no shooting start reached the target endpoint; t may lie beyond "
@@ -549,15 +540,14 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     roots_p = p_cur[roots]
     roots_u = paths[-1, roots, -1]
 
+    # the roots within 1e-12 of the least cost lead this order
     order = np.lexsort((np.linalg.norm(roots_p, axis=1), roots_u))
     kept = []
-    for i in order:
+    for i in order[roots_u[order] <= roots_u[order[0]] + 1e-12]:
         if all(np.linalg.norm(roots_p[i] - roots_p[j]) >
                1e-7 * (1.0 + np.linalg.norm(roots_p[j])) for j in kept):
             kept.append(i)
-    u_min = min(roots_u[i] for i in kept)
-    winners = [i for i in kept if roots_u[i] <= u_min + 1e-12]
-    best = min(winners, key=lambda i: float(np.linalg.norm(roots_p[i])))
+    best = min(kept, key=lambda i: float(np.linalg.norm(roots_p[i])))
     p0_win = roots_p[best]
 
     stride = max(1, int(np.ceil(steps / segments)))
@@ -571,7 +561,7 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
                           samples=path[:, -1].copy(), u0=float(u))
     A = float(path[-1, -1])
     return FundamentalResult(h=A - u, A=A, minimizer=curve, trajectory=traj,
-                             iterations=iters, objective_history=np.array([A]),
+                             iterations=int(nit.max()), objective_history=np.array([A]),
                              converged=True, p0=p0_win)
 
 

@@ -14,8 +14,7 @@ shape (..., n), u has shape (...,), and results broadcast accordingly.
 The built-ins return fresh float arrays, never views of their arguments,
 of the broadcast batch shape of the arguments they read (a scalar result
 of one lone point is a numpy float).  Evaluators must be pure; a system
-instance may be shared read-only between workers (the conjugate cache
-only performs idempotent inserts).
+instance may be shared read-only between workers.
 
 Each derivative method (`Lx`, `Lu`, `Lv`, `Lvv`; `Hx`, `Hu`, `Hp`, `Hpp`)
 returns its declared field (`L_x`, ...) and otherwise falls back to
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,7 +120,6 @@ class ContactSystem:
     L_vv: Optional[Evaluator] = None
     theta0_conj: Optional[Callable[[float], float]] = None
     name: str = ""
-    _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -146,25 +144,19 @@ class ContactSystem:
     def theta0_star(self, k: float, r_max: float = CONJUGATE_RMAX) -> float:
         """Convex conjugate sup_{r in [0, r_max]} (k r - theta0(r)).
 
-        Computed by grid maximization plus golden refinement and cached
-        per argument; a user-supplied closed form, when present, takes
-        precedence over the numeric conjugate.
+        Computed by grid maximization plus golden refinement; a
+        user-supplied closed form, when present, takes precedence over the
+        numeric conjugate.
         """
         if self.theta0_conj is not None:
             return float(self.theta0_conj(k))
-        key = (float(k), float(r_max))
-        cached = self._conj_cache.get(key)
-        if cached is not None:
-            return cached
         r = np.linspace(0.0, r_max, 4097)
         g = k * r - np.asarray(self.theta0(r), dtype=float)
         j = int(np.argmax(g))
         lo = r[max(j - 1, 0)]
         hi = r[min(j + 1, r.size - 1)]
         _, neg = golden_min(lambda rr: float(self.theta0(rr)) - k * rr, lo, hi, xtol=1e-12)
-        val = max(float(g[j]), -neg)
-        self._conj_cache[key] = val
-        return val
+        return max(float(g[j]), -neg)
 
 
 @dataclass
@@ -316,15 +308,11 @@ def hamiltonian_from_contact(S: ContactSystem) -> HamiltonianSystem:
     def pointwise(slot):
         # slot 0 of the transform's result is H, slot 1 its gradient H_p
         def evaluator(x, u, p):
-            x = np.asarray(x, float)
-            p = np.asarray(p, float)
-            if x.ndim == 1:
-                return legendre_to_hamiltonian(S, x, float(u), p)[slot]
-            flat_x = x.reshape(-1, S.dim)
-            flat_p = np.broadcast_to(p, x.shape).reshape(-1, S.dim)
-            flat_u = np.broadcast_to(np.asarray(u, float), x.shape[:-1]).ravel()
-            out = [legendre_to_hamiltonian(S, flat_x[i], float(flat_u[i]), flat_p[i])[slot]
-                   for i in range(flat_x.shape[0])]
+            # one transform per broadcast point; a lone point gives a 0-d H
+            x, u, p = np.broadcast_arrays(np.asarray(x, float), np.asarray(u, float)[..., None],
+                                          np.asarray(p, float))
+            out = [legendre_to_hamiltonian(S, xk, float(uk[0]), pk)[slot] for xk, uk, pk in
+                   zip(x.reshape(-1, S.dim), u.reshape(-1, S.dim), p.reshape(-1, S.dim))]
             return np.asarray(out).reshape(x.shape[:-1] + np.shape(out[0]))
         return evaluator
 
@@ -707,4 +695,4 @@ def with_overrides(S: ContactSystem, **kwargs) -> ContactSystem:
         kwargs.setdefault("theta0_conj", None)
     if "theta0_bar" in kwargs:
         kwargs.setdefault("C_const", None)
-    return replace(S, _conj_cache={}, **kwargs)
+    return replace(S, **kwargs)

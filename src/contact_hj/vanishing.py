@@ -171,44 +171,26 @@ def run_vanishing(family: LambdaFamily, datum: InitialDatum,
     _require_classical(L0)
     baseline = solve_value_grid(L0, datum, times, points, search)
     times, points = baseline.times, baseline.points
-    T, P = baseline.values.shape
-    base_u0 = np.empty((T, P))
-    base_R = np.empty((T, P))
-    for a in range(T):
-        for b in range(P):
-            y_star = baseline.argmins[a, b]
-            base_u0[a, b] = float(datum(y_star))
-            base_R[a, b] = max(float(np.linalg.norm(y_star - points[b])), 1e-9)
-
-    values = []
-    argmins = []
-    gaps = np.empty(lambdas.size)
-    bound_values = np.empty((lambdas.size, T, P))
-    bound_max = np.empty((lambdas.size, T, P))
-    bound_ok = np.zeros((lambdas.size, T, P), dtype=bool)
-    frozen_sup = np.empty(lambdas.size)
+    shape = (lambdas.size,) + baseline.values.shape
+    # a BoundViolation leaves its point NaN in both envelope tables
+    bound_values, bound_max = np.full(shape, np.nan), np.full(shape, np.nan)
+    values, argmins = [], []
+    gaps, frozen_sup = np.empty(lambdas.size), np.empty(lambdas.size)
 
     for i, lam in enumerate(lambdas):
         S_lam = family.builder(float(lam))
         grid = solve_value_grid(S_lam, datum, times, points, search)
         fro = 0.0
-        for a in range(T):
-            for b in range(P):
-                xi = baseline.results[a][b].minimizer
+        for a, row in enumerate(baseline.results):
+            for b, res in enumerate(row):
+                y_star, xi = baseline.argmins[a, b], res.minimizer
+                R = max(float(np.linalg.norm(y_star - points[b])), 1e-9)
                 try:
-                    r = contact_bound(S_lam, L0, xi, base_u0[a, b], base_R[a, b],
-                                      substeps=substeps)
-                    bound_ok[i, a, b] = True
+                    r = contact_bound(S_lam, L0, xi, float(datum(y_star)), R, substeps=substeps)
                 except BoundViolation:
-                    r = None
-                if r is None:
-                    bound_values[i, a, b] = np.nan
-                    bound_max[i, a, b] = np.nan
-                else:
-                    bound_values[i, a, b] = r.bound
-                    bound_max[i, a, b] = r.max_abs_u
-                    if xi.t_final > 0:
-                        fro = max(fro, r.correction_integral / xi.t_final)
+                    continue
+                bound_values[i, a, b], bound_max[i, a, b] = r.bound, r.max_abs_u
+                fro = max(fro, r.correction_integral / xi.t_final)
         values.append(grid.values)
         argmins.append(grid.argmins)
         gaps[i] = float(np.max(np.abs(grid.values - baseline.values)))
@@ -222,5 +204,5 @@ def run_vanishing(family: LambdaFamily, datum: InitialDatum,
     return ConvergenceReport(lambdas=lambdas, times=times, points=points,
                              baseline=baseline, values=values, argmins=argmins,
                              gaps=gaps, bound_values=bound_values,
-                             bound_max_abs=bound_max, bound_passed=bound_ok,
+                             bound_max_abs=bound_max, bound_passed=~np.isnan(bound_values),
                              frozen_gap_rate=frozen_sup, monotone=monotone)

@@ -411,6 +411,20 @@ def test_check_builtins_pass(tmp_path, capsys):
     assert "FAIL" not in text
 
 
+def test_bare_check_audits_every_registered_system(tmp_path, capsys, monkeypatch):
+    # the default list is read off the registry; an arity-1 id gets "(1.0)"
+    from dataclasses import replace
+
+    from contact_hj import systems
+    monkeypatch.setitem(systems._BUILTINS, "rated", (
+        lambda lam: replace(systems._discounted(lam), name=f"rated({lam:g})"), 1))
+    cfg = write_config(tmp_path / "cfg.json", {"seed": 0, "samples": 8})
+    assert main(["check", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert "PASS conditions[rated(1)]" in text
+    assert "PASS conditions[discounted-quadratic(1)]" in text
+
+
 def test_check_flags_misdeclared_K(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "seed": 0, "samples": 64,

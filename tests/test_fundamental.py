@@ -426,14 +426,68 @@ def test_shooting_agrees_with_direct():
         assert rel(shot.A, direct.A) <= 1e-3
 
 
-def test_shooting_unreachable_raises():
+def _bounded_speed():
     # bounded characteristic speed |H_p| < 1 cannot bridge distance 3 in t=1
     def ham(x, u, p):
         return np.sqrt(1.0 + np.sum(np.asarray(p, float) ** 2, axis=-1))
 
-    HS = HamiltonianSystem(dim=1, hamiltonian=ham, K=0.0)
+    return HamiltonianSystem(dim=1, hamiltonian=ham, K=0.0)
+
+
+def test_shooting_unreachable_raises():
     with pytest.raises(NoRootFound):
-        fundamental_shooting(HS, 1.0, 0.0, 3.0, 0.0, max_newton=25)
+        fundamental_shooting(_bounded_speed(), 1.0, 0.0, 3.0, 0.0, max_newton=25)
+
+
+def test_shooting_sweeps_one_trial_of_each_running_start_per_round(monkeypatch):
+    # round r sweeps the r-th momentum that each start tries on its own (its
+    # start, then its Newton trials), so no round waits for another start's
+    # backtracking: 1 + (most trials of any start) sweeps in all
+    HS, sweeps, sweep, swept = _bounded_speed(), [], fundamental._candidate_sweep, {}
+
+    def spy(HS, t, x, u, P, steps):
+        # the rows of a sweep are independent: a row swept before is replayed
+        sweeps.append(sorted(P[:, 0]))
+        new = np.array([p for p in P if p.tobytes() not in swept]).reshape(-1, 1)
+        if len(new):
+            path, jac, spoiled = sweep(HS, t, x, u, new, steps)
+            for k, p in enumerate(new):
+                swept[p.tobytes()] = path[:, k], jac[k], spoiled[k]
+        path, jac, spoiled = zip(*(swept[p.tobytes()] for p in P))
+        return np.stack(path, axis=1), np.stack(jac), np.array(spoiled)
+
+    def tried(**kw):
+        sweeps.clear()
+        with pytest.raises(NoRootFound):
+            fundamental_shooting(HS, 1.0, 0.0, 3.0, 0.0, max_newton=25, **kw)
+        return list(sweeps)
+
+    monkeypatch.setattr(fundamental, "_candidate_sweep", spy)
+    rounds = tried()
+    starts = rounds[0]
+    assert len(starts) == 9
+    # with one grid point per axis, the lone start is -p_max
+    alone = [[p for p, in tried(p_max=-s, grid_per_axis=1)] for s in starts]
+    assert len(rounds) == max(len(seq) for seq in alone) == 35
+    assert rounds == [sorted(seq[r] for seq in alone if r < len(seq))
+                      for r in range(len(rounds))]
+
+
+def test_shooting_counts_a_newton_step_that_meets_a_singular_jacobian():
+    # H_p = clip(p, -1, 1): the start p0 = 0 is already the root, and the
+    # starts +-2 miss with a zero Jacobian, so each of them takes one Newton
+    # step that stops at once; that step still counts as an iteration
+    def ham(x, u, p):
+        p = np.asarray(p, float)[..., 0]
+        return np.where(np.abs(p) <= 1.0, 0.5 * p ** 2, np.abs(p) - 0.5)
+
+    HS = HamiltonianSystem(dim=1, hamiltonian=ham, K=0.0,
+                           H_p=lambda x, u, p: np.clip(np.asarray(p, float), -1.0, 1.0),
+                           H_x=lambda x, u, p: np.zeros_like(np.asarray(p, float)),
+                           H_u=lambda x, u, p: np.zeros_like(np.asarray(u, float)))
+    r = fundamental_shooting(HS, 1.0, 0.3, 0.3, 0.0, p_max=2.0, grid_per_axis=3)
+    assert r.iterations == 1
+    assert r.p0[0] == 0.0 and r.A == 0.0
 
 
 @pytest.fixture
