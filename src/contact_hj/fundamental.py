@@ -420,27 +420,35 @@ def shoot(HS: HamiltonianSystem, t: float, x, u0: float, p0, steps: int = 256) -
     return CharacteristicState(xi=y[:n], p=y[n:-1], u=float(y[-1]), s=float(t))
 
 
+#: relative step of the shooting Jacobian's difference rows, eps^(1/5): it
+#: balances the O(h^4) truncation of the fourth-order stencil against the
+#: O(eps / h) rounding of the difference quotient
+_JAC_STEP = np.finfo(float).eps ** 0.2
+
+
 def _candidate_sweep(HS: HamiltonianSystem, t: float, x, u: float, P: np.ndarray,
                      steps: int) -> tuple:
     """One recorded characteristic sweep of the candidate momenta P.
 
-    Each candidate travels with its central-difference rows P +- eps e_j,
-    eps = 1e-6 (1 + max|P|), so its shooting Jacobian comes out of the same
-    sweep.  A fault in a candidate row raises Overflow at once; a fault in
-    a difference row only marks that candidate's Jacobian as spoiled.
-    Returns the candidates' (steps+1, W, 2n+1) path, their Jacobians of
-    xi(t) in p0, shape (W, n, n), and the spoiled mask.
+    Each candidate travels with its difference rows P +- h e_j and
+    P +- 2h e_j, h = eps^(1/5) (1 + max|P|), so its shooting Jacobian comes
+    out of the same sweep, by the fourth-order central stencil
+    (8 (xi(+h) - xi(-h)) - (xi(+2h) - xi(-2h))) / (12 h).  A fault in a
+    candidate row raises Overflow at once; a fault in a difference row only
+    marks that candidate's Jacobian as spoiled.  Returns the candidates'
+    (steps+1, W, 2n+1) path, their Jacobians of xi(t) in p0, shape
+    (W, n, n), and the spoiled mask.
     """
     W, n = P.shape
-    eps = 1e-6 * (1.0 + np.abs(P).max(axis=1))
+    h = _JAC_STEP * (1.0 + np.abs(P).max(axis=1))
     rows = [P]
     for jc in range(n):
-        Pp = P.copy()
-        Pp[:, jc] += eps
-        Pm = P.copy()
-        Pm[:, jc] -= eps
-        rows += [Pp, Pm]
-    faulted = np.zeros(W * (2 * n + 1), dtype=bool)
+        for k in (1.0, -1.0, 2.0, -2.0):
+            Pk = P.copy()
+            Pk[:, jc] += k * h
+            rows.append(Pk)
+    rows = np.concatenate(rows)
+    faulted = np.zeros(len(rows), dtype=bool)
 
     def guard(y):
         size = np.abs(y)
@@ -451,13 +459,11 @@ def _candidate_sweep(HS: HamiltonianSystem, t: float, x, u: float, P: np.ndarray
             raise Overflow(_OVERFLOW)
         faulted[bad] = True
 
-    path = _characteristics(HS, t, x, u, np.concatenate(rows), steps, record=True,
-                            guard=guard)
-    ends = path[-1, W:, :n].reshape(2 * n, W, n)
+    path = _characteristics(HS, t, x, u, rows, steps, record=True, guard=guard)
+    e = path[-1, W:, :n].reshape(n, 4, W, n)  # axis, offset, candidate, xi
     with np.errstate(over="ignore", invalid="ignore"):
-        jac = np.stack([(ends[2 * jc] - ends[2 * jc + 1]) / (2.0 * eps[:, None])
-                        for jc in range(n)], axis=-1)
-    return path[:, :W], jac, faulted[W:].reshape(2 * n, W).any(axis=0)
+        jac = (8.0 * (e[:, 0] - e[:, 1]) - (e[:, 2] - e[:, 3])) / (12.0 * h[:, None])
+    return path[:, :W], np.moveaxis(jac, 0, -1), faulted[W:].reshape(-1, W).any(axis=0)
 
 
 def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
@@ -474,24 +480,30 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     a root, at a singular Jacobian (|det| <= 1e-14), after 30 rejected
     trials of one step or after max_newton steps.  A round is one
     `_candidate_sweep` of every running lane's trial, which carries its
-    central-difference rows, so an accepted lane takes its next Newton
-    step from the Jacobian of that sweep; round 0 sweeps the starts.
-    `iterations` is the most Newton steps of any lane.  Among the roots
-    the one with minimal terminal cost wins; ties within 1e-12 break
-    toward the smallest initial momentum.  When `segments` divides
-    `steps`, the winner's path is the one recorded in the sweep that
-    produced it; otherwise it is re-integrated on
+    fourth-order difference rows, so an accepted lane takes its next Newton
+    step from the Jacobian of that sweep; round 0 sweeps the starts.  On a
+    linear shooting map the stencil is exact up to rounding, so a start
+    reaches the root in one Newton step.  `iterations` is the most Newton
+    steps of any lane.  Among the roots the one with minimal terminal cost
+    wins; ties within 1e-12 break toward the smallest initial momentum.
+    When `segments` divides `steps`, the winner's path is the one recorded
+    in the sweep that produced it; otherwise it is re-integrated on
     segments * ceil(steps / segments) steps.
 
     Overflow is raised exactly when a characteristic the solve depends on
     leaves the range: a candidate, or a difference row of a candidate that
     a Newton step then works from.  A fault in a difference row of a root
-    or of a rejected candidate is never read and raises nothing.
+    or of a rejected candidate is never read and raises nothing.  A
+    non-finite input, `p_max` (which may be negative) and `newton_tol`
+    included, raises PreconditionError before any sweep.
     """
     x = as_point(x, HS.dim)
     y = as_point(y, HS.dim)
-    _check_inputs({"t": t, "x": x, "y": y, "u": u},
-                  {"steps": steps, "segments": segments, "grid_per_axis": grid_per_axis})
+    finite = {"t": t, "x": x, "y": y, "u": u, "newton_tol": newton_tol}
+    if p_max is not None:
+        finite["p_max"] = p_max
+    _check_inputs(finite, {"steps": steps, "segments": segments,
+                           "grid_per_axis": grid_per_axis})
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     n = HS.dim

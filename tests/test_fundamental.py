@@ -468,7 +468,7 @@ def test_shooting_sweeps_one_trial_of_each_running_start_per_round(monkeypatch):
     assert len(starts) == 9
     # with one grid point per axis, the lone start is -p_max
     alone = [[p for p, in tried(p_max=-s, grid_per_axis=1)] for s in starts]
-    assert len(rounds) == max(len(seq) for seq in alone) == 35
+    assert len(rounds) == max(len(seq) for seq in alone) == 32
     assert rounds == [sorted(seq[r] for seq in alone if r < len(seq))
                       for r in range(len(rounds))]
 
@@ -490,6 +490,34 @@ def test_shooting_counts_a_newton_step_that_meets_a_singular_jacobian():
     assert r.p0[0] == 0.0 and r.A == 0.0
 
 
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_shooting_jacobian_matches_the_secant_of_a_linear_map(lam):
+    # xi(t; p0) of the discounted quadratic is linear in p0, and so is its
+    # RK4 map, so the secant slope (xi(1) - xi(-1)) / 2 is its Jacobian up
+    # to rounding, at every momentum
+    HS = discounted_quadratic_hamiltonian(lam)
+    P = np.linspace(-9.0, 9.0, 9)[:, None]
+    for t in (0.5, 1.0, 2.0):
+        _, jac, spoiled = fundamental._candidate_sweep(HS, t, np.array([0.3]), 0.7, P, 256)
+        slope = (shoot(HS, t, 0.3, 0.7, 1.0).xi - shoot(HS, t, 0.3, 0.7, -1.0).xi)[0] / 2.0
+        assert not spoiled.any()
+        assert np.max(np.abs(jac[:, 0, 0] / slope - 1.0)) <= 1e-11
+
+
+def test_shooting_takes_one_newton_step_on_a_linear_map(monkeypatch):
+    # round 0 sweeps the starts and round 1 their Newton trials, which land
+    # on the root: no round polishes it
+    sizes, sweep = [], fundamental._candidate_sweep
+
+    def spy(HS, t, x, u, P, steps):
+        sizes.append(len(P))
+        return sweep(HS, t, x, u, P, steps)
+
+    monkeypatch.setattr(fundamental, "_candidate_sweep", spy)
+    r = fundamental_shooting(quadratic_hamiltonian(), 1.0, 0.0, 1.0, 0.0)
+    assert len(sizes) == 2 and r.iterations == 1
+
+
 @pytest.fixture
 def no_sweeps(monkeypatch):
     def refuse(*args, **kwargs):
@@ -501,7 +529,7 @@ def no_sweeps(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"t": np.nan}, {"t": np.inf}, {"x": np.nan}, {"y": np.inf}, {"u": np.nan},
     {"u": -np.inf}, {"steps": 0}, {"steps": -3}, {"segments": 0},
-    {"grid_per_axis": 0},
+    {"grid_per_axis": 0}, {"p_max": np.nan}, {"p_max": np.inf}, {"newton_tol": np.nan},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_shooting_preconditions(bad, no_sweeps):
     with pytest.raises(PreconditionError):

@@ -1,13 +1,14 @@
 """Shooting against the earlier one-sweep-per-Jacobian-column walk.
 
 `_ref_fundamental_shooting` below is the `fundamental_shooting` that ran
-a separate characteristic sweep for every +eps and -eps Jacobian column
-of every Newton step and re-integrated the winner to record its path,
-kept verbatim apart from its name.  The library now carries every
-candidate's difference rows in the candidate's own sweep and reads the
-winner's path from it; each row is still integrated element-wise, so
-both must agree bit for bit, and raise Overflow, NoRootFound or nothing
-on exactly the same inputs.
+a separate characteristic sweep for every +-h and +-2h difference row of
+every Jacobian column of every Newton step and re-integrated the winner
+to record its path, kept verbatim apart from its name and its Jacobian,
+which takes the library's fourth-order stencil with the same float
+operations.  The library carries every candidate's difference rows in
+the candidate's own sweep and reads the winner's path from it; each row
+is still integrated element-wise, so both must agree bit for bit, and
+raise Overflow, NoRootFound or nothing on exactly the same inputs.
 """
 
 import importlib
@@ -72,16 +73,16 @@ def _ref_fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
         idx = np.where(work)[0]
         P = p_cur[idx]
         W = len(idx)
-        eps = 1e-6 * (1.0 + np.abs(P).max(axis=1))
+        h = np.finfo(float).eps ** 0.2 * (1.0 + np.abs(P).max(axis=1))
         jac = np.empty((W, n, n))
         for jc in range(n):
-            Pp = P.copy()
-            Pp[:, jc] += eps
-            Pm = P.copy()
-            Pm[:, jc] -= eps
-            xp, _ = final_state(Pp)
-            xm, _ = final_state(Pm)
-            jac[:, :, jc] = (xp - xm) / (2.0 * eps[:, None])
+            ends = []
+            for k in (1.0, -1.0, 2.0, -2.0):
+                Pk = P.copy()
+                Pk[:, jc] += k * h
+                ends.append(final_state(Pk)[0])
+            jac[:, :, jc] = ((8.0 * (ends[0] - ends[1]) - (ends[2] - ends[3]))
+                             / (12.0 * h[:, None]))
         resid = xiT[idx] - y
         dets = np.linalg.det(jac)
         good = np.isfinite(dets) & (np.abs(dets) > 1e-14)
@@ -284,7 +285,7 @@ def _outcomes(HS, *args, **kwargs):
 
 # quartic toy from x = 0 to y = -0.3 in t = 1, starts p0 = -0.5 and 0.5: a
 # Newton step tries p0 = -22.5444444 (xi(1) = -11458.2584) and rejects it;
-# its -eps difference row reaches -11458.2943
+# its -h and -2h difference rows reach -11484.8481 and -11511.4788
 QUARTIC_WALK = (1.0, 0.0, -0.3, 0.0)
 QUARTIC_KW = {"steps": 64, "segments": 16, "p_max": 0.5, "grid_per_axis": 2}
 
@@ -300,12 +301,13 @@ def test_faulting_candidate_raises_in_both():
 
 
 @pytest.mark.parametrize("HS, args, kw", [
-    # the rejected backtracking candidate's -eps row alone crosses the wall
+    # the rejected backtracking candidate's -h and -2h rows alone cross the wall
     (_walled(4, 11458.27), QUARTIC_WALK, QUARTIC_KW),
     # the one start p0 = -1 is already the root (xi(1) = -0.5); only its
-    # -eps row (xi(1) = -0.5 - 2e-6) crosses the wall
+    # -h and -2h rows (xi(1) = -0.5 - 1.48e-3 and -0.5 - 2.96e-3) cross the wall
     (_walled(2, 0.5 + 1e-6), (1.0, 0.5, -0.5, 0.0), {"p_max": 1.0, "grid_per_axis": 1}),
-    # the same root, where its -eps row (p0 = -1 - 2e-6) is nan
+    # the same root, where its -h and -2h rows (p0 = -1 - 1.48e-3 and
+    # -1 - 2.96e-3) are nan
     (_p_walled(1.0 + 1e-6), (1.0, 0.5, -0.5, 0.0), {"p_max": 1.0, "grid_per_axis": 1}),
 ], ids=["rejected-candidate", "converged-start", "converged-start-nan"])
 def test_speculative_row_fault_raises_nothing(HS, args, kw):
@@ -316,13 +318,15 @@ def test_speculative_row_fault_raises_nothing(HS, args, kw):
 
 @pytest.mark.parametrize("HS, args, kw", [
     # start p0 = 1 ends at xi(1) = 1.5, short of y = 1, so Newton works from
-    # it; its +eps row crosses the wall at 1.5 + 1e-6
+    # it; its +h and +2h rows (xi(1) = 1.5 + 1.48e-3 and 1.5 + 2.96e-3) cross
+    # the wall at 1.5 + 1e-6
     (_walled(2, 1.5 + 1e-6), (1.0, 0.5, 1.0, 0.0), {"p_max": 1.0}),
     # the one start p0 = -0.5 steps to p0 = -0.7333333 (xi(1) = -0.3943704),
-    # which misses y = -0.3, so the next step works from it; its -eps row
-    # (xi(1) = -0.3943732) alone crosses the wall
+    # which misses y = -0.3, so the next step works from it; its -h and -2h
+    # rows (xi(1) = -0.3964436 and -0.3985241) alone cross the wall
     (_walled(4, 0.394372), QUARTIC_WALK, dict(QUARTIC_KW, grid_per_axis=1)),
-    # starts p0 = +-1 miss y = 1, and their outer rows p0 = +-(1 + 2e-6) are nan
+    # starts p0 = +-1 miss y = 1, and their outer rows p0 = +-(1 + 1.48e-3) and
+    # +-(1 + 2.96e-3) are nan
     (_p_walled(1.0 + 1e-6), (1.0, 0.5, 1.0, 0.0), {"p_max": 1.0}),
 ], ids=["start", "accepted-candidate", "start-nan"])
 def test_faulting_difference_row_of_a_working_row_raises_in_both(HS, args, kw):
