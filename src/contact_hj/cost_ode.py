@@ -162,22 +162,24 @@ def _rk4_sweep(f, t_final: float, nodes: np.ndarray, y0: np.ndarray,
 
     nodes has shape (B, N+1, dim) and all curves share the time grid; y0
     has the batch on its leading axis.  Substeps never straddle a segment
-    boundary, and the overflow guard runs once per segment.  Returns the
-    samples at every substep, shape (B, N*m+1) + y0.shape[1:].
+    boundary, and the overflow guard runs once per segment.  Stage
+    positions and velocities are laid out segment-major, (N, m, B, dim) and
+    (N, B, dim), so f reads C-contiguous (B, dim) rows at every stage.
+    Returns the samples at every substep, shape (B, N*m+1) + y0.shape[1:].
     """
-    B, Np1, n = nodes.shape
-    N = Np1 - 1
+    N = nodes.shape[1] - 1
     m = int(substeps)
     if m < 1:
         raise PreconditionError("substeps_per_segment must be >= 1")
     h = t_final / (N * m)
-    vel = (nodes[:, 1:, :] - nodes[:, :-1, :]) * (N / t_final)
+    nodes = np.ascontiguousarray(nodes.swapaxes(0, 1))
+    vel = (nodes[1:] - nodes[:-1]) * (N / t_final)
     # stage positions are y-independent; precompute them for the whole sweep
     offs = np.arange(m) * h
-    starts = nodes[:, :-1, None, :] + offs[None, None, :, None] * vel[:, :, None, :]
-    mids = starts + (0.5 * h) * vel[:, :, None, :]
-    ends = starts + h * vel[:, :, None, :]
-    steps = [(starts[:, k, j], mids[:, k, j], ends[:, k, j], vel[:, k])
+    starts = nodes[:-1, None] + offs[None, :, None, None] * vel[:, None]
+    mids = starts + (0.5 * h) * vel[:, None]
+    ends = starts + h * vel[:, None]
+    steps = [(starts[k, j], mids[k, j], ends[k, j], vel[k])
              for k in range(N) for j in range(m)]
     return _rk4(f, y0, h, steps, guard_every=m, record=True).swapaxes(0, 1)
 

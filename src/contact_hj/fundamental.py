@@ -171,9 +171,39 @@ def _direction(gz, Rinv, ps, py, psy, count, new) -> np.ndarray:
     return d[..., 0]
 
 
-def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
-                     opt: OptimizerParams) -> list:
-    """Minimize the terminal running cost for a batch of (x, y, u) lanes.
+@dataclass
+class DirectLanes:
+    """The lanes of a `_direct_lockstep` batch, as stacked arrays.
+
+    Lane k's terminal cost is A[k], its minimizer nodes[k], the cost along
+    it samples[k] and its objective after i iterations history[k, i];
+    `result(k)` builds its FundamentalResult.
+    """
+
+    t: float
+    u: np.ndarray           # (B,) initial values
+    A: np.ndarray           # (B,) terminal costs
+    nodes: np.ndarray       # (B, N+1, n) minimizing curves
+    samples: np.ndarray     # (B, N*m+1) cost samples along them
+    iterations: np.ndarray  # (B,)
+    converged: np.ndarray   # (B,) bool
+    history: np.ndarray     # (B, W), W > the most iterations of any lane
+
+    def result(self, k: int) -> FundamentalResult:
+        A, u, nit = float(self.A[k]), float(self.u[k]), int(self.iterations[k])
+        return FundamentalResult(
+            h=A - u, A=A, minimizer=Curve(float(self.t), self.nodes[k].copy()),
+            trajectory=CostTrajectory(
+                times=np.linspace(0.0, float(self.t), self.samples.shape[1]),
+                samples=self.samples[k].copy(), u0=u),
+            iterations=nit, objective_history=self.history[k, :nit + 1].copy(),
+            converged=bool(self.converged[k]))
+
+
+def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
+                     opt: OptimizerParams) -> DirectLanes:
+    """Minimize the terminal running cost for a batch of lanes, lane k from
+    x[k] to y[k] with initial value u[k] ((B, n), (B, n) and (B,) stacks).
 
     Each lane runs L-BFGS on its interior nodes: the two-loop recursion over
     its last `_MEMORY` pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev
@@ -190,33 +220,41 @@ def _direct_lockstep(S: ContactSystem, t: float, ends, segments: int,
     Each lane follows its lone solve bit for bit: every per-lane product is a
     stacked `matmul` or LAPACK call that repeats the lone call row by row
     (never `einsum`, which sums in another order).  Slices of at most
-    `_LOCKSTEP_ROWS` sweep rows run one after another.  Returns one
-    FundamentalResult per lane, but raises the NonConvergence of the first
-    lane that misses its criteria within max_iter, as solving the lanes one
-    after another would.  An Overflow in any sweep ends the batch.
+    `_LOCKSTEP_ROWS` sweep rows run one after another.  The inputs are
+    checked whole, one call each, and the lanes come back stacked as
+    `DirectLanes`, which builds a lane's FundamentalResult only when asked.
+    Raises the NonConvergence of the first lane that misses its criteria
+    within max_iter, as solving the lanes one after another would.  An
+    Overflow in any sweep ends the batch.
     """
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     if segments < 2:
         raise PreconditionError("need at least 2 segments")
-    width = _slice_lanes((int(segments) - 1) * S.dim)
-    results = []
-    for i in range(0, len(ends), width):
-        results += _solve_slice(S, t, ends[i:i + width], int(segments), opt)
-    return results
+    u = np.asarray(u, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not np.isfinite(u).all():
+        raise PreconditionError("u must be finite")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise PreconditionError("curve nodes must be finite")
+    N = int(segments)
+    width = _slice_lanes((N - 1) * S.dim)
+    parts = [_solve_slice(S, t, x[i:i + width], y[i:i + width], u[i:i + width], N, opt)
+             for i in range(0, len(u), width)]
+    if len(parts) == 1:
+        return parts[0]
+    hist = np.zeros((len(u), max(p.history.shape[1] for p in parts)))
+    for i, p in zip(range(0, len(u), width), parts):
+        hist[i:i + width, :p.history.shape[1]] = p.history
+    return DirectLanes(t, u, *(np.concatenate([getattr(p, name) for p in parts])
+                               for name in ("A", "nodes", "samples", "iterations",
+                                            "converged")), hist)
 
 
-def _solve_slice(S, t, ends, N, opt) -> list:
-    """One slice of `_direct_lockstep`: each lane's FundamentalResult; raises
-    the NonConvergence of the first lane that exhausted max_iter unconverged."""
-    B, n = len(ends), S.dim
-    x, y, u = np.empty((B, n)), np.empty((B, n)), np.empty(B)
-    for k, (xk, yk, uk) in enumerate(ends):
-        if not np.isfinite(uk):
-            raise PreconditionError("u must be finite")
-        x[k], y[k], u[k] = as_point(xk, n), as_point(yk, n), uk
-        if not (np.isfinite(x[k]).all() and np.isfinite(y[k]).all()):
-            raise PreconditionError("curve nodes must be finite")
+def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
+    """One slice of `_direct_lockstep`, its lanes stacked; raises the
+    NonConvergence of the first lane that exhausted max_iter unconverged."""
+    B, n = x.shape
     D, R = (N - 1) * n, 2 * (N - 1) * n + 1
     lam = np.linspace(0.0, 1.0, N + 1)[:, None]
     curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
@@ -289,20 +327,13 @@ def _solve_slice(S, t, ends, N, opt) -> list:
         trial = z + alpha[:, None] * d
         rounds += 1
     out_row[:, 0] = u
-    times = np.linspace(0.0, float(t), out_row.shape[1])
-    results = []
-    for k in range(B):
-        if out_nit[k] >= opt.max_iter and not out_conv[k]:
-            raise NonConvergence(
-                f"curve minimization exhausted {opt.max_iter} iterations "
-                f"(gradient norm {out_gn[k]:.3g})")
-        A = float(out_row[k, -1])
-        results.append(FundamentalResult(
-            h=A - float(u[k]), A=A, minimizer=Curve(float(t), curves[k]),
-            trajectory=CostTrajectory(times=times.copy(), samples=out_row[k], u0=float(u[k])),
-            iterations=int(out_nit[k]), objective_history=hist[k, :out_nit[k] + 1].copy(),
-            converged=bool(out_conv[k])))
-    return results
+    failed = np.flatnonzero((out_nit >= opt.max_iter) & (out_conv == 0))
+    if failed.size:
+        raise NonConvergence(
+            f"curve minimization exhausted {opt.max_iter} iterations "
+            f"(gradient norm {out_gn[failed[0]]:.3g})")
+    return DirectLanes(t, u, out_row[:, -1].copy(), curves, out_row, out_nit,
+                       out_conv.astype(bool), hist)
 
 
 def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
@@ -318,7 +349,8 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     coordinates, where `converged` is judged.  This is the one-lane case of
     `_direct_lockstep`, which also solves the value search's batches.
     """
-    return _direct_lockstep(S, t, [(x, y, u)], segments, opt or OptimizerParams())[0]
+    return _direct_lockstep(S, t, as_point(x, S.dim)[None], as_point(y, S.dim)[None], [u],
+                            segments, opt or OptimizerParams()).result(0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +527,8 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     a Newton step then works from.  A fault in a difference row of a root
     or of a rejected candidate is never read and raises nothing.  A
     non-finite input, `p_max` (which may be negative) and `newton_tol`
-    included, raises PreconditionError before any sweep.
+    included, a `newton_tol` that is not positive and a count below 1,
+    `max_newton` included, raise PreconditionError before any sweep.
     """
     x = as_point(x, HS.dim)
     y = as_point(y, HS.dim)
@@ -503,7 +536,9 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     if p_max is not None:
         finite["p_max"] = p_max
     _check_inputs(finite, {"steps": steps, "segments": segments,
-                           "grid_per_axis": grid_per_axis})
+                           "grid_per_axis": grid_per_axis, "max_newton": max_newton})
+    if not newton_tol > 0:
+        raise PreconditionError("newton_tol must be positive")
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     n = HS.dim

@@ -11,7 +11,10 @@ of stacked arrays and advanced in lockstep, one cost sweep per round, each
 lane bitwise its lone solve because its products are stacked `matmul` and
 LAPACK calls, never `einsum`).  Each refinement round solves evenly spaced
 interior points of a coordinate's bracket as one more such batch and
-narrows the bracket around the best point so far.
+narrows the bracket around the best point so far.  A batch goes in as
+stacked endpoints and comes back as stacked terminal costs; the search
+picks the batch's best with one `argmin` and builds a `FundamentalResult`
+only for a lane that improves on the best so far.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -205,8 +208,12 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     solved as one batch, K being the lanes of one lockstep slice but at
     least 2 and at most 30, and the bracket narrows to +-(hi - lo) / (K + 1)
     around the best point so far, until it is at most `ytol` wide or
-    rounding stops it narrowing.  Every
-    lane is bitwise the solve it would be alone, so the result is that of
+    rounding stops it narrowing.  A batch's points go in as one (K, n)
+    stack, with phi evaluated point by point; its best is the first lane
+    of least A (`np.argmin`), which replaces the best so far only when its
+    A is strictly lower, so the pick is that of a strict-< scan in point
+    order, and only that lane's `FundamentalResult` is built.  Every lane
+    is bitwise the solve it would be alone, so the result is that of
     solving the points one after another, and a lane that exhausts
     max_iter raises, the first in point order.  Returns (value, argmin,
     winning `FundamentalResult`).
@@ -217,11 +224,13 @@ def _search_ball(S, datum, t, x, search) -> tuple:
 
     def solve(ys):
         nonlocal best_y, best
-        outs = _direct_lockstep(S, t, [(y, x, float(datum(y))) for y in ys],
-                                search.segments, search.opt)
-        for y, res in zip(ys, outs):
-            if best is None or res.A < best.A:
-                best_y, best = y.copy(), res
+        # phi point by point: a batched call may round differently
+        u = np.array([float(datum(y)) for y in ys])
+        lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u,
+                                 search.segments, search.opt)
+        k = int(np.argmin(lanes.A))  # the first least A, as a strict-< scan takes
+        if best is None or lanes.A[k] < best.A:
+            best_y, best = ys[k].copy(), lanes.result(k)
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]

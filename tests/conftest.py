@@ -28,6 +28,14 @@ def disc_p0(lam: float, t: float, d: float) -> float:
     return float(lam * d / (-np.expm1(-lam * t)))
 
 
+def stack_lanes(ends):
+    """The stacked (x, y, u) of `_direct_lockstep` from a list of (x, y, u)
+    lanes, each endpoint a scalar or a sequence of coordinates."""
+    x, y, u = zip(*ends)
+    return (np.array(x, dtype=float).reshape(len(ends), -1),
+            np.array(y, dtype=float).reshape(len(ends), -1), np.array(u, dtype=float))
+
+
 def rel(a: float, b: float) -> float:
     """Guarded relative error |a - b| / max(1, |b|)."""
     return abs(a - b) / max(1.0, abs(b))

@@ -8,7 +8,7 @@ from contact_hj import (ContactSystem, Curve, HamiltonianSystem,
                         discounted_quadratic_system, fundamental_exponential,
                         integrate_cost, integrate_cost_backward,
                         quadratic_system, shoot, trig_contact_system)
-from contact_hj.cost_ode import CostTrajectory, assert_ordered
+from contact_hj.cost_ode import CostTrajectory, assert_ordered, integrate_cost_many
 
 
 def test_constant_curve_linear_decay():
@@ -184,6 +184,27 @@ def test_overflow_guard():
                               H_p=lambda x, u, p: np.asarray(p, float).copy())
     with pytest.raises(Overflow):
         shoot(bad_h, 1.0, 0.0, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_sweep_hands_the_lagrangian_contiguous_rows(dim):
+    # stage positions and velocities are laid out segment-major, so every
+    # evaluator call of a batched sweep reads C-contiguous (B, dim) rows
+    seen = []
+
+    def lagrangian(x, u, v):
+        seen.append((x.shape, v.shape, x.flags.c_contiguous, v.flags.c_contiguous))
+        return 0.5 * np.add.reduce(v * v, axis=-1) + np.sin(x[..., 0]) - 0.1 * u
+
+    S = ContactSystem(dim=dim, lagrangian=lagrangian, K=0.1,
+                      theta0=lambda r: 0.5 * np.asarray(r, float) ** 2,
+                      theta0_bar=lambda r: 0.5 * np.asarray(r, float) ** 2 + 1.0, c0=1.0)
+    nodes = np.random.default_rng(3).standard_normal((5, 7, dim))
+    seen.clear()
+    samples = integrate_cost_many(S, 1.0, nodes, 0.2, 3)
+    assert samples.shape == (5, 6 * 3 + 1)
+    assert len(seen) == 4 * 6 * 3  # four stages per substep
+    assert set(seen) == {((5, dim), (5, dim), True, True)}
 
 
 def test_backward_integration_roundtrip():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import disc_A, disc_p0, rel
+from conftest import disc_A, disc_p0, rel, stack_lanes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,10 +230,10 @@ def test_direct_quartic_rest_lane_keeps_node_coordinates():
     Rinv = _precondition(S, t, xs, ys, integrate_cost_many(S, t, nodes, 0.0, 2), N, 2)
     assert np.array_equal(Rinv[0], np.eye(N - 1))
     assert not np.array_equal(Rinv[1], np.eye(N - 1))
-    rest, moving = _direct_lockstep(S, t, ends, N, OptimizerParams(substeps=2))
-    assert rest.converged and rest.A == 0.0
-    assert moving.converged
-    assert abs(moving.A - 0.25) <= 1e-9  # |v|^4 / 4 at v = 1 over t = 1
+    lanes = _direct_lockstep(S, t, *stack_lanes(ends), N, OptimizerParams(substeps=2))
+    assert lanes.converged[0] and lanes.A[0] == 0.0
+    assert lanes.converged[1]
+    assert abs(lanes.A[1] - 0.25) <= 1e-9  # |v|^4 / 4 at v = 1 over t = 1
 
 
 SYSTEMS = [discounted_quadratic_system(0.5), discounted_quadratic_system(2.0),
@@ -289,13 +289,15 @@ def test_direct_stress_batch_keeps_the_contract_in_few_iterations(S, t, N, ends,
     # where memoryless descent along -P^-1 g takes 11 to 265 iterations
     # and leaves three of the nine lanes unconverged
     opt = OptimizerParams()
-    for res, (_, _, u), ref in zip(_direct_lockstep(S, t, ends, N, opt), ends, lbfgsb):
-        hist = res.objective_history
+    lanes = _direct_lockstep(S, t, *stack_lanes(ends), N, opt)
+    for k, ((_, _, u), ref) in enumerate(zip(ends, lbfgsb)):
+        nit = lanes.iterations[k]
+        hist = lanes.history[k, :nit + 1]
         last = hist[-2] - hist[-1] if len(hist) >= 2 else 0.0
-        small = _node_gradient_norm(S, t, res, u, opt) < opt.gtol
-        assert res.converged == (small and last < opt.tol)
-        assert res.converged
-        assert res.iterations <= ref + 2
+        small = _node_gradient_norm(S, t, lanes.result(k), u, opt) < opt.gtol
+        assert lanes.converged[k] == (small and last < opt.tol)
+        assert lanes.converged[k]
+        assert nit <= ref + 2
 
 
 def test_direct_propagates_cost_overflow():
@@ -530,6 +532,7 @@ def no_sweeps(monkeypatch):
     {"t": np.nan}, {"t": np.inf}, {"x": np.nan}, {"y": np.inf}, {"u": np.nan},
     {"u": -np.inf}, {"steps": 0}, {"steps": -3}, {"segments": 0},
     {"grid_per_axis": 0}, {"p_max": np.nan}, {"p_max": np.inf}, {"newton_tol": np.nan},
+    {"newton_tol": 0.0}, {"newton_tol": -1.0}, {"max_newton": 0}, {"max_newton": -2},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_shooting_preconditions(bad, no_sweeps):
     with pytest.raises(PreconditionError):

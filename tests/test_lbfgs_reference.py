@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from conftest import stack_lanes
 
 from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
                         NonConvergence, Overflow, PreconditionError, SearchParams,
@@ -159,12 +160,11 @@ def _ref_golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int 
     return xbest, fbest
 
 
-def _ref_value_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray,
-                  y: np.ndarray, search: SearchParams) -> float:
+def _ref_solve_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray,
+                  y: np.ndarray, search: SearchParams) -> FundamentalResult:
     phi_y = float(datum(y))
-    res = _ref_fundamental_direct(S, t, y, x, phi_y, segments=search.segments,
-                                  opt=search.opt)
-    return res.A
+    return _ref_fundamental_direct(S, t, y, x, phi_y, segments=search.segments,
+                                   opt=search.opt)
 
 
 def _ref_search_ball(S, datum, t, x, search) -> tuple:
@@ -173,25 +173,25 @@ def _ref_search_ball(S, datum, t, x, search) -> tuple:
     Each round solves, one after another, the K evenly spaced interior
     points of the bracket, K being the lanes of one lockstep slice clamped
     to [2, 30], then narrows the bracket to +-(hi - lo) / (K + 1) around the
-    best point so far.
+    best point so far.  Returns (value, argmin, winning FundamentalResult).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
 
     def g(y):
-        return _ref_value_at(S, datum, t, x, np.asarray(y, dtype=float), search)
+        return _ref_solve_at(S, datum, t, x, np.asarray(y, dtype=float), search)
 
     best_y = x.copy()
-    best_val = g(x)  # rest point always participates
+    best = g(x)  # rest point always participates
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
     for y in mesh[inside]:
-        val = g(y)
-        if val < best_val:
-            best_val, best_y = val, y.copy()
+        res = g(y)
+        if res.A < best.A:
+            best, best_y = res, y.copy()
     step = 2.0 * radius / (G - 1)
     rows = 2 * (search.segments - 1) * n + 1
     K = max(2, min(30, fundamental._LOCKSTEP_ROWS // rows))
@@ -209,15 +209,15 @@ def _ref_search_ball(S, datum, t, x, search) -> tuple:
                 for j in range(1, K + 1):
                     yy = y_cur.copy()
                     yy[i] = lo + w * j
-                    val = g(yy)
-                    if val < best_val:
-                        best_val, best_y = val, yy
+                    res = g(yy)
+                    if res.A < best.A:
+                        best, best_y = res, yy
                 new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
                 if new_hi - new_lo >= hi - lo:
                     break
                 lo, hi = new_lo, new_hi
             y_cur = best_y.copy()
-    return float(best_val), best_y, radius
+    return float(best.A), best_y, best
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +261,11 @@ def test_lanes_stopping_at_different_rounds_match_alone():
     S = trig_contact_system()
     ends = [(0.0, 0.0, 0.2), (0.0, 1.5, -0.4), (-1.0, 0.3, 0.9), (0.5, -2.0, 0.0),
             (0.2, 0.25, 1.0)]
-    got = _direct_lockstep(S, 0.9, ends, 10, OPT)
+    lanes = _direct_lockstep(S, 0.9, *stack_lanes(ends), 10, OPT)
     iters = set()
-    for res, (x, y, u) in zip(got, ends):
-        _same(res, _ref_fundamental_direct(S, 0.9, x, y, u, segments=10, opt=OPT))
-        iters.add(res.iterations)
+    for k, (x, y, u) in enumerate(ends):
+        _same(lanes.result(k), _ref_fundamental_direct(S, 0.9, x, y, u, segments=10, opt=OPT))
+        iters.add(lanes.iterations[k])
     assert len(iters) > 1  # the lanes really left the batch at different rounds
 
 
@@ -275,7 +275,9 @@ def test_float32_horizon_is_used_as_given():
     # (N = 6, so h is rounded differently than float(t) / N would be)
     S, t = trig_contact_system(), np.float32(0.7)
     ends = [(0.0, 1.0, 0.2), (0.3, -0.5, 0.0)]
-    for res, (x, y, u) in zip(_direct_lockstep(S, t, ends, 6, OPT), ends):
+    lanes = _direct_lockstep(S, t, *stack_lanes(ends), 6, OPT)
+    for k, (x, y, u) in enumerate(ends):
+        res = lanes.result(k)
         _same(res, _ref_fundamental_direct(S, t, x, y, u, segments=6, opt=OPT))
         assert type(res.minimizer.t_final) is float
 
@@ -293,11 +295,11 @@ def test_lanes_split_into_slices_match_alone(monkeypatch):
     S = trig_contact_system()
     ends = [(0.0, 0.0, 0.2), (0.0, 1.5, -0.4), (-1.0, 0.3, 0.9), (0.5, -2.0, 0.0),
             (0.2, 0.25, 1.0)]
-    got = _direct_lockstep(S, 0.9, ends, 10, OPT)
+    lanes = _direct_lockstep(S, 0.9, *stack_lanes(ends), 10, OPT)
     assert max(rows) == 38  # no sweep answers more than one slice
-    assert len(got) == len(ends)
-    for res, (x, y, u) in zip(got, ends):
-        _same(res, _ref_fundamental_direct(S, 0.9, x, y, u, segments=10, opt=OPT))
+    assert len(lanes.A) == len(ends)
+    for k, (x, y, u) in enumerate(ends):
+        _same(lanes.result(k), _ref_fundamental_direct(S, 0.9, x, y, u, segments=10, opt=OPT))
 
 
 def test_2d_lanes_stopping_at_different_rounds_match_alone():
@@ -305,10 +307,10 @@ def test_2d_lanes_stopping_at_different_rounds_match_alone():
     ends = [([0.0, 0.0], [0.0, 0.0], 0.2), ([0.1, -0.3], [0.8, 0.6], -0.2),
             ([-0.5, 0.4], [0.3, -0.9], 0.7), ([0.2, 0.2], [1.4, 1.1], 0.0),
             ([1.0, -1.0], [-0.2, 0.5], 1.1), ([-1.2, 0.3], [1.0, 1.5], -0.5)]
-    got = _direct_lockstep(S, 0.7, ends, 6, OPT)
-    for res, (x, y, u) in zip(got, ends):
-        _same(res, _ref_fundamental_direct(S, 0.7, x, y, u, segments=6, opt=OPT))
-    assert len({res.iterations for res in got}) == 3  # 3, 4 and 5 iterations
+    lanes = _direct_lockstep(S, 0.7, *stack_lanes(ends), 6, OPT)
+    for k, (x, y, u) in enumerate(ends):
+        _same(lanes.result(k), _ref_fundamental_direct(S, 0.7, x, y, u, segments=6, opt=OPT))
+    assert len(set(lanes.iterations)) == 3  # 3, 4 and 5 iterations
 
 
 def _quartic_potential(x, u, v):
@@ -333,12 +335,12 @@ def test_rest_lanes_without_a_metric_beside_preconditioned_lanes_match_alone():
     rows = integrate_cost_many(S, t, nodes, [u for _, _, u in ends], OPT.substeps)
     Rinv = _precondition(S, t, xs, ys, rows, N, OPT.substeps)
     assert [np.array_equal(r, np.eye(N - 1)) for r in Rinv] == [x == y for x, y, _ in ends]
-    got = _direct_lockstep(S, t, ends, N, OPT)
-    for res, (x, y, u) in zip(got, ends):
-        _same(res, _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
+    lanes = _direct_lockstep(S, t, *stack_lanes(ends), N, OPT)
+    for k, (x, y, u) in enumerate(ends):
+        _same(lanes.result(k), _ref_fundamental_direct(S, t, x, y, u, segments=N, opt=OPT))
     # the rest lanes outlast the ring of curvature pairs and end on the noise floor
-    assert all(got[k].iterations > _MEMORY and not got[k].converged for k in (0, 4))
-    assert all(got[k].converged for k in (1, 2, 3, 5))
+    assert all(lanes.iterations[k] > _MEMORY and not lanes.converged[k] for k in (0, 4))
+    assert all(lanes.converged[k] for k in (1, 2, 3, 5))
 
 
 def test_far_screen_lanes_match_alone():
@@ -352,13 +354,13 @@ def test_far_screen_lanes_match_alone():
     mesh = np.linspace(x[0] - radius, x[0] + radius, 7)
     ys = [x] + [np.array([c]) for c in mesh if abs(c - x[0]) <= radius + 1e-12]
     ends = [(y, x, float(datum(y))) for y in ys]
-    got = _direct_lockstep(S, t, ends, search.segments, search.opt)
-    for res, (y, _, u) in zip(got, ends):
-        _same(res, _ref_fundamental_direct(S, t, y, x, u, segments=search.segments,
-                                           opt=search.opt))
-    assert len(got) == 8
-    assert sorted(res.iterations for res in got)[-3:] == [13, 14, 20]
-    assert sum(not res.converged for res in got) == 4
+    lanes = _direct_lockstep(S, t, *stack_lanes(ends), search.segments, search.opt)
+    for k, (y, _, u) in enumerate(ends):
+        _same(lanes.result(k), _ref_fundamental_direct(S, t, y, x, u, segments=search.segments,
+                                                       opt=search.opt))
+    assert len(lanes.A) == 8
+    assert sorted(lanes.iterations)[-3:] == [13, 14, 20]
+    assert np.count_nonzero(~lanes.converged) == 4
 
 
 def test_direction_rows_match_the_two_loop_recursion_of_each_lane():
@@ -413,7 +415,7 @@ def test_first_failing_lane_of_a_later_slice_raises(monkeypatch):
         _ref_fundamental_direct(S, 1.0, *ends[3], segments=10, opt=opt)
     assert str(other.value) != str(ref.value)  # the message tells the lanes apart
     with pytest.raises(NonConvergence) as got:
-        _direct_lockstep(S, 1.0, ends, 10, opt)
+        _direct_lockstep(S, 1.0, *stack_lanes(ends), 10, opt)
     assert str(got.value) == str(ref.value)
 
 
@@ -498,20 +500,22 @@ STEEP = InitialDatum(phi=lambda y: 3.0 * y[..., 0], lip=0.0, sup_abs=0.0)
 def test_solve_value_matches_sequential_search(S, datum, t, x, search, rows, monkeypatch):
     if rows is not None:
         monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", rows)
-    val, y_star, _ = solve_value(S, datum, t, x, search)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum, t, as_point(x, S.dim), search)
+    val, y_star, best = solve_value(S, datum, t, x, search)
+    ref_val, ref_y, ref_best = _ref_search_ball(S, datum, t, as_point(x, S.dim), search)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
+    _same(best, ref_best)
 
 
 def test_screen_split_into_slices_matches_sequential_search(monkeypatch):
     # 11 sweep rows per lane at 6 segments in 1-D: one lane per slice
     monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", 20)
     S, datum, x = trig_contact_system(), datum_cos_bump(), np.array([-0.3])
-    val, y_star, _ = solve_value(S, datum, 0.8, x, FAST)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum, 0.8, x, FAST)
+    val, y_star, best = solve_value(S, datum, 0.8, x, FAST)
+    ref_val, ref_y, ref_best = _ref_search_ball(S, datum, 0.8, x, FAST)
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
+    _same(best, ref_best)
 
 
 def test_search_raises_the_first_failing_lane_like_the_sequential_search():
@@ -536,13 +540,14 @@ def test_search_with_far_screen_lanes_matches_sequential_search(monkeypatch):
     lockstep = value._direct_lockstep
     monkeypatch.setattr(value, "_direct_lockstep",
                         lambda *args: batches.append(lockstep(*args)) or batches[-1])
-    val, y_star, _ = solve_value(S, datum_sin(), 1.5, x, search)
-    ref_val, ref_y, _ = _ref_search_ball(S, datum_sin(), 1.5, x, search)
+    val, y_star, best = solve_value(S, datum_sin(), 1.5, x, search)
+    ref_val, ref_y, ref_best = _ref_search_ball(S, datum_sin(), 1.5, x, search)
     screen = batches[0]
-    assert 10 < max(r.iterations for r in screen) < 30
-    assert sum(not r.converged for r in screen) > 1
+    assert 10 < screen.iterations.max() < 30
+    assert np.count_nonzero(~screen.converged) > 1
     assert val == ref_val
     assert np.array_equal(y_star, ref_y)
+    _same(best, ref_best)
 
 
 def test_golden_stage_failure_raises_like_the_sequential_search(monkeypatch):
@@ -554,8 +559,8 @@ def test_golden_stage_failure_raises_like_the_sequential_search(monkeypatch):
     batches = []
     lockstep = value._direct_lockstep
     monkeypatch.setattr(value, "_direct_lockstep",
-                        lambda S, t, ends, *rest: batches.append(len(ends))
-                        or lockstep(S, t, ends, *rest))
+                        lambda S, t, ys, *rest: batches.append(ys.shape[0])
+                        or lockstep(S, t, ys, *rest))
     with pytest.raises(NonConvergence, match="exhausted 4 iterations") as ref:
         _ref_search_ball(S, datum_sin(), 0.5, x, search)
     with pytest.raises(NonConvergence) as got:
@@ -589,9 +594,9 @@ def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, monk
     rounds = []
     lockstep = value._direct_lockstep
 
-    def spy(S, t, ends, *rest):
-        rounds.append([float(y[0]) for y, _, _ in ends])
-        return lockstep(S, t, ends, *rest)
+    def spy(S, t, ys, *rest):
+        rounds.append([float(c) for c in ys[:, 0]])
+        return lockstep(S, t, ys, *rest)
 
     monkeypatch.setattr(value, "_direct_lockstep", spy)
     val, y_star, _ = solve_value(S, datum, t, x, FAST)
@@ -604,6 +609,33 @@ def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, monk
         assert np.allclose(np.diff(r), w / (K + 1), rtol=1e-6, atol=0.0)
     assert np.allclose(np.array(widths[:-1]) / widths[1:], (K + 1) / 2, rtol=1e-6)
     assert widths[-1] > FAST.ytol >= widths[-1] * 2 / (K + 1)
+
+
+def test_a_value_search_round_builds_at_most_one_result(monkeypatch):
+    # a round reads its lanes' terminal costs off the stacked batch and
+    # builds a FundamentalResult only for a lane that becomes the best
+    result_class, built, marks = fundamental.FundamentalResult, [], []
+    monkeypatch.setattr(fundamental, "FundamentalResult",
+                        lambda *a, **k: built.append(1) or result_class(*a, **k))
+    lockstep = value._direct_lockstep
+
+    def spy(S, t, ys, *rest):
+        marks.append((len(ys), len(built)))
+        return lockstep(S, t, ys, *rest)
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    S, datum, x = discounted_quadratic_system(1.0), datum_sin(), np.array([0.4])
+    val, y_star, best = solve_value(S, datum, 0.5, x, FAST)
+    marks.append((None, len(built)))
+    per_batch = [(lanes, b - a) for (lanes, a), (_, b) in zip(marks, marks[1:])]
+    assert len(per_batch) > 2 and all(lanes == 30 for lanes, _ in per_batch[1:])
+    assert all(count <= 1 for _, count in per_batch)
+    assert per_batch[0][1] == 1  # the screen's best
+    assert type(best) is result_class
+    ref_val, ref_y, ref_best = _ref_search_ball(S, datum, 0.5, x, FAST)
+    assert val == ref_val
+    assert np.array_equal(y_star, ref_y)
+    _same(best, ref_best)
 
 
 @pytest.mark.parametrize("rows, ytol", [(None, 0.0), (None, -1.0), (20, 0.0)])
@@ -619,7 +651,7 @@ def test_refinement_ends_when_rounding_stalls_the_bracket(rows, ytol, monkeypatc
     lockstep = value._direct_lockstep
 
     def spy(*args):
-        calls.append(len(args[2]))
+        calls.append(args[2].shape[0])
         assert len(calls) < 500, "the refinement does not end"
         return lockstep(*args)
 
