@@ -9,12 +9,17 @@ The rest point and the grid are screened as one batch of inner solves
 (`fundamental._direct_lockstep`: preconditioned L-BFGS lanes held as rows
 of stacked arrays and advanced in lockstep, one cost sweep per round, each
 lane bitwise its lone solve because its products are stacked `matmul` and
-LAPACK calls, never `einsum`).  Each refinement round solves evenly spaced
-interior points of a coordinate's bracket as one more such batch and
-narrows the bracket around the best point so far.  A batch goes in as
-stacked endpoints and comes back as stacked terminal costs; the search
-picks the batch's best with one `argmin` and builds a `FundamentalResult`
-only for a lane that improves on the best so far.
+LAPACK calls, never `einsum`).  The refinement is a safeguarded parabolic
+search per coordinate (Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 5): each round solves evenly spaced interior
+points of a sampled interval inside a certified bracket as one more such
+batch, the bracket narrows around the best point so far, and the next
+interval is centred on the vertex of a parabola through the round's
+best point and its neighbours, or is the whole bracket when that
+prediction cannot be trusted.  A batch goes in as stacked endpoints and
+comes back as stacked terminal costs; the search picks the batch's best
+with one `argmin` and builds a `FundamentalResult` only for a lane that
+improves on the best so far.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -193,44 +198,74 @@ class SearchParams:
 
     segments: int = 16         # curve segments of every inner solve
     grid_points: int = 33      # coarse grid points per axis
-    ytol: float = 1e-6         # refinement stops once a bracket is this narrow
+    ytol: float = 1e-6         # refinement stops once a certified bracket is this narrow
     refine_sweeps: int = 2     # coordinate-descent sweeps (n = 2; n = 1 needs one)
     opt: OptimizerParams = field(default_factory=OptimizerParams)
 
 
+#: half-width of a sampled interval over the gap between its two vertex
+#: predictions
+_SAFETY = 4.0
+
+
+def _vertex(y, h, below, at, above) -> float:
+    """Vertex of the parabola through (y - h, below), (y, at), (y + h, above);
+    nan unless it opens upwards."""
+    curv = float(below) - 2.0 * float(at) + float(above)
+    if not curv > 0.0:
+        return math.nan
+    return float(y) + h * (float(below) - float(above)) / (2.0 * curv)
+
+
 def _search_ball(S, datum, t, x, search) -> tuple:
-    """Coarse grid + bracket refinement of y -> A(t, y, x, phi(y)) over the ball.
+    """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y)).
 
     The rest point y = x and every grid point inside the ball are solved
     as one `_direct_lockstep` batch.  Then each coordinate in turn is
-    refined by rounds: the K evenly spaced interior points of its bracket
-    (one grid step either side of the best point, clipped to the ball) are
-    solved as one batch, K being the lanes of one lockstep slice but at
-    least 2 and at most 30, and the bracket narrows to +-(hi - lo) / (K + 1)
-    around the best point so far, until it is at most `ytol` wide or
-    rounding stops it narrowing.  A batch's points go in as one (K, n)
-    stack, with phi evaluated point by point; its best is the first lane
-    of least A (`np.argmin`), which replaces the best so far only when its
-    A is strictly lower, so the pick is that of a strict-< scan in point
-    order, and only that lane's `FundamentalResult` is built.  Every lane
-    is bitwise the solve it would be alone, so the result is that of
-    solving the points one after another, and a lane that exhausts
-    max_iter raises, the first in point order.  Returns (value, argmin,
-    winning `FundamentalResult`).
+    refined by rounds.  A coordinate keeps a certified bracket [lo, hi],
+    at first one grid step either side of the best point, clipped to the
+    ball, and a sampled interval [a, b] inside it, at first the whole
+    bracket.  A round solves the K evenly spaced interior points of [a, b]
+    (spacing w = (b - a) / (K + 1)) as one batch, K being the lanes of one
+    lockstep slice but at least 2 and at most 30.  The bracket narrows to
+    +-w around the best point so far, as local unimodality allows, after a
+    round over the whole bracket, and after a round over less only when
+    the round's first least point is interior (neither end point) and
+    beats the best point before the round.  When that point also has two
+    samples on either side, the next interval is centred on the vertex of
+    the parabola through it and its neighbours, with half-width `_SAFETY`
+    times the gap to the vertex through its second neighbours, at least
+    K ytol / 8 (points under ytol / 4 apart, so a round that narrows around
+    one of them ends the refinement), clipped to the bracket; it is the
+    whole bracket when either parabola opens downwards, the vertex lies
+    outside the bracket or the point lacks those samples.  Rounds end once
+    the bracket is at most `ytol` wide or rounding stops it narrowing.  A
+    batch's points go in as one (K, n) stack, with phi evaluated point by
+    point; its best is the first lane of least A (`np.argmin`), which
+    replaces the best so far only when its A is strictly lower, so the
+    pick is that of a strict-< scan in point order, and only that lane's
+    `FundamentalResult` is built.  Every lane is bitwise the solve it would
+    be alone, so the result is that of solving the points one after
+    another, and a lane that exhausts max_iter raises, the first in point
+    order.  Returns (value, argmin, winning `FundamentalResult`).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
     best_y = best = None
 
     def solve(ys):
+        """Solve a batch; returns its terminal costs, its first least lane
+        and whether that lane became the best so far."""
         nonlocal best_y, best
         # phi point by point: a batched call may round differently
         u = np.array([float(datum(y)) for y in ys])
         lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u,
                                  search.segments, search.opt)
         k = int(np.argmin(lanes.A))  # the first least A, as a strict-< scan takes
-        if best is None or lanes.A[k] < best.A:
+        improved = best is None or lanes.A[k] < best.A
+        if improved:
             best_y, best = ys[k].copy(), lanes.result(k)
+        return lanes.A, k, improved
 
     G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
@@ -239,6 +274,7 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     solve(np.concatenate([x[None], mesh[inside]]))  # the rest point comes first
     step = 2.0 * radius / (G - 1)
     K = max(2, min(30, _slice_lanes((int(search.segments) - 1) * n)))
+    floor = K * search.ytol / 8.0  # the least sampled half-width
     # a single coordinate is settled by one sweep
     sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
     for _ in range(sweeps):
@@ -247,15 +283,25 @@ def _search_ball(S, datum, t, x, search) -> tuple:
             half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
             lo = max(x[i] - half, best_y[i] - step)
             hi = min(x[i] + half, best_y[i] + step)
+            a, b = lo, hi
             while hi - lo > search.ytol:
-                w = (hi - lo) / (K + 1)
+                w = (b - a) / (K + 1)
                 ys = np.repeat(best_y[None], K, axis=0)
-                ys[:, i] = lo + w * np.arange(1, K + 1)
-                solve(ys)
-                a, b = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
-                if b - a >= hi - lo:  # rounding stalls a bracket a few ulps wide
-                    break
-                lo, hi = a, b
+                ys[:, i] = a + w * np.arange(1, K + 1)
+                A, k, improved = solve(ys)
+                interior = improved and 0 < k < K - 1
+                if interior or (a, b) == (lo, hi):
+                    new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
+                    if new_hi - new_lo >= hi - lo:  # rounding stalls a bracket a few ulps wide
+                        break
+                    lo, hi = new_lo, new_hi
+                a, b = lo, hi
+                if interior and 1 < k < K - 2:
+                    v = _vertex(ys[k, i], w, A[k - 1], A[k], A[k + 1])
+                    v2 = _vertex(ys[k, i], 2.0 * w, A[k - 2], A[k], A[k + 2])
+                    if lo <= v <= hi and not math.isnan(v2):
+                        r = max(_SAFETY * abs(v - v2), floor)
+                        a, b = max(lo, v - r), min(hi, v + r)
     return float(best.A), best_y, best
 
 

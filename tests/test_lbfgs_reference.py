@@ -17,7 +17,8 @@ from conftest import stack_lanes
 
 from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
                         NonConvergence, Overflow, PreconditionError, SearchParams,
-                        datum_cos_bump, datum_sin, discounted_quadratic_system,
+                        datum_abs_window, datum_cos_bump, datum_sin,
+                        discounted_quadratic_system,
                         fundamental_direct, perturbed_system, quadratic_system,
                         quartic_system, solve_value, trig_contact_system)
 from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
@@ -167,13 +168,24 @@ def _ref_solve_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray
                                    opt=search.opt)
 
 
-def _ref_search_ball(S, datum, t, x, search) -> tuple:
+def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tuple:
     """Coarse grid + bracket refinement of y -> A(t, y, x, phi(y)) over the ball.
 
     Each round solves, one after another, the K evenly spaced interior
-    points of the bracket, K being the lanes of one lockstep slice clamped
-    to [2, 30], then narrows the bracket to +-(hi - lo) / (K + 1) around the
-    best point so far.  Returns (value, argmin, winning FundamentalResult).
+    points of a sampled interval [a, b] inside the certified bracket
+    [lo, hi], K being the lanes of one lockstep slice clamped to [2, 30].
+    With w = (b - a) / (K + 1), the bracket narrows to +-w around the best
+    point so far after a round over the whole bracket, and after a round
+    over less only when the round's first least point is none of its two
+    end points and beats the best point before the round.  The next round
+    samples the whole bracket, unless that point has two samples on either
+    side: then it samples around the vertex v of the parabola through the
+    point and its neighbours, if the parabola opens upwards and v lies in
+    the bracket, and so does the parabola through the point and its second
+    neighbours, with vertex v2.  Its half-width is 4 |v - v2|, at least
+    K ytol / 8, and it is clipped to the bracket.  Each round appends
+    (lo, hi, points) to `log`, and each coordinate's last bracket follows
+    as (lo, hi, []).  Returns (value, argmin, winning FundamentalResult).
     """
     n = x.size
     radius = mu_radius(S, datum, t) * t
@@ -204,18 +216,40 @@ def _ref_search_ball(S, datum, t, x, search) -> tuple:
             half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))
             lo = max(x[i] - half, y_cur[i] - step)
             hi = min(x[i] + half, y_cur[i] + step)
+            a, b = lo, hi
             while hi - lo > search.ytol:
-                w = (hi - lo) / (K + 1)
-                for j in range(1, K + 1):
+                w = (b - a) / (K + 1)
+                points, costs, first, improved = [a + w * j for j in range(1, K + 1)], [], 0, False
+                if log is not None:
+                    log.append((lo, hi, points))
+                for j, c in enumerate(points):
                     yy = y_cur.copy()
-                    yy[i] = lo + w * j
+                    yy[i] = c
                     res = g(yy)
+                    costs.append(res.A)
+                    if res.A < costs[first]:
+                        first = j
                     if res.A < best.A:
-                        best, best_y = res, yy
-                new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
-                if new_hi - new_lo >= hi - lo:
-                    break
-                lo, hi = new_lo, new_hi
+                        best, best_y, improved = res, yy, True
+                moved = improved and first not in (0, K - 1)
+                if moved or (a == lo and b == hi):
+                    new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)
+                    if new_hi - new_lo >= hi - lo:
+                        break
+                    lo, hi = new_lo, new_hi
+                a, b = lo, hi
+                if moved and 2 <= first <= K - 3:
+                    f0, f1, f2 = costs[first - 1], costs[first], costs[first + 1]
+                    e0, e2 = costs[first - 2], costs[first + 2]
+                    c1, c2 = f0 - 2.0 * f1 + f2, e0 - 2.0 * f1 + e2
+                    if c1 > 0.0 and c2 > 0.0:
+                        v = points[first] + w * (f0 - f2) / (2.0 * c1)
+                        v2 = points[first] + 2.0 * w * (e0 - e2) / (2.0 * c2)
+                        if lo <= v <= hi:
+                            r = max(4.0 * abs(v - v2), K * search.ytol / 8.0)
+                            a, b = max(lo, v - r), min(hi, v + r)
+            if log is not None:
+                log.append((lo, hi, []))
             y_cur = best_y.copy()
     return float(best.A), best_y, best
 
@@ -584,10 +618,22 @@ def test_overflow_in_a_refinement_round_raises(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("rows, K", [(None, 30), (70, 6), (20, 2)])
-def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, monkeypatch):
+def _spans(log) -> str:
+    """W for each round of a one-coordinate `_ref_search_ball` log that
+    sampled its whole certified bracket, S for one that sampled less."""
+    return "".join("W" if np.isclose(r[0] - lo, (hi - lo) / (len(r) + 1), rtol=1e-6, atol=0.0)
+                   else "S" for lo, hi, r in log[:-1])
+
+
+@pytest.mark.parametrize("rows, K, spans", [(None, 30, "WSS"), (70, 6, "WWWWSS"),
+                                           (20, 2, "W" * 30)],
+                         ids=["None-30", "70-6", "20-2"])
+def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, spans,
+                                                                   monkeypatch):
     # 11 sweep rows per lane at 6 segments in 1-D: K = 30 fits the default
-    # slice, 70 rows hold six lanes and 20 rows one, so K is clamped to 2
+    # slice, 70 rows hold six lanes and 20 rows one, so K is clamped to 2 and
+    # no point has two samples on either side; `spans` tells the rounds over
+    # the whole bracket (W) from those over a sampled sub-interval (S)
     if rows is not None:
         monkeypatch.setattr(fundamental, "_LOCKSTEP_ROWS", rows)
     S, datum, t, x = discounted_quadratic_system(1.0), datum_sin(), 0.5, np.array([0.4])
@@ -602,13 +648,57 @@ def test_each_round_is_one_batch_of_k_points_shrinking_the_bracket(rows, K, monk
     val, y_star, _ = solve_value(S, datum, t, x, FAST)
     assert any(y_star[0] in r for r in rounds)  # the argmin is a solved point
     rounds = rounds[1:]  # after the screen
+    log = []
+    _ref_search_ball(S, datum, t, x, FAST, log)
+    assert rounds == [r for _, _, r in log[:-1]]  # the reference's points, bit for bit
     assert rounds and all(len(r) == K for r in rounds)
-    # evenly spaced interior points: the bracket is (K + 1) / (K - 1) times their span
-    widths = [(r[-1] - r[0]) * (K + 1) / (K - 1) for r in rounds]
-    for r, w in zip(rounds, widths):
-        assert np.allclose(np.diff(r), w / (K + 1), rtol=1e-6, atol=0.0)
-    assert np.allclose(np.array(widths[:-1]) / widths[1:], (K + 1) / 2, rtol=1e-6)
-    assert widths[-1] > FAST.ytol >= widths[-1] * 2 / (K + 1)
+    assert _spans(log) == spans
+    widths = [hi - lo for lo, hi, _ in log]
+    for (lo, hi, r), after, kind in zip(log, widths[1:], spans):
+        # evenly spaced points strictly inside the certified bracket
+        w = (r[-1] - r[0]) / (K - 1)
+        assert lo < r[0] and r[-1] < hi
+        assert np.allclose(np.diff(r), w, rtol=1e-6, atol=0.0)
+        if kind == "W":  # narrowed as before, to +-w around the best point
+            assert np.isclose((hi - lo) / after, (K + 1) / 2, rtol=1e-6)
+        else:  # kept, or narrowed to +-w
+            assert after == hi - lo or after <= 2.0 * w * (1.0 + 1e-6)
+    assert all(b <= a for a, b in zip(widths, widths[1:]))  # the bracket never widens
+    assert widths[-2] > FAST.ytol >= widths[-1]
+
+
+@pytest.mark.parametrize("S, datum, x, y_true, spans", [
+    (quadratic_system(), datum_abs_window(), 0.2, 0.0, "WSSW"),
+    (discounted_quadratic_system(1.0), datum_abs_window(), -0.3, 0.0, "WSWWW"),
+    (quadratic_system(), STEEP, 0.1, -0.15, "WWW"),
+], ids=["kink-quadratic", "kink-discounted", "clipped-1d"])
+def test_a_missed_vertex_falls_back_to_the_whole_bracket(S, datum, x, y_true, spans,
+                                                         monkeypatch):
+    # phi = |y| puts y* on its kink, where a parabola through a round's best
+    # point and its neighbours mispredicts: a sampled sub-interval (S) that
+    # misses y* ends in a round over the whole bracket (W).  On the clipped
+    # case y* is the rim of the ball, every round's best is its end point and
+    # every round samples the whole bracket.
+    rounds = []
+    lockstep = value._direct_lockstep
+
+    def spy(S, t, ys, *rest):
+        rounds.append([float(c) for c in ys[:, 0]])
+        return lockstep(S, t, ys, *rest)
+
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    x = np.array([x])
+    val, y_star, best = solve_value(S, datum, 0.5, x, FAST)
+    log = []
+    ref_val, ref_y, ref_best = _ref_search_ball(S, datum, 0.5, x, FAST, log)
+    assert val == ref_val
+    assert np.array_equal(y_star, ref_y)
+    _same(best, ref_best)
+    assert rounds[1:] == [r for _, _, r in log[:-1]]
+    assert _spans(log) == spans
+    lo, hi, _ = log[-1]
+    assert hi - lo <= FAST.ytol
+    assert lo <= y_true <= hi and lo <= y_star[0] <= hi
 
 
 def test_a_value_search_round_builds_at_most_one_result(monkeypatch):

@@ -15,6 +15,7 @@ from contact_hj import (InitialDatum, PreconditionError, SearchParams,
                         mu_radius, pde_residual, quadratic_hamiltonian,
                         quadratic_system, solve_value, solve_value_grid,
                         trig_contact_system)
+from contact_hj import value
 from contact_hj.fundamental import OptimizerParams
 
 FAST = SearchParams(segments=8, grid_points=13, ytol=1e-7,
@@ -447,3 +448,52 @@ def test_winning_solves_of_the_readme_sample_converge():
                             np.linspace(-2.0, 2.0, 9)[:, None], search)
     assert all(res.converged for row in grid.results for res in row)
     assert np.array_equal(grid.values, [[res.A for res in row] for row in grid.results])
+
+
+def test_a_value_point_takes_at_most_four_refinement_rounds(monkeypatch):
+    # value points like those of the solve benchmark's panels: a parabola
+    # through a round's best point and its neighbours places the next round
+    # near y*, so a point takes 3 or 4 rounds where bracket rounds that
+    # shrink (K + 1) / 2 times took 5 or 6
+    batches = []
+    lockstep = value._direct_lockstep
+    monkeypatch.setattr(value, "_direct_lockstep",
+                        lambda S, t, ys, *rest: batches.append(len(ys))
+                        or lockstep(S, t, ys, *rest))
+    S, search = discounted_quadratic_system(1.0), SearchParams(segments=8, grid_points=17)
+    rounds = []
+    for t in (0.3875, 0.7375):
+        for x in (-1.3, 0.2, 1.7):
+            batches.clear()
+            solve_value(S, datum_sin(), t, [x], search)
+            rounds.append(len(batches) - 1)  # after the screen
+    assert max(rounds) <= 4, rounds
+
+
+SEMIGROUP = {"trig-contact": trig_contact_system(),
+             "discounted-quadratic": discounted_quadratic_system(1.0)}
+
+
+@pytest.mark.parametrize("name", list(SEMIGROUP))
+def test_value_semigroup_of_the_discrete_scheme(name):
+    # T_t^N T_t^N phi = T_2t^2N phi exactly for the discrete scheme: the
+    # segments have the same length and substeps, and the node at time t is
+    # free in both; a search that misses its minimum shows as a gap.  The
+    # bound is about ten times the larger gap that the search read when its
+    # rounds shrank the bracket (K + 1) / 2 times: 1.1e-10 on trig-contact
+    # and 9.5e-12 on discounted-quadratic
+    S, datum, t, x = SEMIGROUP[name], datum_sin(), 0.3, 0.4
+    half = SearchParams(segments=8, grid_points=9, ytol=1e-4)
+
+    def phi(y):
+        flat = np.reshape(y, (-1, S.dim))
+        return np.reshape([solve_value(S, datum, t, yy, half)[0] for yy in flat],
+                          np.shape(y)[:-1])
+
+    inner = InitialDatum(phi=phi, lip=1.5, sup_abs=1.5, name="T_t sin")
+    radius = mu_radius(S, inner, t) * t
+    assert inner.validate([(x - radius, x + radius)], samples=4)
+    composed = solve_value(S, inner, t, [x], half)[0]
+    direct = solve_value(S, datum, 2.0 * t, [x],
+                         SearchParams(segments=16, grid_points=9, ytol=1e-4))[0]
+    assert abs(composed - direct) <= 1e-9
