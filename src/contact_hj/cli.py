@@ -19,6 +19,7 @@ CONTACT_HJ_THREADS), and its rows are still written in input order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -424,6 +425,7 @@ def cmd_check(cfg: dict, out: str, threads: int, quiet: bool) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contact-hj",

@@ -29,7 +29,7 @@ from .cost_ode import (_OVERFLOW, CostTrajectory, Curve, _check_range, _rk4,
                        _rk4_sweep, integrate_cost_many)
 from .errors import (OVERFLOW_LIMIT, NoRootFound, NonConvergence, Overflow,
                      PreconditionError)
-from .systems import ContactSystem, HamiltonianSystem
+from .systems import ContactSystem, HamiltonianSystem, _row_sum
 
 #: below this horizon the fundamental solution is refused rather than
 #: extrapolated (it blows up as t -> 0+ for distinct endpoints)
@@ -394,10 +394,12 @@ def _lie_rhs(HS: HamiltonianSystem, xi, p, u, out=None):
     n = HS.dim
     if out is None:
         out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
-    out[..., :n] = Hp
-    np.subtract(-Hx, Hu[..., None] * p, out=out[..., n:-1])
-    np.subtract(np.add.reduce(p * Hp, axis=-1), Hval, out=out[..., -1])
-    return out[..., :n], out[..., n:-1], out[..., -1]
+    dxi, dp, du = out[..., :n], out[..., n:-1], out[..., -1]
+    dxi[...] = Hp
+    np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
+    np.subtract(_row_sum(p * Hp), Hval, out=du)
+    du += 0.0  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
+    return dxi, dp, du
 
 
 def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):

@@ -10,11 +10,12 @@ a sampled box.
 Evaluator contract
 ------------------
 All evaluators are vectorized over a leading batch axis: x and v have
-shape (..., n), u has shape (...,), and results broadcast accordingly.
+shape (..., n), u has shape (...,), and their batch shapes broadcast.
 The built-ins return fresh float arrays, never views of their arguments,
-of the broadcast batch shape of the arguments they read (a scalar result
-of one lone point is a numpy float).  Evaluators must be pure; a system
-instance may be shared read-only between workers.
+of the broadcast batch shape of just the arguments they read (|v|^2 / 2
+of one v is one number for any batch of u; a lone point gives a numpy
+float).  Evaluators must be pure; a system instance may be shared
+read-only between workers.
 
 Each derivative method (`Lx`, `Lu`, `Lv`, `Lvv`; `Hx`, `Hu`, `Hp`, `Hpp`)
 returns its declared field (`L_x`, ...) and otherwise falls back to
@@ -441,13 +442,22 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
 # built-in systems, each declared once (see `_Separable`)
 # ---------------------------------------------------------------------------
 
+def _row_sum(a):
+    """np.add.reduce(a, axis=-1), by column sums up to two columns: the same
+    bits, but that a sum of -0.0 terms stays -0.0 (reduce starts at +0.0)."""
+    if a.shape[-1] > 2:
+        return np.add.reduce(a, axis=-1)
+    s = a[..., 0] if a.ndim > 1 else a[0]
+    return s + a[..., 1] if a.shape[-1] == 2 else s
+
+
 def _sq(x, u, z):
     """|z|^2 / 2."""
-    return 0.5 * np.add.reduce(np.asarray(z, float) ** 2, axis=-1)
+    return 0.5 * _row_sum(np.asarray(z, float) ** 2)
 
 
 def _copy(x, u, z):
-    return np.asarray(z, float).copy()
+    return np.array(z, dtype=float)
 
 
 def _eye(x, u, z):
@@ -457,8 +467,9 @@ def _eye(x, u, z):
 
 
 def _fill(c, u, z):
-    """c over the broadcast batch shape of (u, z), read off their shapes."""
-    out = np.empty(np.broadcast(u, np.asarray(z, float)[..., 0]).shape)
+    """c (a number or an array) over the broadcast batch shape of (u, z)."""
+    shape, batch = np.shape(u), np.shape(z)[:-1]
+    out = np.empty(shape if shape == batch else np.broadcast_shapes(shape, batch))
     out[...] = c
     return out
 
@@ -473,28 +484,28 @@ def _zero_u(x, u, z):
 
 def _quartic(x, u, v):
     v = np.asarray(v, float)
-    return 0.25 * np.add.reduce(v * v, axis=-1) ** 2
+    return 0.25 * _row_sum(v * v) ** 2
 
 
 def _quartic_v(x, u, v):
     v = np.asarray(v, float)
-    return np.add.reduce(v * v, axis=-1)[..., None] * v
+    return _row_sum(v * v)[..., None] * v
 
 
 def _quartic_vv(x, u, v):
     v = np.asarray(v, float)
-    s = np.add.reduce(v * v, axis=-1)
+    s = _row_sum(v * v)
     return s[..., None, None] * _eye(x, u, v) + 2.0 * v[..., :, None] * v[..., None, :]
 
 
 def _quartic_dual(x, u, p):
     p = np.asarray(p, float)
-    return 0.75 * np.add.reduce(p * p, axis=-1) ** (2.0 / 3.0)
+    return 0.75 * _row_sum(p * p) ** (2.0 / 3.0)
 
 
 def _quartic_dual_p(x, u, p):
     p = np.asarray(p, float)
-    s = np.add.reduce(p * p, axis=-1)
+    s = _row_sum(p * p)
     return (s + 1e-300)[..., None] ** (-1.0 / 3.0) * p  # finite at p = 0
 
 

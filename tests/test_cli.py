@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from conftest import disc_A
 
+from contact_hj import cli
 from contact_hj.cli import main
 
 pytestmark = pytest.mark.usefixtures("clean_thread_env")
@@ -120,6 +121,19 @@ def test_unknown_system_id_is_config_error(tmp_path):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write_config(tmp_path / "cfg.json", {"system": "quadratic"})
+    usage = []
+    for _ in range(2):
+        assert main(["fundamental", "--config", cfg, "--quiet"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
+        usage.append(capsys.readouterr().err)
+    assert usage[0] == usage[1] and "--config" in usage[0]
 
 
 def test_solver_blowup_exits_with_code_3(tmp_path):
