@@ -56,9 +56,9 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce a scalar/sequence to a 1-D float point, optionally checking dim."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
-        raise ValueError(f"expected a point, got shape {p.shape}")
+        raise PreconditionError(f"expected a point, got shape {p.shape}")
     if dim is not None and p.size != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {p.size}")
+        raise PreconditionError(f"expected a point of dimension {dim}, got {p.size}")
     return p
 
 

@@ -40,7 +40,7 @@ from .systems import (_BUILTINS, SampleBox, _builtin, hamiltonian_from_contact,
 from .value import SearchParams, builtin_datum, solve_value_grid
 # unused here; perfbench/tracing.py hooks this module's binding of the name
 from .value import solve_value  # noqa: F401
-from .vanishing import builtin_family, run_vanishing
+from .vanishing import MONOTONE_TOL, builtin_family, run_vanishing
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,15 +183,15 @@ def _space_lattice(cfg: dict):
     return axes, mesh
 
 
-def _times_list(cfg: dict, key: str = "times"):
-    times = _require(cfg, key)
+def _times_list(cfg: dict):
+    times = _require(cfg, "times")
     if not isinstance(times, (list, tuple)) or not times:
-        raise ConfigError(f"'{key}' must be a non-empty list")
-    vals = [_number(v, key) for v in times]
+        raise ConfigError("'times' must be a non-empty list")
+    vals = [_number(v, "times") for v in times]
     if any(v <= T_MIN for v in vals):
-        raise ConfigError(f"every entry of '{key}' must exceed {T_MIN:g}")
+        raise ConfigError(f"every entry of 'times' must exceed {T_MIN:g}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"'{key}' must be strictly ascending")
+        raise ConfigError("'times' must be strictly ascending")
     return vals
 
 
@@ -224,7 +224,7 @@ def cmd_fundamental(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     raw_points = _require(cfg, "points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ConfigError("'points' must be a non-empty list")
-    segments = _count(cfg.get("segments", 64), "segments")
+    segments = _count(cfg.get("segments", 64), "segments", least=4)  # herglotz_residual's stencil
     substeps = _count(cfg.get("substeps", 4), "substeps")
     steps = _count(cfg.get("shooting_steps", 256), "shooting_steps")
 
@@ -329,7 +329,7 @@ def cmd_vanishing(cfg: dict, out: str, threads: int, quiet: bool) -> int:
     rows = []
     for i, lam in enumerate(report.lambdas):
         ok = int(bool(report.bound_passed[i].all()))
-        mono = 1 if i == 0 or report.gaps[i] <= report.gaps[i - 1] + 1e-6 else 0
+        mono = 1 if i == 0 or report.gaps[i] <= report.gaps[i - 1] + MONOTONE_TOL else 0
         rows.append([_fmt(lam), _fmt(report.gaps[i]), str(ok), str(mono)])
     _write_csv(out, header, rows)
     if not quiet:
@@ -460,9 +460,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        out = args.out or cfg.get("out")
-        if out is None and args.command != "check":
-            raise ConfigError("an output path is required ('out' in config or --out)")
+        out = cfg.get("out") if args.out is None else args.out
+        if (out is not None or args.command != "check") and not (isinstance(out, str) and out):
+            raise ConfigError(f"'out' (or --out) must be a non-empty path, got {out!r}")
         threads = _thread_count(args.threads)
         return _COMMANDS[args.command](cfg, out, threads, args.quiet)
     except ConfigError as exc:

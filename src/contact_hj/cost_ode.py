@@ -111,6 +111,8 @@ class CostTrajectory:
         return np.interp(s, self.times, self.samples)
 
 
+#: how far below the cost from u_low the cost from u_high may dip (`assert_ordered`)
+ORDER_TOL = 1e-9
 #: what the RK4 guard's Overflow says
 _OVERFLOW = f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration"
 
@@ -200,8 +202,7 @@ def integrate_cost(S: ContactSystem, xi: Curve, u0: float,
     samples = _rk4_sweep(S.L, xi.t_final, xi.nodes[None], np.array([u0]),
                          substeps_per_segment)[0]
     samples[0] = u0  # exact by construction; pin against any float cast
-    M = samples.size - 1
-    times = np.linspace(0.0, xi.t_final, M + 1)
+    times = np.linspace(0.0, xi.t_final, samples.size)
     return CostTrajectory(times=times, samples=samples, u0=float(u0))
 
 
@@ -219,8 +220,7 @@ def integrate_cost_backward(S: ContactSystem, xi: Curve, u_final: float,
     w = _rk4_sweep(lambda x, w, v: -S.L(x, w, -v), rev.t_final, rev.nodes[None],
                    np.array([u_final]), substeps_per_segment)[0]
     samples = w[::-1].copy()
-    M = samples.size - 1
-    times = np.linspace(0.0, xi.t_final, M + 1)
+    times = np.linspace(0.0, xi.t_final, samples.size)
     return CostTrajectory(times=times, samples=samples, u0=float(samples[0]),
                           direction="backward")
 
@@ -234,25 +234,25 @@ class OrderingWitness:
     min_gap: float
 
 
-def assert_ordered(low: CostTrajectory, high: CostTrajectory, tol: float = 1e-9) -> float:
-    """Check u_low <= u_high at every shared sample; returns the minimum gap."""
+def assert_ordered(low: CostTrajectory, high: CostTrajectory) -> float:
+    """Check u_low <= u_high + ORDER_TOL at every shared sample; returns the minimum gap."""
     if low.samples.shape != high.samples.shape:
         raise PreconditionError("trajectories must share their sample grid")
     gap = high.samples - low.samples
     min_gap = float(gap.min())
-    if min_gap < -tol:
+    if min_gap < -ORDER_TOL:
         raise MonotonicityViolation(
-            f"cost ordering violated by {-min_gap:.3g} (tolerance {tol:g}); "
+            f"cost ordering violated by {-min_gap:.3g} (tolerance {ORDER_TOL:g}); "
             "suspect integration error or an unbounded value derivative")
     return min_gap
 
 
 def cost_comparison(S: ContactSystem, xi: Curve, u0_low: float, u0_high: float,
-                    substeps_per_segment: int = 4, tol: float = 1e-9) -> OrderingWitness:
+                    substeps_per_segment: int = 4) -> OrderingWitness:
     """Integrate from two ordered initial values and certify the ordering."""
     if u0_low > u0_high:
         raise PreconditionError("u0_low must not exceed u0_high")
     low = integrate_cost(S, xi, u0_low, substeps_per_segment)
     high = integrate_cost(S, xi, u0_high, substeps_per_segment)
-    min_gap = assert_ordered(low, high, tol=tol)
+    min_gap = assert_ordered(low, high)
     return OrderingWitness(low=low, high=high, min_gap=min_gap)

@@ -34,6 +34,12 @@ from .systems import ContactSystem, HamiltonianSystem, _row_sum
 #: below this horizon the fundamental solution is refused rather than
 #: extrapolated (it blows up as t -> 0+ for distinct endpoints)
 T_MIN = 1e-6
+#: objective decrease defining convergence of a direct solve
+DECREASE_TOL = 1e-9
+#: central-difference step of the direct solve's gradient, in node coordinates
+FD_STEP = 1e-6
+#: a shooting root misses its target endpoint by at most this times max(1, |y - x|)
+SHOOT_TOL = 1e-9
 
 
 @dataclass
@@ -41,13 +47,11 @@ class OptimizerParams:
     """Knobs of the interior-node quasi-Newton minimization.
 
     L-BFGS is preconditioned by a Sobolev metric (see `_direct_lockstep`),
-    but every knob here is in node coordinates.
+    but `gtol`, like `DECREASE_TOL` and `FD_STEP`, is in node coordinates.
     """
 
-    tol: float = 1e-9          # objective decrease defining convergence
     gtol: float = 1e-6         # node-space gradient norm defining convergence
     max_iter: int = 500
-    fd_step: float = 1e-6      # central-difference step on node coordinates
     substeps: int = 4          # cost-ODE substeps per curve segment
 
 
@@ -97,11 +101,6 @@ def _slice_lanes(D: int) -> int:
     return max(1, _LOCKSTEP_ROWS // (2 * D + 1))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a[k] @ b[k] of (B, D) stacks, each bitwise the 1-D product."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     """R^-1 of each lane from x to y (B, n), where R^T R = P is its Sobolev metric.
 
@@ -149,26 +148,24 @@ def _inverse_factor(P: np.ndarray) -> np.ndarray:
 def _direction(gz, Rinv, ps, py, psy, count, new) -> np.ndarray:
     """-H gz for every lane by the two-loop recursion over its count[k] newest
     curvature pairs (slot 0 of ps, py and psy = s.y is the newest), from
-    H0 = R^-1 R^-T = P^-1, on (B, D, 1) columns and (B, 1, D) rows.  A `new`
-    lane whose result is no descent direction drops its pairs for -P^-1 gz."""
-    s_row, y_row, s_col, y_col = ps[:, :, None], py[:, :, None], ps[..., None], py[..., None]
-    sy, g = psy[..., None, None], gz[..., None]
-    q, coef, top = -g, [], int(count.max())
-    live = count[:, None, None] > np.arange(top) if count.min() < top else None
+    H0 = R^-1 R^-T = P^-1, on (B, D) rows.  A `new` lane whose result is no
+    descent direction drops its pairs for -P^-1 gz."""
+    q, coef, top = -gz, [], int(count.max())
+    live = count[:, None] > np.arange(top) if count.min() < top else None
     for j in range(top):
-        coef.append((s_row[:, j] @ q) / sy[:, j])
-        step = q - coef[-1] * y_col[:, j]
-        q = step if live is None else np.where(live[..., j:j + 1], step, q)
+        coef.append(np.vecdot(ps[:, j], q) / psy[:, j])
+        step = q - coef[-1][:, None] * py[:, j]
+        q = step if live is None else np.where(live[:, j:j + 1], step, q)
     RinvT = Rinv.swapaxes(1, 2)
-    d = Rinv @ (RinvT @ q)
+    d = np.matvec(Rinv, np.matvec(RinvT, q))
     for j in reversed(range(top)):
-        step = d + (coef[j] - (y_row[:, j] @ d) / sy[:, j]) * s_col[:, j]
-        d = step if live is None else np.where(live[..., j:j + 1], step, d)
-    flat = new & ~((d.swapaxes(1, 2) @ g)[:, 0, 0] < 0.0)
+        step = d + (coef[j] - np.vecdot(py[:, j], d) / psy[:, j])[:, None] * ps[:, j]
+        d = step if live is None else np.where(live[:, j:j + 1], step, d)
+    flat = new & ~(np.vecdot(d, gz) < 0.0)
     if np.count_nonzero(flat):
         count[flat] = 0
-        d[flat] = -(Rinv[flat] @ (RinvT[flat] @ g[flat]))
-    return d[..., 0]
+        d[flat] = -np.matvec(Rinv[flat], np.matvec(RinvT[flat], gz[flat]))
+    return d
 
 
 @dataclass
@@ -209,16 +206,17 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     its last `_MEMORY` pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev
     metric of `_precondition`), or -P^-1 g without the pairs when that is no
     descent direction; a step from 1, halved until Armijo's condition
-    (c1 = 1e-4) holds, unless the predicted decrease falls below tol first:
-    then the lane ends on a null iteration that repeats f.  It stops where
-    its node gradient norm is below gtol and its last decrease below tol
-    (its first point or an iterate), or after max_iter iterations.
+    (c1 = 1e-4) holds, unless the predicted decrease falls below
+    `DECREASE_TOL` first: then the lane ends on a null iteration that
+    repeats f.  It stops where its node gradient norm is below gtol and its
+    last decrease below `DECREASE_TOL` (its first point or an iterate), or
+    after max_iter iterations.
     The lanes are rows of stacked arrays: (B, D) points, (B,) scalars and
     masks, (B, `_MEMORY`, D) pairs and a (B, D, D) stack of R^-1.  A round is
     one `integrate_cost_many` sweep of every running lane's trial point and
     central differences, then a fixed number of numpy calls whatever B is.
     Each lane follows its lone solve bit for bit: every per-lane product is a
-    stacked `matmul` or LAPACK call that repeats the lone call row by row
+    `vecdot`, `matvec` or LAPACK call that repeats the lone call row by row
     (never `einsum`, which sums in another order).  Slices of at most
     `_LOCKSTEP_ROWS` sweep rows run one after another.  The inputs are
     checked whole, one call each, and the lanes come back stacked as
@@ -258,7 +256,7 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
     D, R = (N - 1) * n, 2 * (N - 1) * n + 1
     lam = np.linspace(0.0, 1.0, N + 1)[:, None]
     curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
-    fd = (np.eye(D) * opt.fd_step).reshape(D, N - 1, n)
+    fd = (np.eye(D) * FD_STEP).reshape(D, N - 1, n)
     lane, xa, ya, ua = np.arange(B), x, y, np.repeat(u, R)  # row k runs lane lane[k]
     trial = curves[:, 1:-1].reshape(B, D).copy()
     z, gz, d = np.zeros((3, B, D))
@@ -276,7 +274,7 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
         samples = integrate_cost_many(S, t, nodes.reshape(-1, N + 1, n), ua,
                                       opt.substeps).reshape(len(lane), R, -1)
         f_new, rows = samples[:, 0, -1], samples[:, 0]
-        g_new = (samples[:, 1:D + 1, -1] - samples[:, D + 1:, -1]) / (2.0 * opt.fd_step)
+        g_new = (samples[:, 1:D + 1, -1] - samples[:, D + 1:, -1]) / (2.0 * FD_STEP)
         if Rinv is None:  # the straight curves: set up the metric
             Rinv = _precondition(S, t, x, y, rows, N, opt.substeps)
             row, out_row = np.zeros((2,) + rows.shape)
@@ -285,11 +283,11 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
             fail = f_new > f + 1e-4 * alpha * slope
             acc, null, some, last = ~fail, False, np.count_nonzero(fail) > 0, f - f_new
             if some:
-                null = fail & (-alpha * slope < opt.tol)
+                null = fail & (-alpha * slope < DECREASE_TOL)
                 alpha = 0.5 * alpha  # an accepted lane restarts at 1 below
                 last[null] = 0.0  # a null iteration repeats f
             sv, yv = trial - z, g_new - gz
-            sy = _dot(sv, yv)
+            sy = np.vecdot(sv, yv)
             keep = acc & (sy > 0.0)
             kept = np.count_nonzero(keep)
             if kept:
@@ -305,8 +303,8 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
         if rounds == hist.shape[1]:  # nit <= rounds
             hist = np.concatenate([hist, np.empty_like(hist)], axis=1)
         hist[lane, nit] = f  # a lane that only halved rewrites its entry
-        gn = np.sqrt(_dot(gz, gz))
-        conv = (gn < opt.gtol) & (last < opt.tol)
+        gn = np.sqrt(np.vecdot(gz, gz))
+        conv = (gn < opt.gtol) & (last < DECREASE_TOL)
         done = conv | (nit >= opt.max_iter)
         stop = null | (acc & done) if some else done
         stopped = np.count_nonzero(stop)
@@ -323,7 +321,7 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
             ua, some = np.repeat(u[lane], R), not acc.all()
         sel = acc if some else slice(None)  # and so a new direction and the unit step
         d[sel] = _direction(gz, Rinv, ps, py, psy, count, acc)[sel]
-        slope[sel], alpha[sel] = _dot(gz, d)[sel], 1.0
+        slope[sel], alpha[sel] = np.vecdot(gz, d)[sel], 1.0
         trial = z + alpha[:, None] * d
         rounds += 1
     out_row[:, 0] = u
@@ -502,20 +500,20 @@ def _candidate_sweep(HS: HamiltonianSystem, t: float, x, u: float, P: np.ndarray
 
 def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
                          steps: int = 256, segments: int = 64,
-                         p_max: Optional[float] = None,
-                         newton_tol: float = 1e-9, max_newton: int = 40,
+                         p_max: Optional[float] = None, max_newton: int = 40,
                          grid_per_axis: int = 9) -> FundamentalResult:
     """Solve the two-point boundary problem xi(t; p0) = y in the momentum.
 
-    Multi-start damped Newton on the shooting map.  Each start of the
-    momentum grid is a lane with its own Newton step count, step dp and
-    damping alpha; a trial p - alpha dp is accepted when it cuts the miss
-    by the factor 1 - 1e-4 alpha, and is otherwise halved.  A lane stops at
-    a root, at a singular Jacobian (|det| <= 1e-14), after 30 rejected
-    trials of one step or after max_newton steps.  A round is one
-    `_candidate_sweep` of every running lane's trial, which carries its
-    fourth-order difference rows, so an accepted lane takes its next Newton
-    step from the Jacobian of that sweep; round 0 sweeps the starts.  On a
+    Multi-start damped Newton on the shooting map, to a miss |xi(t) - y| of
+    at most `SHOOT_TOL` max(1, |y - x|).  Each start of the momentum grid
+    is a lane with its own Newton step count, step dp and damping alpha; a
+    trial p - alpha dp is accepted when it cuts the miss by the factor
+    1 - 1e-4 alpha, and is otherwise halved.  A lane stops at a root, at a
+    singular Jacobian (|det| <= 1e-14), after 30 rejected trials of one
+    step or after max_newton steps.  A round is one `_candidate_sweep` of
+    every running lane's trial, which carries its fourth-order difference
+    rows, so an accepted lane takes its next Newton step from the Jacobian
+    of that sweep; round 0 sweeps the starts.  On a
     linear shooting map the stencil is exact up to rounding, so a start
     reaches the root in one Newton step.  `iterations` is the most Newton
     steps of any lane.  Among the roots the one with minimal terminal cost
@@ -528,19 +526,16 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     leaves the range: a candidate, or a difference row of a candidate that
     a Newton step then works from.  A fault in a difference row of a root
     or of a rejected candidate is never read and raises nothing.  A
-    non-finite input, `p_max` (which may be negative) and `newton_tol`
-    included, a `newton_tol` that is not positive and a count below 1,
-    `max_newton` included, raise PreconditionError before any sweep.
+    non-finite input, `p_max` (which may be negative) included, and a count
+    below 1, `max_newton` included, raise PreconditionError before any sweep.
     """
     x = as_point(x, HS.dim)
     y = as_point(y, HS.dim)
-    finite = {"t": t, "x": x, "y": y, "u": u, "newton_tol": newton_tol}
+    finite = {"t": t, "x": x, "y": y, "u": u}
     if p_max is not None:
         finite["p_max"] = p_max
     _check_inputs(finite, {"steps": steps, "segments": segments,
                            "grid_per_axis": grid_per_axis, "max_newton": max_newton})
-    if not newton_tol > 0:
-        raise PreconditionError("newton_tol must be positive")
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     n = HS.dim
@@ -549,7 +544,7 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
         p_max = 2.0 * d / t + 5.0
     axes = [np.linspace(-p_max, p_max, grid_per_axis)] * n
     p_cur = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    tol_abs = newton_tol * max(1.0, d)
+    tol_abs = SHOOT_TOL * max(1.0, d)
 
     # per lane: its accepted momentum with that momentum's miss, recorded
     # path, Jacobian and spoiled flag; the miss of no momentum is inf, so

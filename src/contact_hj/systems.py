@@ -46,7 +46,7 @@ H_FD = 1e-5
 TOL_NEWTON = 1e-10
 #: half-width of the fallback search box for dual variables
 DUAL_BOX = 1e3
-#: default radius of the conjugate grid for theta0*
+#: radius of the conjugate grid for theta0*
 CONJUGATE_RMAX = 1e3
 
 
@@ -99,6 +99,14 @@ def _partial(declared: str, of: str, slot: int, fd):
 # system types
 # ---------------------------------------------------------------------------
 
+def _check_contract(dim, **rates) -> None:
+    """What both sides of the duality require: dim 1 or 2, nonnegative rates."""
+    if dim not in (1, 2):
+        raise PreconditionError(f"dim must be 1 or 2, got {dim}")
+    if any(r < 0 for r in rates.values()):
+        raise PreconditionError(f"{' and '.join(rates)} must be nonnegative")
+
+
 @dataclass
 class ContactSystem:
     """Lagrangian-side contact system with growth metadata.
@@ -123,10 +131,7 @@ class ContactSystem:
     name: str = ""
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise PreconditionError(f"dim must be 1 or 2, got {self.dim}")
-        if self.K < 0 or self.c0 < 0:
-            raise PreconditionError("K and c0 must be nonnegative")
+        _check_contract(self.dim, K=self.K, c0=self.c0)
         if self.C_const is None:
             self.C_const = float(self.theta0_bar(0.0))
 
@@ -142,8 +147,8 @@ class ContactSystem:
 
     # growth ----------------------------------------------------------
 
-    def theta0_star(self, k: float, r_max: float = CONJUGATE_RMAX) -> float:
-        """Convex conjugate sup_{r in [0, r_max]} (k r - theta0(r)).
+    def theta0_star(self, k: float) -> float:
+        """Convex conjugate sup_{r in [0, CONJUGATE_RMAX]} (k r - theta0(r)).
 
         Computed by grid maximization plus golden refinement; a
         user-supplied closed form, when present, takes precedence over the
@@ -151,7 +156,7 @@ class ContactSystem:
         """
         if self.theta0_conj is not None:
             return float(self.theta0_conj(k))
-        r = np.linspace(0.0, r_max, 4097)
+        r = np.linspace(0.0, CONJUGATE_RMAX, 4097)
         g = k * r - np.asarray(self.theta0(r), dtype=float)
         j = int(np.argmax(g))
         lo = r[max(j - 1, 0)]
@@ -172,6 +177,9 @@ class HamiltonianSystem:
     H_p: Optional[Evaluator] = None
     H_pp: Optional[Evaluator] = None
     name: str = ""
+
+    def __post_init__(self):
+        _check_contract(self.dim, K=self.K)
 
     def H(self, x, u, p):
         return self.hamiltonian(x, u, p)
@@ -215,16 +223,16 @@ def _damped_newton_root(F, J, z0):
     return z, nrm <= TOL_NEWTON
 
 
-def _coordinate_golden_min(f, z0, lo, hi, xtol=1e-9, sweeps=4):
-    """Cyclic per-coordinate golden-section descent on [lo, hi]^n."""
+def _coordinate_golden_min(f, z0, lo, hi):
+    """Four sweeps of cyclic per-coordinate golden-section descent on [lo, hi]^n."""
     z = np.array(z0, dtype=float)
-    for _ in range(sweeps):
+    for _ in range(4):
         for i in range(z.size):
             def fi(c, i=i):
                 zz = z.copy()
                 zz[i] = c
                 return f(zz)
-            z[i] = golden_min(fi, lo, hi, xtol=xtol)[0]
+            z[i] = golden_min(fi, lo, hi, xtol=1e-9)[0]
     return z
 
 
@@ -244,10 +252,10 @@ def _probes(z, delta):
     return pts
 
 
-def _is_local_max(gain, z, scale=1.0):
+def _is_local_max(gain, z):
     """Probe whether z locally maximizes the concave gain (rejects saddles)."""
     g0 = gain(z)
-    delta = 1e-4 * (1.0 + float(np.linalg.norm(z))) * scale
+    delta = 1e-4 * (1.0 + float(np.linalg.norm(z)))
     tol = 1e-10 * (1.0 + abs(g0))
     return all(gain(q) <= g0 + tol for q in _probes(z, delta))
 

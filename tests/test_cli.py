@@ -340,6 +340,45 @@ def test_non_finite_or_empty_id_arguments_are_config_errors(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, out", [
+    ("solve", 1), ("solve", ""), ("solve", ["o.csv"]), ("fundamental", ""),
+    ("vanishing", 0), ("check", 1), ("check", ""),
+], ids=["solve-fd-1", "solve-empty", "solve-list", "fundamental-empty", "vanishing-zero",
+        "check-number", "check-empty"])
+def test_out_must_be_a_non_empty_path(tmp_path, capfd, monkeypatch, command, out):
+    # refused before any solve: nothing lands in the working directory or on fd 1
+    monkeypatch.chdir(tmp_path)
+    base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,
+            "vanishing": VANISH_PAYLOAD, "check": {"samples": 8}}[command]
+    cfg = write_config(tmp_path / "cfg.json", dict(base, out=out))
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    captured = capfd.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_an_empty_out_flag_is_refused_over_the_config_path(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    cfg = write_config(tmp_path / "cfg.json", dict(SOLVE_PAYLOAD, out=str(out)))
+    assert main(["solve", "--config", cfg, "--out", "", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_fundamental_refuses_too_few_segments_before_solving(tmp_path, capsys, monkeypatch):
+    # herglotz_residual needs 4 segments; the config is refused before any solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran on a refused config")
+
+    monkeypatch.setattr(cli, "fundamental_direct", refuse)
+    monkeypatch.setattr(cli, "fundamental_shooting", refuse)
+    out = tmp_path / "o.csv"
+    cfg = write_config(tmp_path / "cfg.json", dict(FUND_PAYLOAD, segments=3, out=str(out)))
+    assert main(["fundamental", "--config", cfg, "--quiet"]) == 2
+    assert "'segments' must be an integer >= 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_family_id_with_an_argument_is_refused_as_taking_none(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        dict(VANISH_PAYLOAD, family="discounted(3)",

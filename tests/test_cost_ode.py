@@ -154,7 +154,7 @@ def test_ordering_check_raises_on_crossed_trajectories():
     low = CostTrajectory(times=times, samples=np.array([0.0, 0.1, 0.2, 0.3, 0.4]), u0=0.0)
     high = CostTrajectory(times=times, samples=np.array([0.1, 0.15, 0.19, 0.3, 0.4]), u0=0.1)
     with pytest.raises(MonotonicityViolation):
-        assert_ordered(low, high, tol=1e-9)
+        assert_ordered(low, high)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

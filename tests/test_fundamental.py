@@ -18,7 +18,8 @@ from contact_hj import (ContactSystem, Curve, HamiltonianSystem, NoRootFound,
 from contact_hj import fundamental, perturbed_system
 from contact_hj._util import golden_min
 from contact_hj.cost_ode import integrate_cost_many
-from contact_hj.fundamental import CharacteristicState, _direct_lockstep, _precondition
+from contact_hj.fundamental import (DECREASE_TOL, FD_STEP, CharacteristicState,
+                                    _direct_lockstep, _precondition)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +125,7 @@ def test_direct_semigroup(lam, h, n_t, n_s, x, y, u):
     whole = fundamental_direct(S, t + s, x, y, u, segments=n_t + n_s, opt=opt).A
     _, best = golden_min(glued, min(x, y) - 0.5, max(x, y) + 0.5, xtol=SEMIGROUP_XTOL)
     kappa = 2.0 * (np.exp(-lam * s) * disc_A(lam, t, 1.0, 0.0) + disc_A(lam, s, 1.0, 0.0))
-    tol = 0.5 * kappa * SEMIGROUP_XTOL ** 2 + 3.0 * opt.tol
+    tol = 0.5 * kappa * SEMIGROUP_XTOL ** 2 + 3.0 * DECREASE_TOL
     assert abs(whole - best) <= tol
 
 
@@ -190,12 +191,12 @@ def _node_gradient_norm(S, t, res, u, opt):
     """Norm of the central-difference node gradient at a 1-D result's
     minimizer, from the same sweep rows the driver evaluates."""
     z = res.minimizer.interior
-    eye = np.eye(z.size) * opt.fd_step
+    eye = np.eye(z.size) * FD_STEP
     nodes = np.repeat(res.minimizer.nodes[None], 2 * z.size + 1, axis=0)
     nodes[:, 1:-1, 0] = np.vstack([z[None], z[None] + eye, z[None] - eye])
     finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
     return float(np.linalg.norm((finals[1:z.size + 1] - finals[z.size + 1:])
-                                / (2.0 * opt.fd_step)))
+                                / (2.0 * FD_STEP)))
 
 
 def test_direct_noise_floor_ends_the_lane_on_a_null_iteration(monkeypatch):
@@ -295,7 +296,7 @@ def test_direct_stress_batch_keeps_the_contract_in_few_iterations(S, t, N, ends,
         hist = lanes.history[k, :nit + 1]
         last = hist[-2] - hist[-1] if len(hist) >= 2 else 0.0
         small = _node_gradient_norm(S, t, lanes.result(k), u, opt) < opt.gtol
-        assert lanes.converged[k] == (small and last < opt.tol)
+        assert lanes.converged[k] == (small and last < DECREASE_TOL)
         assert lanes.converged[k]
         assert nit <= ref + 2
 
@@ -531,8 +532,8 @@ def no_sweeps(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"t": np.nan}, {"t": np.inf}, {"x": np.nan}, {"y": np.inf}, {"u": np.nan},
     {"u": -np.inf}, {"steps": 0}, {"steps": -3}, {"segments": 0},
-    {"grid_per_axis": 0}, {"p_max": np.nan}, {"p_max": np.inf}, {"newton_tol": np.nan},
-    {"newton_tol": 0.0}, {"newton_tol": -1.0}, {"max_newton": 0}, {"max_newton": -2},
+    {"grid_per_axis": 0}, {"p_max": np.nan}, {"p_max": np.inf},
+    {"max_newton": 0}, {"max_newton": -2},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_shooting_preconditions(bad, no_sweeps):
     with pytest.raises(PreconditionError):

@@ -24,8 +24,8 @@ from contact_hj import (ContactSystem, FundamentalResult, InitialDatum,
 from contact_hj._util import _INVPHI, _INVPHI2, as_point, golden_min
 from contact_hj.cost_ode import Curve, integrate_cost, integrate_cost_many
 from contact_hj import fundamental, value
-from contact_hj.fundamental import (_MEMORY, T_MIN, OptimizerParams, _direct_lockstep,
-                                    _direction, _precondition)
+from contact_hj.fundamental import (_MEMORY, DECREASE_TOL, FD_STEP, T_MIN, OptimizerParams,
+                                    _direct_lockstep, _direction, _precondition)
 from contact_hj.value import mu_radius
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     Rinv = _precondition(S, t, x[None], y[None],
                          integrate_cost_many(S, t, base.nodes[None], u, opt.substeps),
                          N, opt.substeps)[0]
-    eye = np.eye(D) * opt.fd_step
+    eye = np.eye(D) * FD_STEP
 
     def fun_and_grad(z):
         zs = np.vstack([z[None, :], z[None, :] + eye, z[None, :] - eye])
@@ -75,14 +75,14 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
         nodes[:, -1, :] = y
         nodes[:, 1:-1, :] = zs.reshape(-1, N - 1, n)
         finals = integrate_cost_many(S, t, nodes, u, opt.substeps)[:, -1]
-        return float(finals[0]), (finals[1:D + 1] - finals[D + 1:]) / (2.0 * opt.fd_step)
+        return float(finals[0]), (finals[1:D + 1] - finals[D + 1:]) / (2.0 * FD_STEP)
 
     z = base.interior
     f, g = fun_and_grad(z)
     history, pairs, nit = [f], [], 0
     while nit < opt.max_iter:
         last = history[-2] - history[-1] if nit else 0.0
-        if np.linalg.norm(g) < opt.gtol and last < opt.tol:
+        if np.linalg.norm(g) < opt.gtol and last < DECREASE_TOL:
             break
         q, coef = -g, []
         for s, yy in reversed(pairs):
@@ -99,7 +99,7 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
         while True:
             z_new = z + alpha * d
             f_new, g_new = fun_and_grad(z_new)
-            if f_new <= f + 1e-4 * alpha * slope or -alpha * slope < opt.tol:
+            if f_new <= f + 1e-4 * alpha * slope or -alpha * slope < DECREASE_TOL:
                 break
             alpha *= 0.5
         if f_new > f + 1e-4 * alpha * slope:  # the noise floor: a null iteration
@@ -116,7 +116,7 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     grad_norm = float(np.linalg.norm(g))
     last_dec = history[-2] - history[-1] if len(history) >= 2 else 0.0
-    converged = grad_norm < opt.gtol and last_dec < opt.tol
+    converged = grad_norm < opt.gtol and last_dec < DECREASE_TOL
     if nit >= opt.max_iter and not converged:
         raise NonConvergence(
             f"curve minimization exhausted {opt.max_iter} iterations "

@@ -338,3 +338,36 @@ def test_builtin_ids_without_a_rate_refuse_an_argument(resolve, spec_id):
 def test_c_const_defaults_to_upper_envelope_at_zero():
     assert trig_contact_system().C_const == 1.0
     assert quadratic_system().C_const == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the contract both sides share
+# ---------------------------------------------------------------------------
+
+def _kinetic(x, u, z):
+    return 0.5 * np.sum(np.asarray(z, float) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: builtin_system("quadratic", 3), "dim must be 1 or 2"),
+    (lambda: builtin_hamiltonian("quadratic", 3), "dim must be 1 or 2"),
+    (lambda: HamiltonianSystem(dim=0, hamiltonian=_kinetic, K=0.0), "dim must be 1 or 2"),
+    (lambda: HamiltonianSystem(dim=1, hamiltonian=_kinetic, K=-1.0), "K must be nonnegative"),
+    (lambda: scalar_system(_kinetic, K=-1.0), "K and c0 must be nonnegative"),
+    (lambda: scalar_system(_kinetic, c0=-1.0), "K and c0 must be nonnegative"),
+], ids=["lagrangian-3d", "hamiltonian-3d", "hamiltonian-0d", "hamiltonian-negative-K",
+        "lagrangian-negative-K", "lagrangian-negative-c0"])
+def test_both_sides_refuse_what_breaks_the_system_contract(build, match):
+    from contact_hj import PreconditionError
+    with pytest.raises(PreconditionError, match=match):
+        build()
+
+
+def test_a_point_of_the_wrong_dimension_is_a_precondition_error():
+    from contact_hj import PreconditionError
+    from contact_hj._util import as_point
+    for bad, dim in (([1.0, 2.0], 1), ([[1.0, 2.0]], None)):
+        with pytest.raises(PreconditionError):
+            as_point(bad, dim)
+    with pytest.raises(ValueError):  # a PreconditionError is still a ValueError
+        legendre_to_lagrangian(builtin_hamiltonian("quadratic"), [0.0, 0.0], 0.0, 0.0)

@@ -16,7 +16,7 @@ from contact_hj import (InitialDatum, PreconditionError, SearchParams,
                         quadratic_system, solve_value, solve_value_grid,
                         trig_contact_system)
 from contact_hj import value
-from contact_hj.fundamental import OptimizerParams
+from contact_hj.fundamental import DECREASE_TOL, OptimizerParams
 
 FAST = SearchParams(segments=8, grid_points=13, ytol=1e-7,
                     opt=OptimizerParams(substeps=2, gtol=1e-6))
@@ -137,7 +137,7 @@ def test_value_comparison_principle(lam, t, x, height, shift, width):
                         sup_abs=phi1.sup_abs + height, name="sin+bump")
     u1 = solve_value(S, phi1, t, x, COMPARE)[0]
     u2 = solve_value(S, phi2, t, x, COMPARE)[0]
-    tol = (mu_radius(S, phi1, t) + phi1.lip) * COMPARE.ytol + 2.0 * COMPARE.opt.tol
+    tol = (mu_radius(S, phi1, t) + phi1.lip) * COMPARE.ytol + 2.0 * DECREASE_TOL
     assert u1 <= u2 + tol, (u1, u2, tol)
 
 
