@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -60,6 +61,16 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise PreconditionError(f"expected a point of dimension {dim}, got {p.size}")
     return p
+
+
+def as_count(value, name: str, least: int = 1) -> int:
+    """`value` as an int of at least `least`; a fraction such as 2.5 raises
+    PreconditionError rather than being truncated, while integral floats
+    such as 8.0 and numpy ints pass."""
+    if not (isinstance(value, numbers.Real) and value >= least
+            and float(value).is_integer()):
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def resolve_id(spec_id: str, kind: str, registry: dict, *extra):

@@ -21,11 +21,12 @@ for finite-difference gradients and brute-force ensembles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_point
+from ._util import as_count, as_point
 from .errors import OVERFLOW_LIMIT, MonotonicityViolation, Overflow, PreconditionError
 from .systems import ContactSystem
 
@@ -131,15 +132,30 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
     y0 is a stacked state with the batch on its leading axis.  Each entry
     (x0, xm, x1, v) of `steps` gives the positions at the start, midpoint
     and end of one step, and its velocity; arguments f ignores may be None.
-    `guard(y)` runs after every `guard_every` steps; the default raises
-    Overflow once |y| passes OVERFLOW_LIMIT or turns non-finite.  Returns
-    the final state, or all len(steps) + 1 states on a new leading axis
-    when record is set.
+    For an autonomous f, `steps` may be the number of steps instead, and f
+    gets None for every position and velocity.  `guard(y)` runs after
+    every `guard_every` steps; the default raises Overflow once |y| passes
+    OVERFLOW_LIMIT or turns non-finite.  Returns the final state, or all
+    states, the initial one first, on a new leading axis when record is set.
+
+    A step works in buffers made once per call, three stage states and one
+    sum of slopes, and writes the new state straight into the recorded path
+    (or over the old state).  Every buffer f reads stays as it is until its
+    step ends, so f may return a view of its state argument.  Each float
+    operation is that of the allocating y + h6 * (k1 + 2 (k2 + k3) + k4),
+    on the same operands in the same order.
     """
+    if isinstance(steps, (int, np.integer)):
+        count, steps = int(steps), itertools.repeat((None,) * 4, steps)
+    else:
+        count = len(steps)
     y = np.array(y0, dtype=float)
-    path = np.empty((len(steps) + 1,) + y.shape) if record else None
+    path = None
     if record:
+        path = np.empty((count + 1,) + y.shape)
         path[0] = y
+        y = path[0]
+    y2, y3, y4, acc = np.empty((4,) + y.shape)
     hh = 0.5 * h
     h6 = h / 6.0
     # a runaway state overflows between guards; the guard reports it as
@@ -147,12 +163,15 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (x0, xm, x1, v) in enumerate(steps, 1):
             k1 = f(x0, y, v)
-            k2 = f(xm, y + hh * k1, v)
-            k3 = f(xm, y + hh * k2, v)
-            k4 = f(x1, y + h * k3, v)
-            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            if record:
-                path[i] = y
+            np.add(y, np.multiply(hh, k1, out=y2), out=y2)
+            k2 = f(xm, y2, v)
+            np.add(y, np.multiply(hh, k2, out=y3), out=y3)
+            k3 = f(xm, y3, v)
+            np.add(y, np.multiply(h, k3, out=y4), out=y4)
+            k4 = f(x1, y4, v)
+            np.multiply(2.0, np.add(k2, k3, out=acc), out=acc)
+            np.add(np.add(k1, acc, out=acc), k4, out=acc)
+            y = np.add(y, np.multiply(h6, acc, out=acc), out=path[i] if record else y)
             if i % guard_every == 0:
                 guard(y)
     return path if record else y
@@ -170,9 +189,7 @@ def _rk4_sweep(f, t_final: float, nodes: np.ndarray, y0: np.ndarray,
     Returns the samples at every substep, shape (B, N*m+1) + y0.shape[1:].
     """
     N = nodes.shape[1] - 1
-    m = int(substeps)
-    if m < 1:
-        raise PreconditionError("substeps_per_segment must be >= 1")
+    m = as_count(substeps, "substeps_per_segment")
     h = t_final / (N * m)
     nodes = np.ascontiguousarray(nodes.swapaxes(0, 1))
     vel = (nodes[1:] - nodes[:-1]) * (N / t_final)

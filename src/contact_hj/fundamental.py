@@ -19,17 +19,17 @@ how well a curve satisfies the stationarity ODE
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from ._util import as_point
+from ._util import as_count, as_point
 from .cost_ode import (_OVERFLOW, CostTrajectory, Curve, _check_range, _rk4,
                        _rk4_sweep, integrate_cost_many)
 from .errors import (OVERFLOW_LIMIT, NoRootFound, NonConvergence, Overflow,
                      PreconditionError)
-from .systems import ContactSystem, HamiltonianSystem, _row_sum
+from .systems import ContactSystem, HamiltonianSystem
 
 #: below this horizon the fundamental solution is refused rather than
 #: extrapolated (it blows up as t -> 0+ for distinct endpoints)
@@ -227,15 +227,14 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     """
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
-    if segments < 2:
-        raise PreconditionError("need at least 2 segments")
+    N = as_count(segments, "segments", 2)
+    opt = replace(opt, substeps=as_count(opt.substeps, "substeps"))
     u = np.asarray(u, dtype=float)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not np.isfinite(u).all():
         raise PreconditionError("u must be finite")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise PreconditionError("curve nodes must be finite")
-    N = int(segments)
     width = _slice_lanes((N - 1) * S.dim)
     parts = [_solve_slice(S, t, x[i:i + width], y[i:i + width], u[i:i + width], N, opt)
              for i in range(0, len(u), width)]
@@ -384,20 +383,9 @@ def fundamental_exponential(S: ContactSystem, xi: Curve, u: float,
 
 def _lie_rhs(HS: HamiltonianSystem, xi, p, u, out=None):
     """(xi', p', u') at (xi, p, u), written into one stage array `out` of
-    shape (..., 2n+1) (a fresh one by default) and returned as its views."""
-    Hp = np.asarray(HS.Hp(xi, u, p), dtype=float)
-    Hx = np.asarray(HS.Hx(xi, u, p), dtype=float)
-    Hu = np.asarray(HS.Hu(xi, u, p), dtype=float)
-    Hval = np.asarray(HS.H(xi, u, p), dtype=float)
-    n = HS.dim
-    if out is None:
-        out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
-    dxi, dp, du = out[..., :n], out[..., n:-1], out[..., -1]
-    dxi[...] = Hp
-    np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
-    np.subtract(_row_sum(p * Hp), Hval, out=du)
-    du += 0.0  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
-    return dxi, dp, du
+    shape (..., 2n+1) (a fresh one by default) and returned as its views
+    (`HamiltonianSystem.characteristic_field`)."""
+    return HS.characteristic_field(xi, p, u, out)
 
 
 def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):
@@ -426,28 +414,26 @@ def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
         _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
         return k
 
-    return _rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record, guard=guard)
+    return _rk4(rhs, y0, t / steps, steps, record=record, guard=guard)
 
 
-def _check_inputs(finite: dict, counts: dict) -> None:
+def _check_inputs(finite: dict, counts: dict) -> list:
     """PreconditionError unless every `finite` value is finite and every
-    `counts` value is at least 1."""
+    `counts` value is an integer of at least 1; returns the counts as ints."""
     for name, value in finite.items():
         if not np.all(np.isfinite(value)):
             raise PreconditionError(f"{name} must be finite")
-    for name, value in counts.items():
-        if not value >= 1:
-            raise PreconditionError(f"{name} must be at least 1")
+    return [as_count(value, name) for name, value in counts.items()]
 
 
 def shoot(HS: HamiltonianSystem, t: float, x, u0: float, p0, steps: int = 256) -> CharacteristicState:
     """Integrate one characteristic from (x, p0, u0) to time t."""
     x = as_point(x, HS.dim)
     p0 = as_point(p0, HS.dim)
-    _check_inputs({"t": t, "x": x, "u0": u0, "p0": p0}, {"steps": steps})
+    (steps,) = _check_inputs({"t": t, "x": x, "u0": u0, "p0": p0}, {"steps": steps})
     if not t > 0:
         raise PreconditionError("t must be positive")
-    y = _characteristics(HS, t, x, u0, p0[None, :], int(steps))[0]
+    y = _characteristics(HS, t, x, u0, p0[None, :], steps)[0]
     n = HS.dim
     return CharacteristicState(xi=y[:n], p=y[n:-1], u=float(y[-1]), s=float(t))
 
@@ -527,15 +513,17 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     a Newton step then works from.  A fault in a difference row of a root
     or of a rejected candidate is never read and raises nothing.  A
     non-finite input, `p_max` (which may be negative) included, and a count
-    below 1, `max_newton` included, raise PreconditionError before any sweep.
+    that is below 1 or fractional, `max_newton` included, raise
+    PreconditionError before any sweep.
     """
     x = as_point(x, HS.dim)
     y = as_point(y, HS.dim)
     finite = {"t": t, "x": x, "y": y, "u": u}
     if p_max is not None:
         finite["p_max"] = p_max
-    _check_inputs(finite, {"steps": steps, "segments": segments,
-                           "grid_per_axis": grid_per_axis, "max_newton": max_newton})
+    steps, segments, grid_per_axis, max_newton = _check_inputs(
+        finite, {"steps": steps, "segments": segments, "grid_per_axis": grid_per_axis,
+                 "max_newton": max_newton})
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     n = HS.dim
@@ -550,14 +538,14 @@ def fundamental_shooting(HS: HamiltonianSystem, t: float, x, y, u: float,
     # path, Jacobian and spoiled flag; the miss of no momentum is inf, so
     # round 0 accepts every start (dp = 0 makes each trial the start itself)
     B = len(p_cur)
-    miss, paths = np.full(B, np.inf), np.empty((int(steps) + 1, B, 2 * n + 1))
+    miss, paths = np.full(B, np.inf), np.empty((steps + 1, B, 2 * n + 1))
     jac, spoiled = np.empty((B, n, n)), np.zeros(B, dtype=bool)
     alpha, dp, (nit, rejected) = np.ones(B), np.zeros((B, n)), np.zeros((2, B), dtype=int)
     run = np.ones(B, dtype=bool)  # the lanes with a trial to sweep
     while run.any():
         lane = np.flatnonzero(run)
         trial = p_cur[lane] - alpha[lane, None] * dp[lane]
-        path, J, bad = _candidate_sweep(HS, t, x, u, trial, int(steps))
+        path, J, bad = _candidate_sweep(HS, t, x, u, trial, steps)
         tmiss = np.linalg.norm(path[-1, :, :n] - y, axis=-1)
         ok = tmiss < (1.0 - 1e-4 * alpha[lane]) * miss[lane]
         acc, rej = lane[ok], lane[~ok]

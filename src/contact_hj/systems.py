@@ -24,13 +24,16 @@ First derivatives difference the raw `lagrangian` / `hamiltonian`;
 second derivatives difference the first-derivative method, so supplying
 an analytic gradient already gives accurate Hessians.  Both sides of
 the Legendre duality share one transform (`_legendre`).
+`HamiltonianSystem.characteristic_field` follows the same rule: a
+built-in dual declares how it writes H_p and -H_x - H_u p from its terms,
+and any other system calls `Hp`, `Hx` and `Hu`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -177,6 +180,10 @@ class HamiltonianSystem:
     H_p: Optional[Evaluator] = None
     H_pp: Optional[Evaluator] = None
     name: str = ""
+    #: (the evaluators (hamiltonian, H_x, H_u, H_p) it was built from, a
+    #: function (x, u, p, dp) -> H_p that writes dp = -H_x - H_u p), declared
+    #: by `_Separable.side`; not an argument, so `dataclasses.replace` drops it
+    _fused: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_contract(self.dim, K=self.K)
@@ -188,6 +195,34 @@ class HamiltonianSystem:
     Hu = _partial("H_u", "hamiltonian", 1, _fd_scalar)
     Hp = _partial("H_p", "hamiltonian", 2, _fd_grad_last_axis)
     Hpp = _partial("H_pp", "Hp", 2, _fd_jacobian_last_axis)
+
+    def characteristic_field(self, xi, p, u, out=None):
+        """(xi', p', u') = (H_p, -H_x - H_u p, <p, H_p> - H) at (xi, p, u),
+        written into one stage array `out` of shape (..., 2n+1) (a fresh one
+        by default) and returned as its views.
+
+        H comes from one call of `H`.  A declared field, while the
+        evaluators it was built from are in place, writes the rest with the
+        float operations of the four-call assembly that serves any other
+        system: one call each of `Hp`, `Hx` and `Hu`.
+        """
+        n = self.dim
+        if out is None:
+            out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
+        dxi, dp, du = out[..., :n], out[..., n:-1], out[..., -1]
+        fused = self._fused
+        if fused is not None and fused[0] == (self.hamiltonian, self.H_x, self.H_u, self.H_p):
+            Hp = fused[1](xi, u, p, dp)
+        else:
+            Hp = np.asarray(self.Hp(xi, u, p), dtype=float)
+            Hx = np.asarray(self.Hx(xi, u, p), dtype=float)
+            Hu = np.asarray(self.Hu(xi, u, p), dtype=float)
+            np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
+        Hval = np.asarray(self.H(xi, u, p), dtype=float)
+        dxi[...] = Hp
+        np.subtract(_row_sum(p * Hp), Hval, out=du)
+        du += 0.0  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
+        return dxi, dp, du
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +517,19 @@ def _fill(c, u, z):
     return out
 
 
+def _constant(c):
+    """The evaluator of the number c over the batch of (u, z), with c as its `value`."""
+    def evaluator(x, u, z):
+        return _fill(c, u, z)
+    evaluator.value = c
+    return evaluator
+
+
 def _zero_x(x, u, z):
     return np.zeros(np.shape(z))
 
 
-def _zero_u(x, u, z):
-    return _fill(0.0, u, z)
+_zero_u = _constant(0.0)
 
 
 def _quartic(x, u, v):
@@ -534,7 +576,7 @@ _Coupling = namedtuple("_Coupling", "f x1 u", defaults=(None, None))
 
 def _discount(w):
     """a(u) = w u."""
-    return _Coupling(lambda x, u, z: w * np.asarray(u, float), u=lambda x, u, z: _fill(w, u, z))
+    return _Coupling(lambda x, u, z: w * np.asarray(u, float), u=_constant(w))
 
 
 def _arctan(w):
@@ -567,6 +609,26 @@ def _gradient_x(g, negate):
         out[..., 0] = -d if negate else d
         return out
     return d_x
+
+
+def _momentum_field(H_p, g, H_u):
+    """The fused part of a built-in dual's characteristic field: (x, u, p, dp)
+    -> H_p, writing dp = -H_x - H_u p where H_x = (-g, 0, ...), or 0 when g
+    is None, and H_u is a number or an evaluator.  Each float operation is
+    the four-call assembly's: -(-g) is g bit for bit, and -H_x = -0.0 is
+    subtracted from, where np.negative would flip the sign of a NaN."""
+    def fused(x, u, p, dp):
+        if callable(H_u):
+            np.multiply(np.asarray(H_u(x, u, p), dtype=float)[..., None], p, out=dp)
+        else:
+            np.multiply(H_u, p, out=dp)
+        if g is None:
+            np.subtract(-0.0, dp, out=dp)
+        else:
+            np.subtract(g(x, u, p), dp[..., 0], out=dp[..., 0])
+            np.subtract(-0.0, dp[..., 1:], out=dp[..., 1:])
+        return np.asarray(H_p(x, u, p), dtype=float)
+    return fused
 
 
 @dataclass(frozen=True)
@@ -610,8 +672,12 @@ class _Separable:
                 c_u = (lambda x, u, z, g=c.u: -g(x, u, z)) if dual else c.u
                 d_u = c_u if self.a is None else _plus(d_u, c_u)
         if dual:
-            return HamiltonianSystem(dim=dim, hamiltonian=f, K=self.K, H_x=d_x, H_u=d_u,
-                                     H_p=kin.dual_p, H_pp=kin.dual_pp, name=self.name)
+            HS = HamiltonianSystem(dim=dim, hamiltonian=f, K=self.K, H_x=d_x, H_u=d_u,
+                                   H_p=kin.dual_p, H_pp=kin.dual_pp, name=self.name)
+            g = None if c is None else c.x1
+            HS._fused = ((f, d_x, d_u, kin.dual_p),
+                         _momentum_field(kin.dual_p, g, getattr(d_u, "value", d_u)))
+            return HS
         theta0, bar = kin.theta0, self.bar
         return ContactSystem(dim=dim, lagrangian=f, K=self.K, theta0=theta0,
                              theta0_bar=(lambda r: theta0(r) + bar) if bar else theta0,

@@ -15,7 +15,7 @@ from contact_hj import (ContactSystem, Curve, HamiltonianSystem, NoRootFound,
                         quadratic_hamiltonian, quadratic_system,
                         quartic_system, shoot, speed_envelope_check,
                         trig_contact_system)
-from contact_hj import fundamental, perturbed_system
+from contact_hj import cost_ode, fundamental, perturbed_system
 from contact_hj._util import golden_min
 from contact_hj.cost_ode import integrate_cost_many
 from contact_hj.fundamental import (DECREASE_TOL, FD_STEP, CharacteristicState,
@@ -549,6 +549,59 @@ def test_shoot_preconditions(bad, no_sweeps):
     with pytest.raises(PreconditionError):
         shoot(quadratic_hamiltonian(), **{"t": 1.0, "x": 0.0, "u0": 0.0, "p0": 1.0,
                                           "steps": 16, **bad})
+
+
+@pytest.fixture
+def no_steps(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an RK4 sweep ran on a refused count")
+
+    monkeypatch.setattr(cost_ode, "_rk4", refuse)
+    monkeypatch.setattr(fundamental, "_rk4", refuse)
+
+
+def _shooting(**kw):
+    return fundamental_shooting(quadratic_hamiltonian(), 1.0, 0.0, 1.0, 0.0, **kw)
+
+
+def _direct(**kw):
+    return fundamental_direct(quadratic_system(), 1.0, 0.0, 1.0, 0.0, **kw)
+
+
+#: a fractional count in each place one reaches the library
+FRACTIONAL = {
+    "shooting-steps": lambda: _shooting(steps=256.7),
+    "shooting-segments": lambda: _shooting(segments=64.5),
+    "shooting-grid_per_axis": lambda: _shooting(grid_per_axis=2.5),
+    "shooting-max_newton": lambda: _shooting(max_newton=1.5),
+    "shoot-steps": lambda: shoot(quadratic_hamiltonian(), 1.0, 0.0, 0.0, 1.0, steps=16.5),
+    "direct-segments": lambda: _direct(segments=8.5),
+    "direct-substeps": lambda: _direct(opt=OptimizerParams(substeps=2.5)),
+    "cost-substeps": lambda: integrate_cost(quadratic_system(), Curve.straight(0.0, 1.0, 1.0, 4),
+                                            0.0, 2.5),
+    "cost-many-substeps": lambda: integrate_cost_many(
+        quadratic_system(), 1.0, np.zeros((2, 5, 1)), 0.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("case", FRACTIONAL)
+def test_fractional_counts_are_refused_before_any_sweep(case, no_steps):
+    with pytest.raises(PreconditionError, match="must be an integer"):
+        FRACTIONAL[case]()
+
+
+def test_integral_float_and_numpy_counts_are_taken_as_ints():
+    ref = _shooting(steps=64, segments=16, grid_per_axis=3, max_newton=5)
+    got = _shooting(steps=64.0, segments=np.int64(16), grid_per_axis=3.0,
+                    max_newton=np.int32(5))
+    assert np.array_equal(got.trajectory.samples, ref.trajectory.samples)
+    assert np.array_equal(got.minimizer.nodes, ref.minimizer.nodes)
+    ref = _direct(segments=8, opt=OptimizerParams(substeps=2))
+    got = _direct(segments=8.0, opt=OptimizerParams(substeps=np.int64(2)))
+    assert np.array_equal(got.trajectory.samples, ref.trajectory.samples)
+    xi = Curve.straight(0.0, 1.0, 1.0, 4)
+    assert np.array_equal(integrate_cost(quadratic_system(), xi, 0.0, 2.0).samples,
+                          integrate_cost(quadratic_system(), xi, 0.0, 2).samples)
 
 
 def test_shooting_trajectory_consistent_with_cost_ode():

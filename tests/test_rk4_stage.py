@@ -1,24 +1,32 @@
 """The arithmetic and the evaluator calls of one RK4 stage, bit for bit.
 
-A stage of the cost sweep calls `ContactSystem.L` once, and a stage of the
-characteristic sweep calls `H`, `Hp`, `Hx` and `Hu` once each.  The
-built-ins sum |z|^2 and <p, H_p> by columns (`systems._row_sum`) instead
-of `np.add.reduce`, which starts from +0.0: a bare column sum keeps a -0.0
-that reduce turns into +0.0, so `_lie_rhs` adds +0.0 to u'.  Bits are
-compared through `.view(np.int64)`, which tells -0.0 from +0.0 and one NaN
-from another, where `np.array_equal` does not.
+A stage of the cost sweep calls `ContactSystem.L` once.  A stage of the
+characteristic sweep calls `H` once; a built-in's fused field writes H_p
+and -H_x - H_u p from its declared terms, and any other system calls
+`Hp`, `Hx` and `Hu` once each.  The built-ins sum |z|^2 and <p, H_p> by
+columns (`systems._row_sum`) instead of `np.add.reduce`, which starts from
++0.0: a bare column sum keeps a -0.0 that reduce turns into +0.0, so
+`_lie_rhs` adds +0.0 to u'.  Whole sweeps, of the in-place stepper and
+the fused field, are held to the allocating stepper and the four-call
+field they replaced.  Bits are compared through `.view(np.int64)`, which
+tells -0.0 from +0.0 and one NaN from another, where `np.array_equal`
+does not.
 """
 
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from contact_hj import builtin_hamiltonian, builtin_system
-from contact_hj.cost_ode import integrate_cost_many
-from contact_hj.fundamental import _characteristics, _lie_rhs
-from contact_hj.systems import (_BUILTINS, ContactSystem, HamiltonianSystem,
-                                _row_sum)
+from contact_hj import cost_ode, fundamental
+from contact_hj.cost_ode import _check_range, integrate_cost_many
+from contact_hj.fundamental import _candidate_sweep, _characteristics, _lie_rhs
+from contact_hj.systems import (_BUILTINS, _QUADRATIC, _SIN_SIN, ContactSystem,
+                                HamiltonianSystem, _arctan, _discount, _row_sum,
+                                _Separable)
 
 #: signed zeros, infinities, NaNs of both signs, subnormals and plain values
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310,
@@ -188,11 +196,194 @@ def test_cost_sweep_calls_L_once_per_stage(monkeypatch, B, N, m, dim):
     assert counts == {"L": 4 * N * m}
 
 
-@pytest.mark.parametrize("name", ["discounted-quadratic", "finite-differences"])
+@pytest.mark.parametrize("name", list(HAMILTONIANS))
 @pytest.mark.parametrize("steps", [1, 9])
 def test_characteristics_call_each_evaluator_once_per_stage(monkeypatch, name, steps):
+    # a built-in's fused field calls H alone; the fallback calls all four
     HS = HAMILTONIANS[name](2)
     counts = _count_calls(monkeypatch, HamiltonianSystem, ["H", "Hp", "Hx", "Hu"])
     p0 = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
     _characteristics(HS, 0.6, np.zeros(2), 0.2, p0, steps)
-    assert counts == dict.fromkeys(["H", "Hp", "Hx", "Hu"], 4 * steps)
+    derivatives = 4 * steps if name == "finite-differences" else 0
+    assert counts == {"H": 4 * steps, "Hp": derivatives, "Hx": derivatives, "Hu": derivatives}
+
+
+# ---------------------------------------------------------------------------
+# whole sweeps against the allocating stepper and the four-call field
+# ---------------------------------------------------------------------------
+
+def _ref_rk4(f, y0, h, steps, guard_every=1, record=False, guard=_check_range):
+    """`cost_ode._rk4` as it was: a fresh array for every stage and state."""
+    y = np.array(y0, dtype=float)
+    path = np.empty((len(steps) + 1,) + y.shape) if record else None
+    if record:
+        path[0] = y
+    hh = 0.5 * h
+    h6 = h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (x0, xm, x1, v) in enumerate(steps, 1):
+            k1 = f(x0, y, v)
+            k2 = f(xm, y + hh * k1, v)
+            k3 = f(xm, y + hh * k2, v)
+            k4 = f(x1, y + h * k3, v)
+            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            if record:
+                path[i] = y
+            if i % guard_every == 0:
+                guard(y)
+    return path if record else y
+
+
+def _four_call_rhs(HS, xi, p, u, out=None):
+    """`fundamental._lie_rhs` as it was: H, Hp, Hx and Hu called once each."""
+    Hp = np.asarray(HS.Hp(xi, u, p), dtype=float)
+    Hx = np.asarray(HS.Hx(xi, u, p), dtype=float)
+    Hu = np.asarray(HS.Hu(xi, u, p), dtype=float)
+    Hval = np.asarray(HS.H(xi, u, p), dtype=float)
+    n = HS.dim
+    if out is None:
+        out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
+    dxi, dp, du = out[..., :n], out[..., n:-1], out[..., -1]
+    dxi[...] = Hp
+    np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
+    np.subtract(_row_sum(p * Hp), Hval, out=du)
+    du += 0.0  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
+    return dxi, dp, du
+
+
+def _ref_characteristics(HS, t, x0, u0, p0, steps, record=False, guard=_check_range):
+    """`fundamental._characteristics` as it was, on `_ref_rk4` and `_four_call_rhs`."""
+    B, n = p0.shape
+    y0 = np.concatenate([np.broadcast_to(x0, (B, n)), p0, np.full((B, 1), float(u0))],
+                        axis=1)
+
+    def rhs(_x, y, _v):  # autonomous: no stage positions
+        k = np.empty_like(y)
+        _four_call_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
+        return k
+
+    return _ref_rk4(rhs, y0, t / steps, [(None,) * 4] * steps, record=record, guard=guard)
+
+
+def _separable_dual(name, **terms):
+    return lambda d: _Separable(name, _QUADRATIC, K=0.75, **terms).side(d, dual=True)
+
+
+#: the built-ins, the finite-difference fallback, and the two coupling
+#: mixes no built-in dual declares: a u-slope plus a coupling in (x_1, u)
+SWEEP_HAMILTONIANS = dict(HAMILTONIANS, **{
+    "arctan-sine": _separable_dual("arctan-sine", a=_arctan, rate=-0.75, c=_SIN_SIN),
+    "discount-sine": _separable_dual("discount-sine", a=_discount, rate=-0.5, c=_SIN_SIN)})
+
+
+def _no_guard(y):
+    pass
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(SWEEP_HAMILTONIANS))
+def test_characteristic_sweep_matches_allocating_four_call_sweep(name, dim):
+    HS = SWEEP_HAMILTONIANS[name](dim)
+    rng = np.random.default_rng(17)
+    x0 = rng.uniform(-1.0, 1.0, dim)
+    p0 = rng.uniform(-2.0, 2.0, (7, dim))
+    for record in (False, True):
+        got = _characteristics(HS, 0.7, x0, 0.3, p0, 16, record=record)
+        ref = _ref_characteristics(HS, 0.7, x0, 0.3, p0, 16, record=record)
+        assert np.array_equal(bits(got), bits(ref))
+    # signed zeros, infinities, NaNs and subnormals carried through every stage
+    special = _states(dim)[:, dim:-1]
+    with np.errstate(all="ignore"):
+        got = _characteristics(HS, 0.7, x0, -0.0, special, 4, record=True, guard=_no_guard)
+        ref = _ref_characteristics(HS, 0.7, x0, -0.0, special, 4, record=True,
+                                   guard=_no_guard)
+    assert np.array_equal(bits(got), bits(ref))
+
+
+def _walled_quadratic(dim):
+    """H = |p|^2 / 2 while xi_1 <= 1.001, nan beyond; H_x and H_u by finite
+    differences.  From x = 0 in t = 1 the candidate p0 = (1, ...) stops at
+    xi_1 = 1 but its +h and +2h difference rows cross the wall."""
+    def ham(x, u, p):
+        val = 0.5 * np.sum(np.asarray(p, float) ** 2, axis=-1)
+        return np.where(np.asarray(x, float)[..., 0] <= 1.001, val, np.nan)
+    return HamiltonianSystem(dim=dim, hamiltonian=ham, K=0.0, H_p=lambda x, u, p: np.array(p))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(SWEEP_HAMILTONIANS) + ["walled"])
+def test_candidate_sweep_matches_allocating_four_call_sweep(monkeypatch, name, dim):
+    HS = _walled_quadratic(dim) if name == "walled" else SWEEP_HAMILTONIANS[name](dim)
+    P = np.array([[1.0] * dim, [0.5, -0.25][:dim], [-1.5, 0.75][:dim]])
+    got = _candidate_sweep(HS, 1.0, np.zeros(dim), 0.2, P, 16)
+    monkeypatch.setattr(fundamental, "_characteristics", _ref_characteristics)
+    ref = _candidate_sweep(HS, 1.0, np.zeros(dim), 0.2, P, 16)
+    assert got[2].tolist() == ref[2].tolist()
+    if name == "walled":
+        assert ref[2].tolist() == [True, False, False]
+    for a, b in zip(got[:2], ref[:2]):
+        assert np.array_equal(bits(a), bits(b))
+
+
+# ---------------------------------------------------------------------------
+# evaluators that hand back their arguments, and replaced evaluators
+# ---------------------------------------------------------------------------
+
+def _growth(r):
+    return 0.5 * np.asarray(r, float) ** 2
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_sweep_of_a_lagrangian_returning_its_u_argument(monkeypatch, dim):
+    # du/ds = u, with L handing back the very stage state it was given
+    S = ContactSystem(dim=dim, lagrangian=lambda x, u, v: np.asarray(u, float), K=1.0,
+                      theta0=_growth, theta0_bar=_growth, c0=0.0)
+    u = np.linspace(-1.0, 1.0, 5)
+    assert S.L(np.zeros((5, dim)), u, np.zeros((5, dim))) is u
+    nodes = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 4, dim))
+    got = integrate_cost_many(S, 0.8, nodes, u, 3)
+    monkeypatch.setattr(cost_ode, "_rk4", _ref_rk4)
+    ref = integrate_cost_many(S, 0.8, nodes, u, 3)
+    assert np.array_equal(bits(got), bits(ref))
+    assert np.allclose(got[:, -1], u * np.exp(0.8), rtol=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_characteristics_of_an_H_p_returning_its_p_argument(dim):
+    HS = HamiltonianSystem(dim=dim, hamiltonian=_drift_hamiltonian, K=0.5,
+                           H_p=lambda x, u, p: p)
+    p = np.ones((3, dim))
+    assert HS.Hp(np.zeros((3, dim)), np.zeros(3), p) is p
+    p0 = np.random.default_rng(6).uniform(-1.0, 1.0, (5, dim))
+    for record in (False, True):
+        got = _characteristics(HS, 0.6, np.zeros(dim), 0.1, p0, 12, record=record)
+        ref = _ref_characteristics(HS, 0.6, np.zeros(dim), 0.1, p0, 12, record=record)
+        assert np.array_equal(bits(got), bits(ref))
+
+
+#: a changed evaluator for each slot the fused field is built from
+REPLACED = {
+    "hamiltonian": lambda HS: lambda x, u, p: HS.H(x, u, p) + 0.25 * np.asarray(u, float),
+    "H_x": lambda HS: lambda x, u, p: HS.Hx(x, u, p) + 0.5,
+    "H_u": lambda HS: lambda x, u, p: HS.Hu(x, u, p) - 0.5,
+    "H_p": lambda HS: lambda x, u, p: 2.0 * HS.Hp(x, u, p),
+}
+
+
+@pytest.mark.parametrize("how", ["replace", "assign"])
+@pytest.mark.parametrize("slot", list(REPLACED))
+@pytest.mark.parametrize("name", [n for n in SWEEP_HAMILTONIANS if n != "finite-differences"])
+def test_a_replaced_evaluator_is_stepped_by_not_the_fused_field(name, slot, how):
+    HS = SWEEP_HAMILTONIANS[name](2)
+    new = REPLACED[slot](HS)
+    if how == "replace":
+        changed = dataclasses.replace(HS, **{slot: new})
+    else:  # a copy keeps the fused field, built from the old evaluator
+        changed = copy.copy(HS)
+        setattr(changed, slot, new)
+    p0 = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 2))
+    got = _characteristics(changed, 0.5, np.array([0.3, -0.2]), 0.4, p0, 8, record=True)
+    ref = _ref_characteristics(changed, 0.5, np.array([0.3, -0.2]), 0.4, p0, 8, record=True)
+    assert np.array_equal(bits(got), bits(ref))
+    old = _characteristics(HS, 0.5, np.array([0.3, -0.2]), 0.4, p0, 8, record=True)
+    assert not np.array_equal(got, old)
