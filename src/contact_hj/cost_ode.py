@@ -12,7 +12,7 @@ state array, guards it against overflow and optionally records it.
 the cost ODE here (forward, batched and in reversed time), the
 exponential-weight state (u, I, J) in `fundamental`, and the frozen-value
 gap integral in `vanishing`.  The characteristic system in `fundamental`
-steps the stacked (xi, p, u) state with `_rk4` directly.
+steps its component-major (xi, p, u) state with `_rk4` directly.
 
 The batched sweep `integrate_cost_many` carries an ensemble of curves
 through the same time grid in one pass; the variational solvers use it
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_count, as_point
+from ._util import as_count, as_point, const
 from .errors import OVERFLOW_LIMIT, MonotonicityViolation, Overflow, PreconditionError
 from .systems import ContactSystem
 
@@ -116,6 +116,8 @@ class CostTrajectory:
 ORDER_TOL = 1e-9
 #: what the RK4 guard's Overflow says
 _OVERFLOW = f"|state| exceeded {OVERFLOW_LIMIT:g} during RK4 integration"
+#: the 2 of the RK4 weights (1, 2, 2, 1) / 6
+_TWO = const(2.0)
 
 
 def _check_range(y) -> None:
@@ -141,9 +143,13 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
     A step works in buffers made once per call, three stage states and one
     sum of slopes, and writes the new state straight into the recorded path
     (or over the old state).  Every buffer f reads stays as it is until its
-    step ends, so f may return a view of its state argument.  Each float
-    operation is that of the allocating y + h6 * (k1 + 2 (k2 + k3) + k4),
-    on the same operands in the same order.
+    step ends, so f may return a view of its state argument, or write its
+    slopes into buffers of its own that it reuses once their step has ended.
+    The step sizes and the 2 are 0-d float64 constants (`_util.const`).
+    Each float operation is that of the allocating
+    y + h6 * (k1 + 2 (k2 + k3) + k4), on the same operands in the same
+    order, in float64: a slope of another dtype (a float32 one, say) is
+    taken as np.asarray(k, float) would take it.
     """
     if isinstance(steps, (int, np.integer)):
         count, steps = int(steps), itertools.repeat((None,) * 4, steps)
@@ -156,8 +162,7 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
         path[0] = y
         y = path[0]
     y2, y3, y4, acc = np.empty((4,) + y.shape)
-    hh = 0.5 * h
-    h6 = h / 6.0
+    hh, h6, h = const(0.5 * h), const(h / 6.0), const(h)
     # a runaway state overflows between guards; the guard reports it as
     # Overflow, so numpy's own warnings about it are silenced
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,7 +174,7 @@ def _rk4(f, y0, h: float, steps, guard_every: int = 1,
             k3 = f(xm, y3, v)
             np.add(y, np.multiply(h, k3, out=y4), out=y4)
             k4 = f(x1, y4, v)
-            np.multiply(2.0, np.add(k2, k3, out=acc), out=acc)
+            np.multiply(_TWO, np.add(k2, k3, out=acc, dtype=float), out=acc)
             np.add(np.add(k1, acc, out=acc), k4, out=acc)
             y = np.add(y, np.multiply(h6, acc, out=acc), out=path[i] if record else y)
             if i % guard_every == 0:

@@ -19,6 +19,7 @@ how well a curve satisfies the stationarity ODE
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -219,7 +220,8 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     `vecdot`, `matvec` or LAPACK call that repeats the lone call row by row
     (never `einsum`, which sums in another order).  Slices of at most
     `_LOCKSTEP_ROWS` sweep rows run one after another.  The inputs are
-    checked whole, one call each, and the lanes come back stacked as
+    checked whole, one call each (`segments` an integer >= 2, `opt.substeps`
+    and `opt.max_iter` integers >= 1), and the lanes come back stacked as
     `DirectLanes`, which builds a lane's FundamentalResult only when asked.
     Raises the NonConvergence of the first lane that misses its criteria
     within max_iter, as solving the lanes one after another would.  An
@@ -228,7 +230,8 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     if t <= T_MIN:
         raise PreconditionError(f"t must exceed {T_MIN:g}")
     N = as_count(segments, "segments", 2)
-    opt = replace(opt, substeps=as_count(opt.substeps, "substeps"))
+    opt = replace(opt, substeps=as_count(opt.substeps, "substeps"),
+                  max_iter=as_count(opt.max_iter, "max_iter"))
     u = np.asarray(u, dtype=float)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not np.isfinite(u).all():
@@ -401,20 +404,33 @@ def _characteristics(HS: HamiltonianSystem, t: float, x0: np.ndarray, u0: float,
                      guard=_check_range) -> np.ndarray:
     """RK4 the characteristic system for a batch of initial momenta.
 
-    Returns the stacked state (xi, p, u) of shape (B, 2n+1), or the
-    (steps+1, B, 2n+1) path when record is set.  `guard` runs after every
-    step; the default raises Overflow on any row.
+    The state is stepped component-major, as a (2n+1, B) array, so every
+    operation of a stage reads and writes contiguous rows: the field gets
+    xi and p as (B, n) transposed views and u as a (B,) row.  The field is
+    resolved once (`HamiltonianSystem.stage_field`), and it writes the four
+    slopes of a step into four buffers made once, in turn, so a buffer is
+    written again only after the step that read it has ended.  Returns the
+    stacked state (xi, p, u) of shape (B, 2n+1), or the (steps+1, B, 2n+1)
+    path when record is set, as views of the component-major arrays.
+    `guard` runs after every step on the (B, 2n+1) state; the default
+    raises Overflow on any row.
     """
     B, n = p0.shape
-    y0 = np.concatenate([np.broadcast_to(x0, (B, n)), p0, np.full((B, 1), float(u0))],
-                        axis=1)
+    y0 = np.empty((2 * n + 1, B))
+    y0[:n] = x0[:, None]
+    y0[n:-1] = p0.T
+    y0[-1] = float(u0)
+    field = HS.stage_field()
+    slopes = itertools.cycle([(k, k[:n].T, k[n:-1].T, k[-1])
+                              for k in np.empty((4, 2 * n + 1, B))])
 
     def rhs(_x, y, _v):  # autonomous: no stage positions
-        k = np.empty_like(y)
-        _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
+        k, dxi, dp, du = next(slopes)
+        field(y[:n].T, y[n:-1].T, y[-1], dxi, dp, du)
         return k
 
-    return _rk4(rhs, y0, t / steps, steps, record=record, guard=guard)
+    y = _rk4(rhs, y0, t / steps, steps, record=record, guard=lambda y: guard(y.T))
+    return np.swapaxes(y, -1, -2)
 
 
 def _check_inputs(finite: dict, counts: dict) -> list:

@@ -11,11 +11,15 @@ Evaluator contract
 ------------------
 All evaluators are vectorized over a leading batch axis: x and v have
 shape (..., n), u has shape (...,), and their batch shapes broadcast.
-The built-ins return fresh float arrays, never views of their arguments,
-of the broadcast batch shape of just the arguments they read (|v|^2 / 2
-of one v is one number for any batch of u; a lone point gives a numpy
-float).  Evaluators must be pure; a system instance may be shared
-read-only between workers.
+Arguments may be non-contiguous views: the characteristic sweep hands
+x and p over as (B, n) transposed views of its component-major state, so
+an evaluator must not rely on their memory layout.  The built-ins return
+fresh float arrays, never views of their arguments, of the broadcast
+batch shape of just the arguments they read (|v|^2 / 2 of one v is one
+number for any batch of u; a lone point gives a numpy float).  The RK4
+stepper works in float64: a result of another dtype, such as float32,
+counts as its np.asarray(r, float).  Evaluators must be pure; a system
+instance may be shared read-only between workers.
 
 Each derivative method (`Lx`, `Lu`, `Lv`, `Lvv`; `Hx`, `Hu`, `Hp`, `Hpp`)
 returns its declared field (`L_x`, ...) and otherwise falls back to
@@ -24,9 +28,9 @@ First derivatives difference the raw `lagrangian` / `hamiltonian`;
 second derivatives difference the first-derivative method, so supplying
 an analytic gradient already gives accurate Hessians.  Both sides of
 the Legendre duality share one transform (`_legendre`).
-`HamiltonianSystem.characteristic_field` follows the same rule: a
-built-in dual declares how it writes H_p and -H_x - H_u p from its terms,
-and any other system calls `Hp`, `Hx` and `Hu`.
+`HamiltonianSystem.stage_field` follows the same rule, settled once per
+sweep: a built-in dual declares how it writes H_p and -H_x - H_u p from
+its terms, and any other system calls `Hp`, `Hx` and `Hu`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_point, golden_min, resolve_id
+from ._util import as_point, const, golden_min, resolve_id
 from .errors import NonConvergence, PreconditionError
 
 Evaluator = Callable[..., np.ndarray]
@@ -199,30 +203,49 @@ class HamiltonianSystem:
     def characteristic_field(self, xi, p, u, out=None):
         """(xi', p', u') = (H_p, -H_x - H_u p, <p, H_p> - H) at (xi, p, u),
         written into one stage array `out` of shape (..., 2n+1) (a fresh one
-        by default) and returned as its views.
+        by default) and returned as its views: one call of `stage_field`'s
+        function."""
+        n = self.dim
+        if out is None:
+            out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
+        views = out[..., :n], out[..., n:-1], out[..., -1]
+        self.stage_field()(xi, p, u, *views)
+        return views
+
+    def stage_field(self):
+        """The characteristic field as a function (xi, p, u, dxi, dp, du) that
+        writes (H_p, -H_x - H_u p, <p, H_p> - H) at (xi, p, u) into the views
+        dxi, dp and du.  A sweep resolves it once and calls it every stage.
 
         H comes from one call of `H`.  A declared field, while the
         evaluators it was built from are in place, writes the rest with the
         float operations of the four-call assembly that serves any other
-        system: one call each of `Hp`, `Hx` and `Hu`.
+        system: one call each of `Hp`, `Hx` and `Hu`.  Which of the two runs
+        is settled here, and the evaluator methods are looked up on the
+        instance here, so a hook put on the class before the sweep sees
+        every stage's calls.
         """
-        n = self.dim
-        if out is None:
-            out = np.empty(np.shape(xi)[:-1] + (2 * n + 1,))
-        dxi, dp, du = out[..., :n], out[..., n:-1], out[..., -1]
+        H = self.H
         fused = self._fused
         if fused is not None and fused[0] == (self.hamiltonian, self.H_x, self.H_u, self.H_p):
-            Hp = fused[1](xi, u, p, dp)
+            momentum = fused[1]
         else:
-            Hp = np.asarray(self.Hp(xi, u, p), dtype=float)
-            Hx = np.asarray(self.Hx(xi, u, p), dtype=float)
-            Hu = np.asarray(self.Hu(xi, u, p), dtype=float)
-            np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
-        Hval = np.asarray(self.H(xi, u, p), dtype=float)
-        dxi[...] = Hp
-        np.subtract(_row_sum(p * Hp), Hval, out=du)
-        du += 0.0  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
-        return dxi, dp, du
+            H_p, H_x, H_u = self.Hp, self.Hx, self.Hu
+
+            def momentum(xi, u, p, dp):
+                Hp = np.asarray(H_p(xi, u, p), dtype=float)
+                Hx = np.asarray(H_x(xi, u, p), dtype=float)
+                Hu = np.asarray(H_u(xi, u, p), dtype=float)
+                np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
+                return Hp
+
+        def stage(xi, p, u, dxi, dp, du):
+            Hp = momentum(xi, u, p, dp)
+            Hval = np.asarray(H(xi, u, p), dtype=float)
+            dxi[...] = Hp
+            np.subtract(_row_sum(p * Hp), Hval, out=du)
+            du += _ZERO  # a zero <p, H_p> of -0.0 terms is +0.0, as np.add.reduce gives
+        return stage
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +517,13 @@ def _row_sum(a):
     return s + a[..., 1] if a.shape[-1] == 2 else s
 
 
+#: the numbers of the built-in terms, as 0-d float64 operands (`_util.const`)
+_ZERO, _NEG_ZERO, _HALF = const(0.0), const(-0.0), const(0.5)
+
+
 def _sq(x, u, z):
     """|z|^2 / 2."""
-    return 0.5 * _row_sum(np.asarray(z, float) ** 2)
+    return _HALF * _row_sum(np.asarray(z, float) ** 2)
 
 
 def _copy(x, u, z):
@@ -576,7 +603,8 @@ _Coupling = namedtuple("_Coupling", "f x1 u", defaults=(None, None))
 
 def _discount(w):
     """a(u) = w u."""
-    return _Coupling(lambda x, u, z: w * np.asarray(u, float), u=_constant(w))
+    rate = const(w)
+    return _Coupling(lambda x, u, z: rate * np.asarray(u, float), u=_constant(w))
 
 
 def _arctan(w):
@@ -584,7 +612,8 @@ def _arctan(w):
     def a_u(x, u, z):
         u = np.asarray(u, float)
         return _fill(w / (1.0 + u * u), u, z)
-    return _Coupling(lambda x, u, z: w * np.arctan(np.asarray(u, float)), u=a_u)
+    rate = const(w)
+    return _Coupling(lambda x, u, z: rate * np.arctan(np.asarray(u, float)), u=a_u)
 
 
 _SIN_SIN = _Coupling(  # c(x, u) = sin(x_1) sin(u)
@@ -617,16 +646,19 @@ def _momentum_field(H_p, g, H_u):
     is None, and H_u is a number or an evaluator.  Each float operation is
     the four-call assembly's: -(-g) is g bit for bit, and -H_x = -0.0 is
     subtracted from, where np.negative would flip the sign of a NaN."""
+    if not callable(H_u):
+        H_u = const(H_u)
+
     def fused(x, u, p, dp):
         if callable(H_u):
             np.multiply(np.asarray(H_u(x, u, p), dtype=float)[..., None], p, out=dp)
         else:
             np.multiply(H_u, p, out=dp)
         if g is None:
-            np.subtract(-0.0, dp, out=dp)
+            np.subtract(_NEG_ZERO, dp, out=dp)
         else:
             np.subtract(g(x, u, p), dp[..., 0], out=dp[..., 0])
-            np.subtract(-0.0, dp[..., 1:], out=dp[..., 1:])
+            np.subtract(_NEG_ZERO, dp[..., 1:], out=dp[..., 1:])
         return np.asarray(H_p(x, u, p), dtype=float)
     return fused
 
@@ -761,7 +793,8 @@ def perturbed_system(lam: float, dim: int = 1) -> ContactSystem:
     lambda, so the general exponential-weight machinery is genuinely
     exercised (L - u dL/du is not lambda-free here).
     """
-    sine = _Coupling(lambda x, u, z: lam * np.sin(np.asarray(x, float)[..., 0]),
+    rate = const(lam)
+    sine = _Coupling(lambda x, u, z: rate * np.sin(np.asarray(x, float)[..., 0]),
                      lambda x, u, z: lam * np.cos(np.asarray(x, float)[..., 0]))
     return _Separable(f"perturbed({lam:g})", _QUADRATIC, K=float(lam), c0=float(lam),
                       bar=lam * (1.0 + 0.5 * math.pi), a=_arctan, rate=-lam, c=sine).side(dim)

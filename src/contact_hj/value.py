@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import as_point, resolve_id
+from ._util import as_count, as_point, resolve_id
 from .errors import PreconditionError
 from .fundamental import OptimizerParams, _direct_lockstep, _slice_lanes
 # unused here; perfbench/tracing.py hooks this module's binding of the names
@@ -248,7 +248,16 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     be alone, so the result is that of solving the points one after
     another, and a lane that exhausts max_iter raises, the first in point
     order.  Returns (value, argmin, winning `FundamentalResult`).
+    A fractional or too small count (`grid_points` and `refine_sweeps`
+    below 1, `segments` below 2), or a `ytol` that is not finite, raises
+    PreconditionError before any sweep; one grid point per axis is taken
+    as two, and a `ytol` of 0 or below refines until rounding stops it.
     """
+    G = max(2, as_count(search.grid_points, "grid_points"))
+    N = as_count(search.segments, "segments", 2)
+    sweeps = as_count(search.refine_sweeps, "refine_sweeps")
+    if not math.isfinite(search.ytol):
+        raise PreconditionError(f"ytol must be finite, got {search.ytol!r}")
     n = x.size
     radius = mu_radius(S, datum, t) * t
     best_y = best = None
@@ -259,25 +268,22 @@ def _search_ball(S, datum, t, x, search) -> tuple:
         nonlocal best_y, best
         # phi point by point: a batched call may round differently
         u = np.array([float(datum(y)) for y in ys])
-        lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u,
-                                 search.segments, search.opt)
+        lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u, N, search.opt)
         k = int(np.argmin(lanes.A))  # the first least A, as a strict-< scan takes
         improved = best is None or lanes.A[k] < best.A
         if improved:
             best_y, best = ys[k].copy(), lanes.result(k)
         return lanes.A, k, improved
 
-    G = max(2, int(search.grid_points))
     axes = [np.linspace(x[i] - radius, x[i] + radius, G) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     inside = np.linalg.norm(mesh - x, axis=-1) <= radius + 1e-12
     solve(np.concatenate([x[None], mesh[inside]]))  # the rest point comes first
     step = 2.0 * radius / (G - 1)
-    K = max(2, min(30, _slice_lanes((int(search.segments) - 1) * n)))
+    K = max(2, min(30, _slice_lanes((N - 1) * n)))
     floor = K * search.ytol / 8.0  # the least sampled half-width
     # a single coordinate is settled by one sweep
-    sweeps = 1 if n == 1 else max(1, search.refine_sweeps)
-    for _ in range(sweeps):
+    for _ in range(1 if n == 1 else sweeps):
         for i in range(n):
             others = np.delete(best_y - x, i)
             half = math.sqrt(max(radius ** 2 - float(np.dot(others, others)), 0.0))

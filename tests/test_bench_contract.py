@@ -109,7 +109,12 @@ def test_traced_cli_runs_leave_no_metric_missing(tracing, tmp_path, monkeypatch)
     assert [m for m, rec in metrics.items() if rec["value"] is None] == []
     assert metrics["cli.jobs"]["value"] == len(TRACED_JOBS)
     assert metrics["systems.L_calls"]["value"] > 0
-    assert metrics["systems.H_calls"]["value"] > 0
+    # one hooked H call per characteristic stage, so a stage function bound
+    # before the hooks went in would read less: the fundamental job sweeps
+    # its candidates twice (the starts, then one Newton step, exact on this
+    # linear shooting map), and the value jobs call no H
+    steps = dict(TRACED_JOBS)["fundamental"]["shooting_steps"]
+    assert metrics["systems.H_calls"]["value"] == 2 * 4 * steps
     # a shooting solve that bypasses the `cli:fundamental_shooting` hook
     # would read 0 here rather than show up as missing
     points = dict(TRACED_JOBS)["fundamental"]["points"]

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contact_hj import (ContactSystem, Curve, HamiltonianSystem, NoRootFound,
-                        OptimizerParams, PreconditionError,
+                        OptimizerParams, PreconditionError, SearchParams, datum_sin,
                         discounted_quadratic_hamiltonian,
                         discounted_quadratic_system, fundamental_direct,
                         fundamental_exponential, fundamental_shooting,
                         herglotz_residual, integrate_cost, lie_step_field,
                         quadratic_hamiltonian, quadratic_system,
-                        quartic_system, shoot, speed_envelope_check,
+                        quartic_system, shoot, solve_value, speed_envelope_check,
                         trig_contact_system)
 from contact_hj import cost_ode, fundamental, perturbed_system
 from contact_hj._util import golden_min
@@ -568,6 +568,11 @@ def _direct(**kw):
     return fundamental_direct(quadratic_system(), 1.0, 0.0, 1.0, 0.0, **kw)
 
 
+def _value(dim=1, **kw):
+    search = SearchParams(**dict({"segments": 4, "grid_points": 5, "ytol": 1e-4}, **kw))
+    return solve_value(quadratic_system(dim), datum_sin(), 0.5, [0.3] * dim, search)
+
+
 #: a fractional count in each place one reaches the library
 FRACTIONAL = {
     "shooting-steps": lambda: _shooting(steps=256.7),
@@ -577,6 +582,10 @@ FRACTIONAL = {
     "shoot-steps": lambda: shoot(quadratic_hamiltonian(), 1.0, 0.0, 0.0, 1.0, steps=16.5),
     "direct-segments": lambda: _direct(segments=8.5),
     "direct-substeps": lambda: _direct(opt=OptimizerParams(substeps=2.5)),
+    "direct-max_iter": lambda: _direct(opt=OptimizerParams(max_iter=2.5)),
+    "value-segments": lambda: _value(segments=8.5),
+    "value-grid_points": lambda: _value(grid_points=9.7),
+    "value-refine_sweeps": lambda: _value(dim=2, refine_sweeps=2.5),
     "cost-substeps": lambda: integrate_cost(quadratic_system(), Curve.straight(0.0, 1.0, 1.0, 4),
                                             0.0, 2.5),
     "cost-many-substeps": lambda: integrate_cost_many(
@@ -588,6 +597,25 @@ FRACTIONAL = {
 def test_fractional_counts_are_refused_before_any_sweep(case, no_steps):
     with pytest.raises(PreconditionError, match="must be an integer"):
         FRACTIONAL[case]()
+
+
+#: a value search setting out of range
+OUT_OF_RANGE = {
+    "grid_points": dict(grid_points=-3), "segments": dict(segments=1),
+    "refine_sweeps": dict(dim=2, refine_sweeps=0), "ytol-nan": dict(ytol=np.nan),
+    "ytol-inf": dict(ytol=np.inf), "ytol-minus-inf": dict(ytol=-np.inf),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_value_search_settings_are_refused_before_any_sweep(case, no_steps):
+    with pytest.raises(PreconditionError, match="must be"):
+        _value(**OUT_OF_RANGE[case])
+
+
+def test_one_grid_point_per_axis_is_taken_as_two():
+    one, two = _value(grid_points=1), _value(grid_points=2.0)
+    assert one[0] == two[0] and np.array_equal(one[1], two[1])
 
 
 def test_integral_float_and_numpy_counts_are_taken_as_ints():

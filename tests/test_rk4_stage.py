@@ -7,8 +7,9 @@ and -H_x - H_u p from its declared terms, and any other system calls
 columns (`systems._row_sum`) instead of `np.add.reduce`, which starts from
 +0.0: a bare column sum keeps a -0.0 that reduce turns into +0.0, so
 `_lie_rhs` adds +0.0 to u'.  Whole sweeps, of the in-place stepper and
-the fused field, are held to the allocating stepper and the four-call
-field they replaced.  Bits are compared through `.view(np.int64)`, which
+the fused field on a component-major (xi, p, u) state, are held to the
+allocating stepper and the four-call field on the row-major state they
+replaced, and so are the arguments every evaluator call is handed.  Bits are compared through `.view(np.int64)`, which
 tells -0.0 from +0.0 and one NaN from another, where `np.array_equal`
 does not.
 """
@@ -38,19 +39,25 @@ def bits(a):
 
 
 def _columns(n):
-    """Every row of n SPECIAL values, contiguous and as the strided momentum
-    columns y[:, n:-1] of a stacked (xi, p, u) state."""
+    """Every row of n SPECIAL values: contiguous, as the strided momentum
+    columns y[:, n:-1] of a row-major (B, 2n+1) state, and as the transposed
+    momentum rows Y[n:-1].T of a component-major (2n+1, B) one."""
     a = np.array(list(itertools.product(SPECIAL, repeat=n)))
     y = np.zeros((len(a), 2 * n + 1))
     y[:, n:-1] = a
-    return {"contiguous": a, "strided": y[:, n:-1]}
+    Y = np.zeros((2 * n + 1, len(a)))
+    Y[n:-1] = a.T
+    return {"contiguous": a, "strided": y[:, n:-1], "transposed": Y[n:-1].T}
+
+
+LAYOUTS = ["contiguous", "strided", "transposed"]
 
 
 # ---------------------------------------------------------------------------
 # column sums
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_sum_of_squares_is_reduce_bit_for_bit(n, layout):
     a = _columns(n)[layout]
@@ -59,7 +66,7 @@ def test_row_sum_of_squares_is_reduce_bit_for_bit(n, layout):
         assert np.array_equal(bits(_row_sum(sq)), bits(np.add.reduce(sq, axis=-1)))
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_sum_minus_h_plus_zero_is_reduce_minus_h(n, layout):
     # the u' rule of `_lie_rhs`: (sum - H) + 0.0 against every H
@@ -142,7 +149,7 @@ def test_lie_rhs_matches_reference_bit_for_bit(name, dim):
     y = _states(dim)
     n = dim
     with np.errstate(all="ignore"):
-        # the stage layout of `_characteristics`: strided views into one state
+        # strided views into one row-major state
         k_ref, k = np.empty_like(y), np.empty_like(y)
         _ref_lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k_ref)
         got = _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
@@ -150,6 +157,11 @@ def test_lie_rhs_matches_reference_bit_for_bit(name, dim):
         for view, col in zip(got, (slice(0, n), slice(n, -1), -1)):
             assert np.shares_memory(view, k)
             assert np.array_equal(bits(view), bits(k[:, col]))
+        # the stage layout of `_characteristics`: transposed views into one
+        # component-major state and slope
+        Y, K = np.ascontiguousarray(y.T), np.empty_like(y.T)
+        HS.stage_field()(Y[:n].T, Y[n:-1].T, Y[-1], K[:n].T, K[n:-1].T, K[-1])
+        assert np.array_equal(bits(K.T), bits(k_ref))
         # a lone point, as `lie_step_field` passes it: a fresh stage array
         for row in y:
             ref = _ref_lie_rhs(HS, row[:n], row[n:-1], float(row[-1]))
@@ -280,24 +292,55 @@ def _no_guard(y):
     pass
 
 
+def _recording(f):
+    """A list, and f as a function that first appends to it copies of the
+    last three arguments (x, u, p) of every call."""
+    seen = []
+
+    def spy(*args):
+        seen.append([np.array(a) for a in args[-3:]])
+        return f(*args)
+    return seen, spy
+
+
+def _same_arguments(seen, split, B, dim):
+    """The calls before `split` saw what the calls after it saw, bit for bit,
+    each a (B, n) xi and p and a (B,) u."""
+    got, ref = seen[:split], seen[split:]
+    assert len(got) == len(ref) > 0
+    for g, r in zip(got, ref):
+        assert [a.shape for a in g] == [(B, dim), (B,), (B, dim)]
+        for a, b in zip(g, r):
+            assert np.array_equal(bits(a), bits(b))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("name", list(SWEEP_HAMILTONIANS))
-def test_characteristic_sweep_matches_allocating_four_call_sweep(name, dim):
+def test_characteristic_sweep_matches_allocating_four_call_sweep(monkeypatch, name, dim):
     HS = SWEEP_HAMILTONIANS[name](dim)
+    # what H is handed at every stage, in the stepped layout and the reference's
+    seen, spy = _recording(HamiltonianSystem.H)
+    monkeypatch.setattr(HamiltonianSystem, "H", spy)
     rng = np.random.default_rng(17)
     x0 = rng.uniform(-1.0, 1.0, dim)
     p0 = rng.uniform(-2.0, 2.0, (7, dim))
     for record in (False, True):
+        seen.clear()
         got = _characteristics(HS, 0.7, x0, 0.3, p0, 16, record=record)
+        split = len(seen)
         ref = _ref_characteristics(HS, 0.7, x0, 0.3, p0, 16, record=record)
         assert np.array_equal(bits(got), bits(ref))
+        _same_arguments(seen, split, len(p0), dim)
     # signed zeros, infinities, NaNs and subnormals carried through every stage
     special = _states(dim)[:, dim:-1]
+    seen.clear()
     with np.errstate(all="ignore"):
         got = _characteristics(HS, 0.7, x0, -0.0, special, 4, record=True, guard=_no_guard)
+        split = len(seen)
         ref = _ref_characteristics(HS, 0.7, x0, -0.0, special, 4, record=True,
                                    guard=_no_guard)
     assert np.array_equal(bits(got), bits(ref))
+    _same_arguments(seen, split, len(special), dim)
 
 
 def _walled_quadratic(dim):
@@ -350,15 +393,42 @@ def test_cost_sweep_of_a_lagrangian_returning_its_u_argument(monkeypatch, dim):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_characteristics_of_an_H_p_returning_its_p_argument(dim):
-    HS = HamiltonianSystem(dim=dim, hamiltonian=_drift_hamiltonian, K=0.5,
-                           H_p=lambda x, u, p: p)
+    # the H_p records what it is handed, in the stepped layout and the reference's
+    seen, H_p = _recording(lambda x, u, p: p)
+    HS = HamiltonianSystem(dim=dim, hamiltonian=_drift_hamiltonian, K=0.5, H_p=H_p)
     p = np.ones((3, dim))
     assert HS.Hp(np.zeros((3, dim)), np.zeros(3), p) is p
     p0 = np.random.default_rng(6).uniform(-1.0, 1.0, (5, dim))
     for record in (False, True):
+        seen.clear()
         got = _characteristics(HS, 0.6, np.zeros(dim), 0.1, p0, 12, record=record)
+        split = len(seen)
         ref = _ref_characteristics(HS, 0.6, np.zeros(dim), 0.1, p0, 12, record=record)
         assert np.array_equal(bits(got), bits(ref))
+        _same_arguments(seen, split, len(p0), dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_sweep_of_a_float32_lagrangian_is_stepped_in_float64(monkeypatch, dim):
+    # the stepper takes a float32 slope as np.asarray(k, float) would, so the
+    # sweep is the allocating one of the widened Lagrangian, bit for bit
+    def lagrangian(x, u, v):
+        v = np.asarray(v, float)
+        return (0.5 * np.sum(v * v, axis=-1)
+                + 0.3 * np.sin(np.asarray(u, float))).astype(np.float32)
+
+    S = ContactSystem(dim=dim, lagrangian=lagrangian, K=0.3, theta0=_growth,
+                      theta0_bar=_growth, c0=0.0)
+    widened = dataclasses.replace(
+        S, lagrangian=lambda x, u, v: np.asarray(lagrangian(x, u, v), dtype=float))
+    assert S.L(np.zeros((2, dim)), np.zeros(2), np.ones((2, dim))).dtype == np.float32
+    nodes = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 4, dim))
+    u = np.linspace(-1.0, 1.0, 5)
+    got = integrate_cost_many(S, 0.8, nodes, u, 3)
+    monkeypatch.setattr(cost_ode, "_rk4", _ref_rk4)
+    assert np.array_equal(bits(got), bits(integrate_cost_many(widened, 0.8, nodes, u, 3)))
+    # the allocating stepper multiplies float32 slopes in float32: a real corner
+    assert not np.array_equal(bits(got), bits(integrate_cost_many(S, 0.8, nodes, u, 3)))
 
 
 #: a changed evaluator for each slot the fused field is built from
