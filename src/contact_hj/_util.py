@@ -74,10 +74,10 @@ def const(c) -> np.ndarray:
 
 
 def as_count(value, name: str, least: int = 1) -> int:
-    """`value` as an int of at least `least`; a fraction such as 2.5 raises
-    PreconditionError rather than being truncated, while integral floats
-    such as 8.0 and numpy ints pass."""
-    if not (isinstance(value, numbers.Real) and value >= least
+    """`value` as an int of at least `least`; a fraction such as 2.5 or a
+    bool raises PreconditionError rather than being truncated or read as
+    0 or 1, while integral floats such as 8.0 and numpy ints pass."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= least
             and float(value).is_integer()):
         raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

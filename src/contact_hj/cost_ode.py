@@ -52,7 +52,7 @@ class Curve:
     def straight(cls, x, y, t_final: float, segments: int) -> "Curve":
         x = as_point(x)
         y = as_point(y, x.size)
-        lam = np.linspace(0.0, 1.0, segments + 1)[:, None]
+        lam = np.linspace(0.0, 1.0, as_count(segments, "segments") + 1)[:, None]
         return cls(t_final=float(t_final), nodes=(1.0 - lam) * x + lam * y)
 
     @property

@@ -384,18 +384,11 @@ def fundamental_exponential(S: ContactSystem, xi: Curve, u: float,
 # characteristics
 # ---------------------------------------------------------------------------
 
-def _lie_rhs(HS: HamiltonianSystem, xi, p, u, out=None):
-    """(xi', p', u') at (xi, p, u), written into one stage array `out` of
-    shape (..., 2n+1) (a fresh one by default) and returned as its views
-    (`HamiltonianSystem.characteristic_field`)."""
-    return HS.characteristic_field(xi, p, u, out)
-
-
 def lie_step_field(HS: HamiltonianSystem, state: CharacteristicState):
     """Right-hand side (xi', p', u') of the characteristic system."""
     xi = as_point(state.xi, HS.dim)
     p = as_point(state.p, HS.dim)
-    dxi, dp, du = _lie_rhs(HS, xi, p, float(state.u))
+    dxi, dp, du = HS.characteristic_field(xi, p, float(state.u))
     return dxi, dp, float(du)
 
 

@@ -29,20 +29,21 @@ second derivatives difference the first-derivative method, so supplying
 an analytic gradient already gives accurate Hessians.  Both sides of
 the Legendre duality share one transform (`_legendre`).
 `HamiltonianSystem.stage_field` follows the same rule, settled once per
-sweep: a built-in dual declares how it writes H_p and -H_x - H_u p from
-its terms, and any other system calls `Hp`, `Hx` and `Hu`.
+sweep, and assembles -H_x - H_u p one way for every system
+(`_momentum_field`): only the built-in terms marked on their evaluators,
+a zero H_x and a constant H_u, are applied without a call.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import as_point, const, golden_min, resolve_id
+from ._util import as_count, as_point, const, golden_min, resolve_id
 from .errors import NonConvergence, PreconditionError
 
 Evaluator = Callable[..., np.ndarray]
@@ -107,9 +108,11 @@ def _partial(declared: str, of: str, slot: int, fd):
 # ---------------------------------------------------------------------------
 
 def _check_contract(dim, **rates) -> None:
-    """What both sides of the duality require: dim 1 or 2, nonnegative rates."""
+    """What both sides of the duality require: dim 1 or 2, finite nonnegative rates."""
     if dim not in (1, 2):
         raise PreconditionError(f"dim must be 1 or 2, got {dim}")
+    if not all(math.isfinite(r) for r in rates.values()):
+        raise PreconditionError(f"{' and '.join(rates)} must be finite")
     if any(r < 0 for r in rates.values()):
         raise PreconditionError(f"{' and '.join(rates)} must be nonnegative")
 
@@ -141,6 +144,8 @@ class ContactSystem:
         _check_contract(self.dim, K=self.K, c0=self.c0)
         if self.C_const is None:
             self.C_const = float(self.theta0_bar(0.0))
+        if not math.isfinite(self.C_const):
+            raise PreconditionError(f"C_const must be finite, got {self.C_const!r}")
 
     # evaluators ------------------------------------------------------
 
@@ -184,10 +189,6 @@ class HamiltonianSystem:
     H_p: Optional[Evaluator] = None
     H_pp: Optional[Evaluator] = None
     name: str = ""
-    #: (the evaluators (hamiltonian, H_x, H_u, H_p) it was built from, a
-    #: function (x, u, p, dp) -> H_p that writes dp = -H_x - H_u p), declared
-    #: by `_Separable.side`; not an argument, so `dataclasses.replace` drops it
-    _fused: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_contract(self.dim, K=self.K)
@@ -217,27 +218,15 @@ class HamiltonianSystem:
         writes (H_p, -H_x - H_u p, <p, H_p> - H) at (xi, p, u) into the views
         dxi, dp and du.  A sweep resolves it once and calls it every stage.
 
-        H comes from one call of `H`.  A declared field, while the
-        evaluators it was built from are in place, writes the rest with the
-        float operations of the four-call assembly that serves any other
-        system: one call each of `Hp`, `Hx` and `Hu`.  Which of the two runs
-        is settled here, and the evaluator methods are looked up on the
+        H comes from one call of `H`, and each derivative is its declared
+        field when one is set, else its method (`_partial`'s rule, settled
+        here rather than per stage).  The methods are looked up on the
         instance here, so a hook put on the class before the sweep sees
         every stage's calls.
         """
         H = self.H
-        fused = self._fused
-        if fused is not None and fused[0] == (self.hamiltonian, self.H_x, self.H_u, self.H_p):
-            momentum = fused[1]
-        else:
-            H_p, H_x, H_u = self.Hp, self.Hx, self.Hu
-
-            def momentum(xi, u, p, dp):
-                Hp = np.asarray(H_p(xi, u, p), dtype=float)
-                Hx = np.asarray(H_x(xi, u, p), dtype=float)
-                Hu = np.asarray(H_u(xi, u, p), dtype=float)
-                np.subtract(-Hx, np.multiply(Hu[..., None], p, out=dp), out=dp)
-                return Hp
+        momentum = _momentum_field(*(d if d is not None else m for d, m in (
+            (self.H_p, self.Hp), (self.H_x, self.Hx), (self.H_u, self.Hu))))
 
         def stage(xi, p, u, dxi, dp, du):
             Hp = momentum(xi, u, p, dp)
@@ -439,8 +428,7 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
     theta0(r)/r on the sampled radii; a genuine limit at infinity is not
     numerically decidable.
     """
-    if samples < 1:
-        raise PreconditionError("samples must be >= 1")
+    samples = as_count(samples, "samples")
     n = S.dim
     d = 2 * n + 1
     # Latin hypercube: one shuffled stratum per sample and axis, jittered
@@ -640,27 +628,27 @@ def _gradient_x(g, negate):
     return d_x
 
 
-def _momentum_field(H_p, g, H_u):
-    """The fused part of a built-in dual's characteristic field: (x, u, p, dp)
-    -> H_p, writing dp = -H_x - H_u p where H_x = (-g, 0, ...), or 0 when g
-    is None, and H_u is a number or an evaluator.  Each float operation is
-    the four-call assembly's: -(-g) is g bit for bit, and -H_x = -0.0 is
-    subtracted from, where np.negative would flip the sign of a NaN."""
-    if not callable(H_u):
-        H_u = const(H_u)
+def _momentum_field(H_p, H_x, H_u):
+    """The momentum part of the characteristic field: (x, u, p, dp) -> H_p,
+    writing dp = -H_x - H_u p.  Two built-in terms are read off their
+    evaluators and applied without a call: H_x = `_zero_x` as -H_x = -0.0,
+    subtracted from (np.negative would flip the sign of a NaN), and an H_u
+    made by `_constant` as its 0-d `value`.  Either gives the bits of the
+    called term; any other evaluator is called."""
+    c = const(H_u.value) if hasattr(H_u, "value") else None
 
-    def fused(x, u, p, dp):
-        if callable(H_u):
+    def momentum(x, u, p, dp):
+        Hp = np.asarray(H_p(x, u, p), dtype=float)
+        if c is None:
             np.multiply(np.asarray(H_u(x, u, p), dtype=float)[..., None], p, out=dp)
         else:
-            np.multiply(H_u, p, out=dp)
-        if g is None:
+            np.multiply(c, p, out=dp)
+        if H_x is _zero_x:
             np.subtract(_NEG_ZERO, dp, out=dp)
         else:
-            np.subtract(g(x, u, p), dp[..., 0], out=dp[..., 0])
-            np.subtract(_NEG_ZERO, dp[..., 1:], out=dp[..., 1:])
-        return np.asarray(H_p(x, u, p), dtype=float)
-    return fused
+            np.subtract(-np.asarray(H_x(x, u, p), dtype=float), dp, out=dp)
+        return Hp
+    return momentum
 
 
 @dataclass(frozen=True)
@@ -704,12 +692,8 @@ class _Separable:
                 c_u = (lambda x, u, z, g=c.u: -g(x, u, z)) if dual else c.u
                 d_u = c_u if self.a is None else _plus(d_u, c_u)
         if dual:
-            HS = HamiltonianSystem(dim=dim, hamiltonian=f, K=self.K, H_x=d_x, H_u=d_u,
-                                   H_p=kin.dual_p, H_pp=kin.dual_pp, name=self.name)
-            g = None if c is None else c.x1
-            HS._fused = ((f, d_x, d_u, kin.dual_p),
-                         _momentum_field(kin.dual_p, g, getattr(d_u, "value", d_u)))
-            return HS
+            return HamiltonianSystem(dim=dim, hamiltonian=f, K=self.K, H_x=d_x, H_u=d_u,
+                                     H_p=kin.dual_p, H_pp=kin.dual_pp, name=self.name)
         theta0, bar = kin.theta0, self.bar
         return ContactSystem(dim=dim, lagrangian=f, K=self.K, theta0=theta0,
                              theta0_bar=(lambda r: theta0(r) + bar) if bar else theta0,

@@ -77,6 +77,7 @@ class InitialDatum:
         Pairs both far-apart and nearby points; nearby pairs are what
         actually probe the local slope.
         """
+        samples = as_count(samples, "samples")
         rng, slack = np.random.default_rng(0), 1e-6
         lo = np.array([b[0] for b in x_bounds], dtype=float)
         hi = np.array([b[1] for b in x_bounds], dtype=float)
@@ -169,8 +170,8 @@ def mu_radius(S: ContactSystem, datum: InitialDatum, t: float) -> float:
     knowing the minimizer.  Uses C1 = 2K (so 1 - e^{-2Kt} <= C1 t for all
     t >= 0) and C2 = sup|phi| * C1.
     """
-    if not t > 0:
-        raise PreconditionError("t must be positive")
+    if not 0 < t < math.inf:
+        raise PreconditionError("t must be positive and finite")
     K = S.K
     C = float(S.C_const)
     c0 = S.c0
@@ -367,8 +368,9 @@ def solve_value_grid(S: ContactSystem, datum: InitialDatum,
     """
     search = search or SearchParams()
     times = np.asarray(list(times), dtype=float)
-    if times.size == 0 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise PreconditionError("times must be positive and strictly ascending")
+    if (times.size == 0 or not np.all((times > 0) & (times < math.inf))
+            or np.any(np.diff(times) <= 0)):
+        raise PreconditionError("times must be positive, finite and strictly ascending")
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != S.dim:
         raise PreconditionError("points must have shape (P, dim)")

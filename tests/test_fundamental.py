@@ -14,8 +14,8 @@ from contact_hj import (ContactSystem, Curve, HamiltonianSystem, NoRootFound,
                         herglotz_residual, integrate_cost, lie_step_field,
                         quadratic_hamiltonian, quadratic_system,
                         quartic_system, shoot, solve_value, speed_envelope_check,
-                        trig_contact_system)
-from contact_hj import cost_ode, fundamental, perturbed_system
+                        trig_contact_system, verify_conditions)
+from contact_hj import SampleBox, cost_ode, fundamental, perturbed_system
 from contact_hj._util import golden_min
 from contact_hj.cost_ode import integrate_cost_many
 from contact_hj.fundamental import (DECREASE_TOL, FD_STEP, CharacteristicState,
@@ -590,6 +590,12 @@ FRACTIONAL = {
                                             0.0, 2.5),
     "cost-many-substeps": lambda: integrate_cost_many(
         quadratic_system(), 1.0, np.zeros((2, 5, 1)), 0.0, 2.5),
+    "curve-segments": lambda: Curve.straight(0.0, 1.0, 1.0, 2.5),
+    "audit-samples": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1),
+                                               samples=2.5),
+    "audit-samples-bool": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1),
+                                                    samples=True),
+    "datum-samples": lambda: datum_sin().validate([(-1.0, 1.0)], samples=2.5),
 }
 
 

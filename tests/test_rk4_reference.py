@@ -17,7 +17,7 @@ from contact_hj import (Curve, Overflow, contact_bound,
                         trig_contact_hamiltonian, trig_contact_system)
 from contact_hj.cost_ode import _rk4_sweep
 from contact_hj.errors import OVERFLOW_LIMIT
-from contact_hj.fundamental import _characteristics, _lie_rhs
+from contact_hj.fundamental import _characteristics
 
 TOL = 1e-12
 
@@ -103,10 +103,10 @@ def _lie_batch(HS, t, x0, u0, p0, steps, record=False):
         path_u = np.empty((steps + 1, B))
         path_xi[0], path_p[0], path_u[0] = xi, p, u
     for i in range(steps):
-        k1x, k1p, k1u = _lie_rhs(HS, xi, p, u)
-        k2x, k2p, k2u = _lie_rhs(HS, xi + 0.5 * h * k1x, p + 0.5 * h * k1p, u + 0.5 * h * k1u)
-        k3x, k3p, k3u = _lie_rhs(HS, xi + 0.5 * h * k2x, p + 0.5 * h * k2p, u + 0.5 * h * k2u)
-        k4x, k4p, k4u = _lie_rhs(HS, xi + h * k3x, p + h * k3p, u + h * k3u)
+        k1x, k1p, k1u = HS.characteristic_field(xi, p, u)
+        k2x, k2p, k2u = HS.characteristic_field(xi + 0.5 * h * k1x, p + 0.5 * h * k1p, u + 0.5 * h * k1u)
+        k3x, k3p, k3u = HS.characteristic_field(xi + 0.5 * h * k2x, p + 0.5 * h * k2p, u + 0.5 * h * k2u)
+        k4x, k4p, k4u = HS.characteristic_field(xi + h * k3x, p + h * k3p, u + h * k3u)
         xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)

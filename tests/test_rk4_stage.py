@@ -1,17 +1,18 @@
 """The arithmetic and the evaluator calls of one RK4 stage, bit for bit.
 
 A stage of the cost sweep calls `ContactSystem.L` once.  A stage of the
-characteristic sweep calls `H` once; a built-in's fused field writes H_p
-and -H_x - H_u p from its declared terms, and any other system calls
-`Hp`, `Hx` and `Hu` once each.  The built-ins sum |z|^2 and <p, H_p> by
-columns (`systems._row_sum`) instead of `np.add.reduce`, which starts from
-+0.0: a bare column sum keeps a -0.0 that reduce turns into +0.0, so
-`_lie_rhs` adds +0.0 to u'.  Whole sweeps, of the in-place stepper and
-the fused field on a component-major (xi, p, u) state, are held to the
-allocating stepper and the four-call field on the row-major state they
-replaced, and so are the arguments every evaluator call is handed.  Bits are compared through `.view(np.int64)`, which
-tells -0.0 from +0.0 and one NaN from another, where `np.array_equal`
-does not.
+characteristic sweep calls `H` once, and each derivative's declared field
+when one is set, else its `Hp`, `Hx` or `Hu` method; a built-in's zero H_x
+and constant H_u are applied without a call.  The built-ins sum |z|^2 and
+<p, H_p> by columns (`systems._row_sum`) instead of `np.add.reduce`, which
+starts from +0.0: a bare column sum keeps a -0.0 that reduce turns into
++0.0, so `HamiltonianSystem.characteristic_field` adds +0.0 to u'.  Whole
+sweeps, of the in-place stepper and the one stage assembly on a
+component-major (xi, p, u) state, are held to the allocating stepper and
+the four-call field on the row-major state they replaced, and so are the
+arguments every evaluator call is handed.  Bits are compared through
+`.view(np.int64)`, which tells -0.0 from +0.0 and one NaN from another,
+where `np.array_equal` does not.
 """
 
 import copy
@@ -24,7 +25,7 @@ import pytest
 from contact_hj import builtin_hamiltonian, builtin_system
 from contact_hj import cost_ode, fundamental
 from contact_hj.cost_ode import _check_range, integrate_cost_many
-from contact_hj.fundamental import _candidate_sweep, _characteristics, _lie_rhs
+from contact_hj.fundamental import _candidate_sweep, _characteristics
 from contact_hj.systems import (_BUILTINS, _QUADRATIC, _SIN_SIN, ContactSystem,
                                 HamiltonianSystem, _arctan, _discount, _row_sum,
                                 _Separable)
@@ -69,7 +70,7 @@ def test_row_sum_of_squares_is_reduce_bit_for_bit(n, layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_sum_minus_h_plus_zero_is_reduce_minus_h(n, layout):
-    # the u' rule of `_lie_rhs`: (sum - H) + 0.0 against every H
+    # the u' rule of `characteristic_field`: (sum - H) + 0.0 against every H
     a = _columns(n)[layout]
     with np.errstate(all="ignore"):
         mine = (_row_sum(a)[:, None] - SPECIAL) + 0.0
@@ -78,7 +79,7 @@ def test_row_sum_minus_h_plus_zero_is_reduce_minus_h(n, layout):
 
 
 def test_bare_row_sum_keeps_the_negative_zero_reduce_drops():
-    # why `_lie_rhs` adds +0.0: without it this row's u' would read -0.0
+    # why `characteristic_field` adds +0.0: without it this row's u' would read -0.0
     for a in (np.array([[-0.0]]), np.array([[-0.0, -0.0]])):
         assert np.signbit(_row_sum(a)[0])
         assert not np.signbit(np.add.reduce(a, axis=-1)[0])
@@ -98,7 +99,7 @@ def test_row_sum_of_a_lone_point_is_a_numpy_float(n):
 # ---------------------------------------------------------------------------
 
 def _ref_lie_rhs(HS, xi, p, u, out=None):
-    """`fundamental._lie_rhs` as it was, summing <p, H_p> by np.add.reduce."""
+    """The characteristic field as it was, summing <p, H_p> by np.add.reduce."""
     Hp = np.asarray(HS.Hp(xi, u, p), dtype=float)
     Hx = np.asarray(HS.Hx(xi, u, p), dtype=float)
     Hu = np.asarray(HS.Hu(xi, u, p), dtype=float)
@@ -123,11 +124,38 @@ def _drift_hamiltonian(x, u, p):
     return np.sum(0.5 * p * p + b * p, axis=-1) + 0.5 * u * np.sin(x[..., 0])
 
 
+def _drift_p(x, u, p):
+    p = np.asarray(p, float)
+    return p + _DRIFT[:p.shape[-1]]
+
+
+def _drift_x(x, u, p):
+    x = np.asarray(x, float)
+    out = np.zeros(np.broadcast_shapes(x.shape, np.shape(p)))
+    out[..., 0] = 0.5 * np.asarray(u, float) * np.cos(x[..., 0])
+    return out
+
+
+def _drift_u(x, u, p):
+    return 0.5 * np.sin(np.asarray(x, float)[..., 0])
+
+
 HAMILTONIANS = {name: (lambda d, spec=name + "(0.75)" * (arity == 1):
                        builtin_hamiltonian(spec, d))
                 for name, (_, arity) in _BUILTINS.items()}
 HAMILTONIANS["finite-differences"] = lambda d: HamiltonianSystem(
     dim=d, hamiltonian=_drift_hamiltonian, K=0.5)
+
+
+#: systems whose stage calls no derivative method: a user system that
+#: declares H_p, H_x and H_u, and a built-in copied by `dataclasses.replace`,
+#: which keeps its marked zero H_x and constant H_u
+DECLARED = {
+    "declared": lambda d: HamiltonianSystem(dim=d, hamiltonian=_drift_hamiltonian, K=0.5,
+                                            H_p=_drift_p, H_x=_drift_x, H_u=_drift_u),
+    "replaced-builtin": lambda d: dataclasses.replace(
+        builtin_hamiltonian("discounted-quadratic(0.75)", d), name="copy"),
+}
 
 
 def _states(n, seed=5):
@@ -152,7 +180,7 @@ def test_lie_rhs_matches_reference_bit_for_bit(name, dim):
         # strided views into one row-major state
         k_ref, k = np.empty_like(y), np.empty_like(y)
         _ref_lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k_ref)
-        got = _lie_rhs(HS, y[:, :n], y[:, n:-1], y[:, -1], k)
+        got = HS.characteristic_field(y[:, :n], y[:, n:-1], y[:, -1], k)
         assert np.array_equal(bits(k), bits(k_ref))
         for view, col in zip(got, (slice(0, n), slice(n, -1), -1)):
             assert np.shares_memory(view, k)
@@ -165,7 +193,7 @@ def test_lie_rhs_matches_reference_bit_for_bit(name, dim):
         # a lone point, as `lie_step_field` passes it: a fresh stage array
         for row in y:
             ref = _ref_lie_rhs(HS, row[:n], row[n:-1], float(row[-1]))
-            mine = _lie_rhs(HS, row[:n], row[n:-1], float(row[-1]))
+            mine = HS.characteristic_field(row[:n], row[n:-1], float(row[-1]))
             for a, b in zip(mine, ref):
                 assert np.shape(a) == np.shape(b)
                 assert np.array_equal(bits(a), bits(b))
@@ -208,11 +236,12 @@ def test_cost_sweep_calls_L_once_per_stage(monkeypatch, B, N, m, dim):
     assert counts == {"L": 4 * N * m}
 
 
-@pytest.mark.parametrize("name", list(HAMILTONIANS))
+@pytest.mark.parametrize("name", list(HAMILTONIANS) + list(DECLARED))
 @pytest.mark.parametrize("steps", [1, 9])
 def test_characteristics_call_each_evaluator_once_per_stage(monkeypatch, name, steps):
-    # a built-in's fused field calls H alone; the fallback calls all four
-    HS = HAMILTONIANS[name](2)
+    # a declared field is called in place of its method; only the
+    # finite-difference system calls all four
+    HS = dict(HAMILTONIANS, **DECLARED)[name](2)
     counts = _count_calls(monkeypatch, HamiltonianSystem, ["H", "Hp", "Hx", "Hu"])
     p0 = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
     _characteristics(HS, 0.6, np.zeros(2), 0.2, p0, steps)
@@ -247,7 +276,7 @@ def _ref_rk4(f, y0, h, steps, guard_every=1, record=False, guard=_check_range):
 
 
 def _four_call_rhs(HS, xi, p, u, out=None):
-    """`fundamental._lie_rhs` as it was: H, Hp, Hx and Hu called once each."""
+    """The characteristic field as it was: H, Hp, Hx and Hu called once each."""
     Hp = np.asarray(HS.Hp(xi, u, p), dtype=float)
     Hx = np.asarray(HS.Hx(xi, u, p), dtype=float)
     Hu = np.asarray(HS.Hu(xi, u, p), dtype=float)
@@ -315,9 +344,9 @@ def _same_arguments(seen, split, B, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("name", list(SWEEP_HAMILTONIANS))
+@pytest.mark.parametrize("name", list(SWEEP_HAMILTONIANS) + list(DECLARED))
 def test_characteristic_sweep_matches_allocating_four_call_sweep(monkeypatch, name, dim):
-    HS = SWEEP_HAMILTONIANS[name](dim)
+    HS = dict(SWEEP_HAMILTONIANS, **DECLARED)[name](dim)
     # what H is handed at every stage, in the stepped layout and the reference's
     seen, spy = _recording(HamiltonianSystem.H)
     monkeypatch.setattr(HamiltonianSystem, "H", spy)
@@ -431,7 +460,7 @@ def test_cost_sweep_of_a_float32_lagrangian_is_stepped_in_float64(monkeypatch, d
     assert not np.array_equal(bits(got), bits(integrate_cost_many(S, 0.8, nodes, u, 3)))
 
 
-#: a changed evaluator for each slot the fused field is built from
+#: a changed evaluator for each slot a built-in's stage reads
 REPLACED = {
     "hamiltonian": lambda HS: lambda x, u, p: HS.H(x, u, p) + 0.25 * np.asarray(u, float),
     "H_x": lambda HS: lambda x, u, p: HS.Hx(x, u, p) + 0.5,
@@ -448,7 +477,7 @@ def test_a_replaced_evaluator_is_stepped_by_not_the_fused_field(name, slot, how)
     new = REPLACED[slot](HS)
     if how == "replace":
         changed = dataclasses.replace(HS, **{slot: new})
-    else:  # a copy keeps the fused field, built from the old evaluator
+    else:  # a copy with one evaluator assigned, which carries no mark
         changed = copy.copy(HS)
         setattr(changed, slot, new)
     p0 = np.random.default_rng(8).uniform(-1.0, 1.0, (4, 2))

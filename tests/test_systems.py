@@ -8,7 +8,7 @@ from contact_hj import (ContactSystem, HamiltonianSystem, NonConvergence,
                         discounted_quadratic_system,
                         legendre_to_hamiltonian, legendre_to_lagrangian,
                         quadratic_system, quartic_system, trig_contact_system,
-                        verify_conditions)
+                        verify_conditions, with_overrides)
 from contact_hj.systems import H_FD
 
 ALL_IDS = ["quadratic", "discounted-quadratic(1.0)", "quartic", "trig-contact"]
@@ -355,8 +355,16 @@ def _kinetic(x, u, z):
     (lambda: HamiltonianSystem(dim=1, hamiltonian=_kinetic, K=-1.0), "K must be nonnegative"),
     (lambda: scalar_system(_kinetic, K=-1.0), "K and c0 must be nonnegative"),
     (lambda: scalar_system(_kinetic, c0=-1.0), "K and c0 must be nonnegative"),
+    (lambda: HamiltonianSystem(dim=1, hamiltonian=_kinetic, K=np.nan), "K must be finite"),
+    (lambda: with_overrides(discounted_quadratic_system(0.5), K=np.nan),
+     "K and c0 must be finite"),
+    (lambda: scalar_system(_kinetic, c0=np.inf), "K and c0 must be finite"),
+    (lambda: with_overrides(quadratic_system(), C_const=np.nan), "C_const must be finite"),
+    (lambda: scalar_system(_kinetic, theta0_bar=lambda r: np.asarray(r, float) ** 2 + np.inf),
+     "C_const must be finite"),
 ], ids=["lagrangian-3d", "hamiltonian-3d", "hamiltonian-0d", "hamiltonian-negative-K",
-        "lagrangian-negative-K", "lagrangian-negative-c0"])
+        "lagrangian-negative-K", "lagrangian-negative-c0", "hamiltonian-nan-K",
+        "override-nan-K", "lagrangian-inf-c0", "override-nan-C_const", "lagrangian-inf-C_const"])
 def test_both_sides_refuse_what_breaks_the_system_contract(build, match):
     from contact_hj import PreconditionError
     with pytest.raises(PreconditionError, match=match):

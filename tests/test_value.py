@@ -56,8 +56,9 @@ def test_mu_radius_monotone_in_lipschitz_constant():
 
 
 def test_mu_radius_rejects_nonpositive_time():
-    with pytest.raises(PreconditionError):
-        mu_radius(quadratic_system(), datum_sin(), 0.0)
+    for t in (0.0, -1.0, np.inf, np.nan):  # an infinite horizon gave a nan radius
+        with pytest.raises(PreconditionError):
+            mu_radius(quadratic_system(), datum_sin(), t)
 
 
 @pytest.mark.parametrize("lip, sup_abs, field", [
@@ -242,6 +243,9 @@ def test_grid_validates_inputs():
         solve_value_grid(S, datum_sin(), [1.0, 0.5], np.array([[0.0]]), FAST)
     with pytest.raises(PreconditionError):
         solve_value_grid(S, datum_sin(), [0.5], np.array([0.0]), FAST)
+    for times in ([np.inf], [0.5, np.nan]):  # not a sweep of NaN curves
+        with pytest.raises(PreconditionError, match="finite"):
+            solve_value_grid(S, datum_sin(), times, np.array([[0.0]]), FAST)
 
 
 # ---------------------------------------------------------------------------
