@@ -44,8 +44,8 @@ class Curve:
             raise PreconditionError("nodes must have shape (N+1, dim) with N >= 1")
         if not np.all(np.isfinite(nodes)):
             raise PreconditionError("curve nodes must be finite")
-        if not self.t_final > 0:
-            raise PreconditionError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise PreconditionError(f"t_final must be positive and finite, got {self.t_final!r}")
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod

@@ -20,6 +20,7 @@ how well a curve satisfies the stationarity ODE
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -105,12 +106,14 @@ def _slice_lanes(D: int) -> int:
 def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     """R^-1 of each lane from x to y (B, n), where R^T R = P is its Sobolev metric.
 
-    P models the Hessian of the discrete action on the lane's straight
-    starting curve: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h
-    at the segment midpoints s_k, with u read off the unperturbed cost row
-    of the lane's first sweep (`rows`); diagonal blocks c_{k-1} + c_k and
-    off-diagonal blocks -c_k.  A lane whose P is not positive definite, or
-    whose factor is not finite, gets R = I (no preconditioning).
+    P models the Hessian of the discrete action on the straight curve from
+    x to y: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h at
+    the segment midpoints s_k of that straight curve, with u read off the
+    cost row of the lane's start curve (`rows`, the unperturbed row of its
+    first sweep, which is the straight curve only for a cold start);
+    diagonal blocks c_{k-1} + c_k and off-diagonal blocks -c_k.  A lane
+    whose P is not positive definite, or whose factor is not finite, gets
+    R = I (no preconditioning).
     """
     (B, n), h = x.shape, t / N
     frac = ((np.arange(N) + 0.5) / N)[None, :, None]
@@ -199,14 +202,18 @@ class DirectLanes:
 
 
 def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
-                     opt: OptimizerParams) -> DirectLanes:
+                     opt: OptimizerParams, start=None) -> DirectLanes:
     """Minimize the terminal running cost for a batch of lanes, lane k from
     x[k] to y[k] with initial value u[k] ((B, n), (B, n) and (B,) stacks).
 
-    Each lane runs L-BFGS on its interior nodes: the two-loop recursion over
-    its last `_MEMORY` pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev
-    metric of `_precondition`), or -P^-1 g without the pairs when that is no
-    descent direction; a step from 1, halved until Armijo's condition
+    Lane k starts from the interior nodes start[k] of a (B, N-1, n) stack,
+    or from the straight curve when `start` is None.  Each lane runs L-BFGS
+    on its interior nodes: the two-loop recursion over its last `_MEMORY`
+    pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev metric of
+    `_precondition`, built after the first point's stop test and only for
+    the lanes that go on, so a lane that stops on its start curve factors
+    no matrix), or -P^-1 g without the pairs when that is no descent
+    direction; a step from 1, halved until Armijo's condition
     (c1 = 1e-4) holds, unless the predicted decrease falls below
     `DECREASE_TOL` first: then the lane ends on a null iteration that
     repeats f.  It stops where its node gradient norm is below gtol and its
@@ -225,21 +232,25 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     `DirectLanes`, which builds a lane's FundamentalResult only when asked.
     Raises the NonConvergence of the first lane that misses its criteria
     within max_iter, as solving the lanes one after another would.  An
-    Overflow in any sweep ends the batch.
+    Overflow in any sweep ends the batch.  A horizon that is not finite, or
+    not above `T_MIN`, raises PreconditionError before any sweep.
     """
-    if t <= T_MIN:
-        raise PreconditionError(f"t must exceed {T_MIN:g}")
+    if not T_MIN < t < math.inf:
+        raise PreconditionError(f"t must exceed {T_MIN:g} and be finite, got {t!r}")
     N = as_count(segments, "segments", 2)
     opt = replace(opt, substeps=as_count(opt.substeps, "substeps"),
                   max_iter=as_count(opt.max_iter, "max_iter"))
     u = np.asarray(u, dtype=float)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    start = None if start is None else np.asarray(start, dtype=float)
     if not np.isfinite(u).all():
         raise PreconditionError("u must be finite")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()
+            and (start is None or np.isfinite(start).all())):
         raise PreconditionError("curve nodes must be finite")
     width = _slice_lanes((N - 1) * S.dim)
-    parts = [_solve_slice(S, t, x[i:i + width], y[i:i + width], u[i:i + width], N, opt)
+    parts = [_solve_slice(S, t, x[i:i + width], y[i:i + width], u[i:i + width], N, opt,
+                          None if start is None else start[i:i + width])
              for i in range(0, len(u), width)]
     if len(parts) == 1:
         return parts[0]
@@ -251,7 +262,7 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
                                             "converged")), hist)
 
 
-def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
+def _solve_slice(S, t, x, y, u, N, opt, start) -> DirectLanes:
     """One slice of `_direct_lockstep`, its lanes stacked; raises the
     NonConvergence of the first lane that exhausted max_iter unconverged."""
     B, n = x.shape
@@ -260,7 +271,7 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
     curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
     fd = (np.eye(D) * FD_STEP).reshape(D, N - 1, n)
     lane, xa, ya, ua = np.arange(B), x, y, np.repeat(u, R)  # row k runs lane lane[k]
-    trial = curves[:, 1:-1].reshape(B, D).copy()
+    trial = (curves[:, 1:-1] if start is None else start).reshape(B, D).copy()
     z, gz, d = np.zeros((3, B, D))
     f, slope, alpha, out_gn = np.zeros((4, B))  # out_gn: the final gradient norms
     nit, count, out_nit, out_conv = np.zeros((4, B), dtype=int)
@@ -277,8 +288,7 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
                                       opt.substeps).reshape(len(lane), R, -1)
         f_new, rows = samples[:, 0, -1], samples[:, 0]
         g_new = (samples[:, 1:D + 1, -1] - samples[:, D + 1:, -1]) / (2.0 * FD_STEP)
-        if Rinv is None:  # the straight curves: set up the metric
-            Rinv = _precondition(S, t, x, y, rows, N, opt.substeps)
+        if not rounds:  # the start curves: every lane takes its point
             row, out_row = np.zeros((2,) + rows.shape)
             last, acc, null, some = 0.0, np.ones(B, dtype=bool), False, False
         else:  # some: whether some lane failed Armijo's condition
@@ -317,10 +327,14 @@ def _solve_slice(S, t, x, y, u, N, opt) -> DirectLanes:
             if stopped == len(stop):
                 break
             run = ~stop
-            (lane, xa, ya, z, f, gz, row, d, slope, alpha, ps, py, psy, count, nit, Rinv,
+            (lane, xa, ya, z, f, gz, row, d, slope, alpha, ps, py, psy, count, nit,
              acc) = (a[run] for a in (lane, xa, ya, z, f, gz, row, d, slope, alpha, ps, py,
-                                      psy, count, nit, Rinv, acc))
+                                      psy, count, nit, acc))
+            if rounds:
+                Rinv = Rinv[run]
             ua, some = np.repeat(u[lane], R), not acc.all()
+        if not rounds:  # the metric of the lanes that go on
+            Rinv = _precondition(S, t, xa, ya, row, N, opt.substeps)
         sel = acc if some else slice(None)  # and so a new direction and the unit step
         d[sel] = _direction(gz, Rinv, ps, py, psy, count, acc)[sel]
         slope[sel], alpha[sel] = np.vecdot(gz, d)[sel], 1.0

@@ -388,6 +388,11 @@ class SampleBox:
     u_bounds: tuple  # (lo, hi)
     v_bounds: tuple  # ((lo, hi),) * dim
 
+    def __post_init__(self):
+        bounds = np.array([*self.x_bounds, self.u_bounds, *self.v_bounds], dtype=float)
+        if not np.isfinite(bounds).all():
+            raise PreconditionError("sample box bounds must be finite")
+
     @classmethod
     def cube(cls, dim: int, half_width: float = 5.0) -> "SampleBox":
         b = tuple((-half_width, half_width) for _ in range(dim))
@@ -426,9 +431,11 @@ def verify_conditions(S: ContactSystem, box: SampleBox, samples: int = 256,
 
     Superlinearity is only checked as nondecreasing difference quotients
     theta0(r)/r on the sampled radii; a genuine limit at infinity is not
-    numerically decidable.
+    numerically decidable.  A `samples` below 1 or a `seed` below 0, either
+    fractional or boolean, raises PreconditionError, as `SampleBox` does
+    for a bound that is not finite.
     """
-    samples = as_count(samples, "samples")
+    samples, seed = as_count(samples, "samples"), as_count(seed, "seed", 0)
     n = S.dim
     d = 2 * n + 1
     # Latin hypercube: one shuffled stratum per sample and axis, jittered

@@ -16,10 +16,13 @@ points of a sampled interval inside a certified bracket as one more such
 batch, the bracket narrows around the best point so far, and the next
 interval is centred on the vertex of a parabola through the round's
 best point and its neighbours, or is the whole bracket when that
-prediction cannot be trusted.  A batch goes in as stacked endpoints and
-comes back as stacked terminal costs; the search picks the batch's best
-with one `argmin` and builds a `FundamentalResult` only for a lane that
-improves on the best so far.
+prediction cannot be trusted.  The screen's lanes start from straight
+curves; every refinement lane starts from the best curve so far, mapped to
+its own endpoint (`_warm_start`), so a lane near that curve's minimizer
+stops after a sweep or two.  A batch goes in as stacked endpoints and
+start curves and comes back as stacked terminal costs; the search picks
+the batch's best with one `argmin` and builds a `FundamentalResult` only
+for a lane that improves on the best so far.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -218,21 +221,44 @@ def _vertex(y, h, below, at, above) -> float:
     return float(y) + h * (float(below) - float(above)) / (2.0 * curv)
 
 
+def _warm_start(nodes: np.ndarray, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Interior start nodes (K, N-1, n) of lanes from ys (K, n) to x, mapped
+    off the best curve so far, whose nodes (N+1, n) run from y* to x.
+
+    When every lane's ratio r = (y' - x).(y* - x) / |y* - x|^2 lies in
+    (0.5, 2), the curve is scaled about x: node k of the lane from y' is
+    x + (y' - x) w_k, where w_k = (node_k - x).(y* - x) / |y* - x|^2 is
+    node k's projection onto y* - x as a fraction of it.  For a discrete
+    action that is a quadratic form in the nodes (the discounted quadratic)
+    that is the lane's minimizer up to rounding.  Otherwise, and always when
+    y* = x, where w_k blows up, the curve is translated: node k moves by
+    (y' - y*)(1 - k/N).
+    """
+    N, e = len(nodes) - 1, nodes[0] - x
+    ee = np.vecdot(e, e)
+    if ee > 0.0:
+        r = np.vecdot(ys - x, e) / ee
+        if np.all((0.5 < r) & (r < 2.0)):
+            w = np.vecdot(nodes[1:-1] - x, e) / ee
+            return x + (ys - x)[:, None] * w[:, None]
+    return nodes[1:-1] + (ys - nodes[0])[:, None] * (1.0 - np.arange(1, N) / N)[:, None]
+
+
 def _search_ball(S, datum, t, x, search) -> tuple:
     """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y)).
 
     The rest point y = x and every grid point inside the ball are solved
-    as one `_direct_lockstep` batch.  Then each coordinate in turn is
-    refined by rounds.  A coordinate keeps a certified bracket [lo, hi],
-    at first one grid step either side of the best point, clipped to the
-    ball, and a sampled interval [a, b] inside it, at first the whole
-    bracket.  A round solves the K evenly spaced interior points of [a, b]
-    (spacing w = (b - a) / (K + 1)) as one batch, K being the lanes of one
-    lockstep slice but at least 2 and at most 30.  The bracket narrows to
-    +-w around the best point so far, as local unimodality allows, after a
-    round over the whole bracket, and after a round over less only when
-    the round's first least point is interior (neither end point) and
-    beats the best point before the round.  When that point also has two
+    from straight curves as one `_direct_lockstep` batch.  Then each
+    coordinate in turn is refined by rounds.  A coordinate keeps a
+    certified bracket [lo, hi], at first one grid step either side of the
+    best point, clipped to the ball, and a sampled interval [a, b] inside
+    it, at first the whole bracket.  A round solves the K evenly spaced
+    interior points of [a, b] (spacing w = (b - a) / (K + 1)) as one batch,
+    K being the lanes of one lockstep slice but at least 2 and at most 30.
+    The bracket narrows to +-w around the best point so far, as local
+    unimodality allows, after a round over the whole bracket, and after a
+    round over less only when the round's first least point is interior
+    (neither end point) and beats the best point before the round.  When that point also has two
     samples on either side, the next interval is centred on the vertex of
     the parabola through it and its neighbours, with half-width `_SAFETY`
     times the gap to the vertex through its second neighbours, at least
@@ -241,14 +267,18 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     whole bracket when either parabola opens downwards, the vertex lies
     outside the bracket or the point lacks those samples.  Rounds end once
     the bracket is at most `ytol` wide or rounding stops it narrowing.  A
-    batch's points go in as one (K, n) stack, with phi evaluated point by
-    point; its best is the first lane of least A (`np.argmin`), which
-    replaces the best so far only when its A is strictly lower, so the
-    pick is that of a strict-< scan in point order, and only that lane's
+    round's points go in as one (K, n) stack, with phi evaluated point by
+    point, and each lane starts from the best curve so far as `_warm_start`
+    maps it to the lane's endpoint.  So the kept solve is a fixed point of
+    the inner solver (restarted from its own nodes it stops at once), but
+    not in general bitwise a cold solve from the argmin.  A batch's best is
+    the first lane of least A (`np.argmin`), which replaces the best so far
+    only when its A is strictly lower, so the pick is that of a strict-<
+    scan in point order, and only that lane's
     `FundamentalResult` is built.  Every lane is bitwise the solve it would
-    be alone, so the result is that of solving the points one after
-    another, and a lane that exhausts max_iter raises, the first in point
-    order.  Returns (value, argmin, winning `FundamentalResult`).
+    be alone from the same start, so the result is that of solving the
+    points one after another, and a lane that exhausts max_iter raises, the
+    first in point order.  Returns (value, argmin, winning `FundamentalResult`).
     A fractional or too small count (`grid_points` and `refine_sweeps`
     below 1, `segments` below 2), or a `ytol` that is not finite, raises
     PreconditionError before any sweep; one grid point per axis is taken
@@ -263,13 +293,14 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     radius = mu_radius(S, datum, t) * t
     best_y = best = None
 
-    def solve(ys):
-        """Solve a batch; returns its terminal costs, its first least lane
-        and whether that lane became the best so far."""
+    def solve(ys, start=None):
+        """Solve a batch from its start curves; returns its terminal costs,
+        its first least lane and whether that lane became the best so far."""
         nonlocal best_y, best
         # phi point by point: a batched call may round differently
         u = np.array([float(datum(y)) for y in ys])
-        lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u, N, search.opt)
+        lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u, N, search.opt,
+                                 start)
         k = int(np.argmin(lanes.A))  # the first least A, as a strict-< scan takes
         improved = best is None or lanes.A[k] < best.A
         if improved:
@@ -295,7 +326,7 @@ def _search_ball(S, datum, t, x, search) -> tuple:
                 w = (b - a) / (K + 1)
                 ys = np.repeat(best_y[None], K, axis=0)
                 ys[:, i] = a + w * np.arange(1, K + 1)
-                A, k, improved = solve(ys)
+                A, k, improved = solve(ys, _warm_start(best.minimizer.nodes, x, ys))
                 interior = improved and 0 < k < K - 1
                 if interior or (a, b) == (lo, hi):
                     new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)

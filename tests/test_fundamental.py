@@ -85,6 +85,30 @@ def test_direct_minimizer_survives_random_perturbations(disc_direct_64):
     assert finals.min() >= disc_A(1.0, 1.0, 1.0, 2.0) - 1e-6
 
 
+def test_a_lane_that_stops_on_its_start_curve_builds_no_metric(monkeypatch):
+    # a lane started on a converged minimizer stops on its first point with
+    # it, bitwise, and factors no matrix; a cold lane beside it still
+    # builds its own metric and ends on the lone cold solve
+    S, t, opt = discounted_quadratic_system(1.0), 0.8, OptimizerParams(substeps=2)
+    cold = fundamental_direct(S, t, 0.0, 1.0, 0.5, segments=8, opt=opt)
+    assert cold.converged
+    built, precondition = [], fundamental._precondition
+
+    def spy(S, t, x, *rest):
+        built.append(len(x))  # the lanes whose metric is built
+        return precondition(S, t, x, *rest)
+
+    monkeypatch.setattr(fundamental, "_precondition", spy)
+    start = np.stack([cold.minimizer.nodes[1:-1], Curve.straight(0.0, 1.0, t, 8).nodes[1:-1]])
+    lanes = _direct_lockstep(S, t, *stack_lanes([(0.0, 1.0, 0.5)] * 2), 8, opt, start)
+    assert built == [1]
+    assert list(lanes.iterations) == [0, cold.iterations]
+    for k in range(2):
+        assert lanes.A[k] == cold.A
+        assert np.array_equal(lanes.nodes[k], cold.minimizer.nodes)
+        assert np.array_equal(lanes.samples[k], cold.trajectory.samples)
+
+
 def test_direct_preconditions():
     S = quadratic_system()
     with pytest.raises(PreconditionError):
@@ -564,8 +588,8 @@ def _shooting(**kw):
     return fundamental_shooting(quadratic_hamiltonian(), 1.0, 0.0, 1.0, 0.0, **kw)
 
 
-def _direct(**kw):
-    return fundamental_direct(quadratic_system(), 1.0, 0.0, 1.0, 0.0, **kw)
+def _direct(t=1.0, **kw):
+    return fundamental_direct(quadratic_system(), t, 0.0, 1.0, 0.0, **kw)
 
 
 def _value(dim=1, **kw):
@@ -596,6 +620,8 @@ FRACTIONAL = {
     "audit-samples-bool": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1),
                                                     samples=True),
     "datum-samples": lambda: datum_sin().validate([(-1.0, 1.0)], samples=2.5),
+    "audit-seed": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1), samples=8,
+                                            seed=2.5),
 }
 
 
@@ -603,6 +629,28 @@ FRACTIONAL = {
 def test_fractional_counts_are_refused_before_any_sweep(case, no_steps):
     with pytest.raises(PreconditionError, match="must be an integer"):
         FRACTIONAL[case]()
+
+
+#: an infinite horizon, a non-finite box bound or a negative seed, in each
+#: place one reaches the library
+NOT_FINITE = {
+    "direct-horizon-inf": lambda: _direct(t=np.inf),
+    "direct-horizon-nan": lambda: _direct(t=np.nan),
+    "curve-horizon-inf": lambda: Curve.straight(0.0, 1.0, np.inf, 4),
+    "exponential-horizon-inf": lambda: fundamental_exponential(
+        quadratic_system(), Curve.straight(0.0, 1.0, np.inf, 4), 0.0),
+    "audit-box-nan": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1, np.nan)),
+    "audit-box-inf": lambda: SampleBox(x_bounds=((0.0, np.inf),), u_bounds=(-1.0, 1.0),
+                                       v_bounds=((-1.0, 1.0),)),
+    "audit-seed-negative": lambda: verify_conditions(quadratic_system(), SampleBox.cube(1),
+                                                     samples=8, seed=-1),
+}
+
+
+@pytest.mark.parametrize("case", NOT_FINITE)
+def test_non_finite_inputs_are_refused_before_any_sweep(case, no_steps):
+    with pytest.raises(PreconditionError, match="must"):
+        NOT_FINITE[case]()
 
 
 #: a value search setting out of range

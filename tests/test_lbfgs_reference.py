@@ -1,11 +1,13 @@
 """The lockstep L-BFGS driver against a one-solve loop, one solve at a time.
 
 The reference loops below are a `fundamental_direct` that writes the
-preconditioned L-BFGS iteration out for a single solve, with no lanes and
-no batching, a `_search_ball` that solves its points one at a time, and
-the earlier `golden_min`, kept verbatim apart from its name.  Every lane
-of the driver must follow its reference solve bit for bit: same optimum,
-minimizer, trajectory, iteration count, objective history and verdict.
+preconditioned L-BFGS iteration out for a single solve from a given start
+curve, with no lanes and no batching, a `_search_ball` that solves its
+points one at a time, each refinement point from the best curve so far
+mapped to its endpoint, and the earlier `golden_min`, kept verbatim apart
+from its name.  Every lane of the driver must follow its reference solve
+bit for bit: same optimum, minimizer, trajectory, iteration count,
+objective history and verdict.
 """
 
 import math
@@ -34,14 +36,17 @@ from contact_hj.value import mu_radius
 
 def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
                             segments: int = 32,
-                            opt: Optional[OptimizerParams] = None) -> FundamentalResult:
+                            opt: Optional[OptimizerParams] = None,
+                            start=None) -> FundamentalResult:
     """Minimize the terminal running cost over curves from x to y.
 
-    L-BFGS on the interior nodes z, one solve in one loop.  The direction
-    is the two-loop recursion over the last `_MEMORY` curvature pairs
-    (s, y) with s.y > 0, started from H0 = R^-1 R^-T, where R is the
-    factor that `_precondition` builds from the straight curve; when that
-    is no descent direction the pairs are dropped and the direction is
+    L-BFGS on the interior nodes z, one solve in one loop, from the
+    interior nodes `start` ((N-1, n)) or, by default, the straight curve.
+    The direction is the two-loop recursion over the last `_MEMORY`
+    curvature pairs (s, y) with s.y > 0, started from H0 = R^-1 R^-T,
+    where R is the factor that `_precondition` builds on the straight
+    curve with u off the start curve's cost row; when that is no descent
+    direction the pairs are dropped and the direction is
     -R^-1 R^-T g.  The step starts at 1 and halves until Armijo's
     condition (c1 = 1e-4) holds, unless the predicted decrease falls below
     tol first, which ends the solve with a null iteration that repeats f.
@@ -63,6 +68,8 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     D = (N - 1) * n
 
     base = Curve.straight(x, y, t, N)
+    if start is not None:
+        base = base.with_interior(start)
     Rinv = _precondition(S, t, x[None], y[None],
                          integrate_cost_many(S, t, base.nodes[None], u, opt.substeps),
                          N, opt.substeps)[0]
@@ -162,10 +169,26 @@ def _ref_golden_min(f, lo: float, hi: float, xtol: float = 1e-10, max_iter: int 
 
 
 def _ref_solve_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray,
-                  y: np.ndarray, search: SearchParams) -> FundamentalResult:
+                  y: np.ndarray, search: SearchParams, start=None) -> FundamentalResult:
     phi_y = float(datum(y))
     return _ref_fundamental_direct(S, t, y, x, phi_y, segments=search.segments,
-                                   opt=search.opt)
+                                   opt=search.opt, start=start)
+
+
+def _ref_warm_starts(nodes: np.ndarray, x: np.ndarray, points: list) -> list:
+    """Start curves of a round's points, one point at a time, off the best
+    curve so far (nodes from y* to x).  Every point's curve is scaled about
+    x, node k going to x + (y - x) w_k with w_k = (node_k - x).(y* - x) /
+    |y* - x|^2, when every point's (y - x).(y* - x) / |y* - x|^2 lies in
+    (0.5, 2); otherwise node k is moved by (y - y*)(1 - k/N)."""
+    N, e = len(nodes) - 1, nodes[0] - x
+    ee = np.vecdot(e, e)
+    scale = ee > 0.0 and all(0.5 < np.vecdot(y - x, e) / ee < 2.0 for y in points)
+    if scale:
+        return [np.array([x + (y - x) * (np.vecdot(node - x, e) / ee) for node in nodes[1:-1]])
+                for y in points]
+    return [np.array([node + (y - nodes[0]) * (1.0 - k / N)
+                      for k, node in enumerate(nodes[1:-1], 1)]) for y in points]
 
 
 def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tuple:
@@ -177,9 +200,10 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
     With w = (b - a) / (K + 1), the bracket narrows to +-w around the best
     point so far after a round over the whole bracket, and after a round
     over less only when the round's first least point is none of its two
-    end points and beats the best point before the round.  The next round
-    samples the whole bracket, unless that point has two samples on either
-    side: then it samples around the vertex v of the parabola through the
+    end points and beats the best point before the round.  Each point of a
+    round starts from the best curve before the round, as
+    `_ref_warm_starts` maps it.  The next round samples the whole bracket,
+    unless that point has two samples on either side: then it samples around the vertex v of the parabola through the
     point and its neighbours, if the parabola opens upwards and v lies in
     the bracket, and so does the parabola through the point and its second
     neighbours, with vertex v2.  Its half-width is 4 |v - v2|, at least
@@ -190,8 +214,8 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
     n = x.size
     radius = mu_radius(S, datum, t) * t
 
-    def g(y):
-        return _ref_solve_at(S, datum, t, x, np.asarray(y, dtype=float), search)
+    def g(y, start=None):
+        return _ref_solve_at(S, datum, t, x, np.asarray(y, dtype=float), search, start)
 
     best_y = x.copy()
     best = g(x)  # rest point always participates
@@ -222,10 +246,12 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
                 points, costs, first, improved = [a + w * j for j in range(1, K + 1)], [], 0, False
                 if log is not None:
                     log.append((lo, hi, points))
-                for j, c in enumerate(points):
-                    yy = y_cur.copy()
+                ys = [y_cur.copy() for _ in points]
+                for yy, c in zip(ys, points):
                     yy[i] = c
-                    res = g(yy)
+                starts = _ref_warm_starts(best.minimizer.nodes, x, ys)
+                for j, (yy, start) in enumerate(zip(ys, starts)):
+                    res = g(yy, start)
                     costs.append(res.A)
                     if res.A < costs[first]:
                         first = j

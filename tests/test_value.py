@@ -15,8 +15,8 @@ from contact_hj import (InitialDatum, PreconditionError, SearchParams,
                         mu_radius, pde_residual, quadratic_hamiltonian,
                         quadratic_system, solve_value, solve_value_grid,
                         trig_contact_system)
-from contact_hj import value
-from contact_hj.fundamental import DECREASE_TOL, OptimizerParams
+from contact_hj import fundamental, perturbed_system, quartic_system, value
+from contact_hj.fundamental import DECREASE_TOL, OptimizerParams, _direct_lockstep
 
 FAST = SearchParams(segments=8, grid_points=13, ytol=1e-7,
                     opt=OptimizerParams(substeps=2, gtol=1e-6))
@@ -212,13 +212,20 @@ def test_grid_single_point_matches_scalar_solve():
         assert grid.values[0, 0] == val
         assert np.array_equal(grid.argmins[0, 0], y)
         assert grid.radius_used[0] == mu_radius(S, datum, 0.5) * 0.5
-        # the kept solve is exactly a fresh inner solve from the argmin
+        # the kept solve is a fixed point of the inner solver: restarted from
+        # its own nodes it stops on its first point, bitwise the same
         fresh = fundamental_direct(S, 0.5, y, np.array(x), float(datum(y)),
                                    segments=FAST.segments, opt=FAST.opt)
         for kept in (grid.results[0][0], best):
-            assert kept.A == fresh.A == val
-            assert np.array_equal(kept.minimizer.nodes, fresh.minimizer.nodes)
-            assert np.array_equal(kept.trajectory.samples, fresh.trajectory.samples)
+            lanes = _direct_lockstep(S, 0.5, y[None], np.array([x]), [float(datum(y))],
+                                     FAST.segments, FAST.opt, kept.minimizer.nodes[None, 1:-1])
+            again = lanes.result(0)
+            assert again.iterations == 0
+            assert again.A == kept.A == val
+            assert np.array_equal(again.minimizer.nodes, kept.minimizer.nodes)
+            assert np.array_equal(again.trajectory.samples, kept.trajectory.samples)
+            # and it is a cold inner solve from the argmin up to rounding
+            assert abs(kept.A - fresh.A) <= 1e-12 * max(1.0, abs(kept.A))
 
 
 def test_grid_zero_datum_is_zero():
@@ -472,6 +479,67 @@ def test_a_value_point_takes_at_most_four_refinement_rounds(monkeypatch):
             solve_value(S, datum_sin(), t, [x], search)
             rounds.append(len(batches) - 1)  # after the screen
     assert max(rounds) <= 4, rounds
+
+
+def _cold(monkeypatch):
+    """Make the value search start every lane from its straight curve."""
+    lockstep = value._direct_lockstep
+
+    def cold(S, t, ys, x, u, N, opt, start=None):
+        return lockstep(S, t, ys, x, u, N, opt)
+
+    monkeypatch.setattr(value, "_direct_lockstep", cold)
+
+
+def _outcome(*args):
+    """(value, argmin) of a solve_value call, or the type of what it raised."""
+    try:
+        return solve_value(*args)[:2]
+    except Exception as exc:  # noqa: BLE001 - warm and cold must raise alike
+        return type(exc)
+
+
+WARM_SYSTEMS = {"quadratic": quadratic_system, "quartic": quartic_system,
+                "trig-contact": trig_contact_system, "perturbed": perturbed_system,
+                "discounted-quadratic": lambda dim: discounted_quadratic_system(1.0, dim)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(WARM_SYSTEMS))
+def test_warm_started_refinement_finds_the_cold_value(name, dim, monkeypatch):
+    # the refinement lanes start from the best curve so far; from straight
+    # curves the search reaches the same value up to rounding and an argmin
+    # within ytol, or raises alike
+    S = WARM_SYSTEMS[name](dim)
+    search = SearchParams(segments=6, grid_points=9, ytol=1e-6,
+                          opt=OptimizerParams(substeps=2))
+    for datum, t, x in ((datum_sin(), 0.5, [0.4, -0.3][:dim]),
+                        (datum_cos_bump(), 0.8, [-0.3, 0.2][:dim])):
+        warm = _outcome(S, datum, t, x, search)
+        with monkeypatch.context() as m:
+            _cold(m)
+            cold = _outcome(S, datum, t, x, search)
+        if isinstance(cold, type):
+            assert warm is cold
+            continue
+        assert abs(warm[0] - cold[0]) <= 1e-12 * max(1.0, abs(cold[0]))
+        assert np.max(np.abs(warm[1] - cold[1])) <= search.ytol
+
+
+def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
+    # a point of the solve benchmark's kind: 9 cost sweeps with warm
+    # refinement lanes, 13 from straight curves
+    sweeps = []
+    integrate = fundamental.integrate_cost_many
+    monkeypatch.setattr(fundamental, "integrate_cost_many",
+                        lambda *args: sweeps.append(1) or integrate(*args))
+    args = (discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4],
+            SearchParams(segments=8, grid_points=17))
+    solve_value(*args)
+    warm, sweeps[:] = len(sweeps), []
+    _cold(monkeypatch)
+    solve_value(*args)
+    assert warm <= 9 < len(sweeps)
 
 
 SEMIGROUP = {"trig-contact": trig_contact_system(),

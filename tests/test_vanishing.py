@@ -221,3 +221,14 @@ def test_run_vanishing_requires_a_classical_limit():
                        name="coupled-limit")
     with pytest.raises(PreconditionError, match="K = 0"):
         run_vanishing(fam, datum_sin(), [0.3], [0.5], np.array([[0.0]]), FAST)
+
+
+def test_warm_refinement_lanes_do_not_overflow_near_the_rest_point():
+    # a perturbed job of the vanishing benchmark (seed 3): starting the
+    # refinement lanes from the best curve scaled about x overflows here,
+    # where y* lies near x; the search translates the curve instead
+    report = run_vanishing(family_perturbed(), datum_sin(),
+                           [0.2662370622444965, 0.030198342646425236], [0.6],
+                           np.array([[1.6672704268900436]]),
+                           SearchParams(segments=8, grid_points=17))
+    assert np.all(np.isfinite(report.gaps)) and report.bound_passed.all()

@@ -1,12 +1,13 @@
 """`run_vanishing` against the loop it replaced.
 
 The reference below is the earlier `run_vanishing`, kept verbatim apart
-from its name and from taking (value, argmin) off the search's result.
-It tabulated with its own double loops and solved each limit minimizer
-a second time with `fundamental_direct` at the argmin; the current
-`run_vanishing` tabulates with `solve_value_grid` and reuses the
-minimizer the search returned.  Every array of the report must agree bit
-for bit.
+from its name and from taking (value, argmin, minimizer) off the search's
+result.  It tabulated with its own double loops and solved each limit
+point with `lax_oleinik_classical`, one point at a time; the current
+`run_vanishing` tabulates with `solve_value_grid`.  Both read the limit
+minimizer off the search's winning solve, which is no cold re-solve from
+the argmin: its lanes start from the best curve so far.  Every array of
+the report must agree bit for bit.
 """
 
 import warnings
@@ -18,7 +19,7 @@ import pytest
 from contact_hj import (ConvergenceReport, InitialDatum, LambdaFamily,
                         PreconditionError, SearchParams, ValueGrid,
                         datum_sin, family_discounted, family_perturbed,
-                        fundamental_direct, lax_oleinik_classical, mu_radius,
+                        lax_oleinik_classical, mu_radius,
                         run_vanishing, solve_value)
 from contact_hj.errors import BoundViolation
 from contact_hj.fundamental import OptimizerParams
@@ -62,12 +63,10 @@ def _ref_run_vanishing(family: LambdaFamily, datum: InitialDatum,
     for a, t in enumerate(times):
         for b in range(P):
             x = points[b]
-            val, y_star = lax_oleinik_classical(L0, datum, float(t), x, search)[:2]
+            val, y_star, res = lax_oleinik_classical(L0, datum, float(t), x, search)
             base_vals[a, b] = val
             base_args[a, b] = y_star
             phi_y = float(datum(y_star))
-            res = fundamental_direct(L0, float(t), y_star, x, phi_y,
-                                     segments=search.segments, opt=search.opt)
             base_curves[(a, b)] = res.minimizer
             base_u0[a, b] = phi_y
             base_R[a, b] = max(float(np.linalg.norm(y_star - x)), 1e-9)
