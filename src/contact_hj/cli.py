@@ -80,7 +80,10 @@ def _require(cfg: dict, key: str):
 
 
 def _number(value, key: str) -> float:
-    """The one parser of config numbers: anything but a finite number is a ConfigError."""
+    """The one parser of config numbers: anything but a finite number is a
+    ConfigError, a JSON true or false included."""
+    if isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
     try:
         v = float(value)
     except (TypeError, ValueError) as exc:

@@ -17,12 +17,15 @@ batch, the bracket narrows around the best point so far, and the next
 interval is centred on the vertex of a parabola through the round's
 best point and its neighbours, or is the whole bracket when that
 prediction cannot be trusted.  The screen's lanes start from straight
-curves; every refinement lane starts from the best curve so far, mapped to
-its own endpoint (`_warm_start`), so a lane near that curve's minimizer
-stops after a sweep or two.  A batch goes in as stacked endpoints and
-start curves and comes back as stacked terminal costs; the search picks
-the batch's best with one `argmin` and builds a `FundamentalResult` only
-for a lane that improves on the best so far.
+curves; every refinement lane starts between the two converged lanes
+solved so far that bracket it on its line, the secant predictor of
+continuation methods (Allgower & Georg, *Numerical Continuation Methods*,
+1990, ch. 2; `_bracket_starts`), or else from the best curve so far mapped
+to its own endpoint (`_warm_start`), so a lane stops after a sweep or two,
+and on the discounted quadratic after one.  A batch goes in as stacked
+endpoints and start curves and comes back as stacked terminal costs; the
+search picks the batch's best with one `argmin` and builds a
+`FundamentalResult` only for a lane that improves on the best so far.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -244,6 +247,34 @@ def _warm_start(nodes: np.ndarray, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return nodes[1:-1] + (ys - nodes[0])[:, None] * (1.0 - np.arange(1, N) / N)[:, None]
 
 
+def _bracket_starts(ends: np.ndarray, nodes: np.ndarray, ys: np.ndarray, i: int,
+                    best_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Interior start nodes (K, N-1, n) of a round's lanes from ys (K, n),
+    which differ from one another in coordinate i only, off the converged
+    lanes solved so far: endpoints ends (M, n), nodes (M, N+1, n).
+
+    Of the solved lanes on the round's line (every other coordinate bitwise
+    that of ys), a lane from y' takes the nearest one below y'_i, a, and the
+    nearest one at or above it, b (the latest solved of a tie below, the
+    earliest of a tie above), and starts from (1 - theta) nodes_a +
+    theta nodes_b, theta = (y'_i - a_i) / (b_i - a_i): the secant predictor,
+    exact when the minimizing nodes are affine in the endpoint, as for the
+    discounted quadratic.  A lane without such a pair starts as `_warm_start`
+    maps the best curve so far, its scale test read over those lanes only.
+    """
+    line = np.flatnonzero(np.all(np.delete(ends, i, axis=1) == np.delete(ys[0], i), axis=1))
+    line = line[np.argsort(ends[line, i], kind="stable")]
+    j = np.searchsorted(ends[line, i], ys[:, i])  # the first solved point at or above y'_i
+    pair = (0 < j) & (j < line.size)
+    start = np.empty((len(ys),) + best_nodes[1:-1].shape)
+    if not pair.all():
+        start[~pair] = _warm_start(best_nodes, x, ys[~pair])
+    a, b = line[j[pair] - 1], line[j[pair]]
+    theta = ((ys[pair, i] - ends[a, i]) / (ends[b, i] - ends[a, i]))[:, None, None]
+    start[pair] = (1.0 - theta) * nodes[a, 1:-1] + theta * nodes[b, 1:-1]
+    return start
+
+
 def _search_ball(S, datum, t, x, search) -> tuple:
     """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y)).
 
@@ -268,10 +299,13 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     outside the bracket or the point lacks those samples.  Rounds end once
     the bracket is at most `ytol` wide or rounding stops it narrowing.  A
     round's points go in as one (K, n) stack, with phi evaluated point by
-    point, and each lane starts from the best curve so far as `_warm_start`
-    maps it to the lane's endpoint.  So the kept solve is a fixed point of
-    the inner solver (restarted from its own nodes it stops at once), but
-    not in general bitwise a cold solve from the argmin.  A batch's best is
+    point.  The search keeps the endpoint and nodes of every converged lane
+    it solves, the screen's and every round's, and each lane of a round
+    starts between the two of them that bracket it on its line, or, without
+    such a pair, from the best curve so far, as `_bracket_starts` says.  So
+    the kept solve is a fixed point of the inner solver (restarted from its
+    own nodes it stops at once), but not in general bitwise a cold solve
+    from the argmin.  A batch's best is
     the first lane of least A (`np.argmin`), which replaces the best so far
     only when its A is strictly lower, so the pick is that of a strict-<
     scan in point order, and only that lane's
@@ -292,6 +326,7 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     n = x.size
     radius = mu_radius(S, datum, t) * t
     best_y = best = None
+    ends, curves = [], []  # the converged lanes solved so far, batch by batch
 
     def solve(ys, start=None):
         """Solve a batch from its start curves; returns its terminal costs,
@@ -301,6 +336,8 @@ def _search_ball(S, datum, t, x, search) -> tuple:
         u = np.array([float(datum(y)) for y in ys])
         lanes = _direct_lockstep(S, t, ys, np.broadcast_to(x, ys.shape), u, N, search.opt,
                                  start)
+        ends.append(ys[lanes.converged])
+        curves.append(lanes.nodes[lanes.converged])
         k = int(np.argmin(lanes.A))  # the first least A, as a strict-< scan takes
         improved = best is None or lanes.A[k] < best.A
         if improved:
@@ -326,7 +363,9 @@ def _search_ball(S, datum, t, x, search) -> tuple:
                 w = (b - a) / (K + 1)
                 ys = np.repeat(best_y[None], K, axis=0)
                 ys[:, i] = a + w * np.arange(1, K + 1)
-                A, k, improved = solve(ys, _warm_start(best.minimizer.nodes, x, ys))
+                A, k, improved = solve(ys, _bracket_starts(
+                    np.concatenate(ends), np.concatenate(curves), ys, i,
+                    best.minimizer.nodes, x))
                 interior = improved and 0 < k < K - 1
                 if interior or (a, b) == (lo, hi):
                     new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)

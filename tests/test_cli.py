@@ -304,11 +304,18 @@ def _point(**fields):
     ("vanishing", {"family": "discounted(3)"}),
     ("check", {"seed": "lucky"}),
     ("check", {"seed": -1}),
+    # JSON booleans are not numbers
+    ("solve", {"substeps": True}),
+    ("solve", {"times": [True]}),
+    ("fundamental", {"system": {"id": "discounted-quadratic", "lambda": True}}),
+    ("fundamental", _point(u=False)),
+    ("check", {"seed": True}),
 ], ids=["fundamental-lambda-on-quadratic", "fundamental-trig-contact(7)",
         "solve-lambda-on-quadratic", "solve-sin(2)", "solve-c-on-sin",
         "lambda", "K", "t", "x", "nested-y", "u", "times", "datum.c", "space.min",
         "space-list", "system-id-number", "lambdas", "gap_tol", "infinite-time",
-        "family-id-number", "family-discounted(3)", "seed", "negative-seed"])
+        "family-id-number", "family-discounted(3)", "seed", "negative-seed",
+        "bool-substeps", "bool-times", "bool-lambda", "bool-u", "bool-seed"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, overrides):
     out = tmp_path / "o.csv"
     base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,

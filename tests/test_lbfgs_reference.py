@@ -3,8 +3,9 @@
 The reference loops below are a `fundamental_direct` that writes the
 preconditioned L-BFGS iteration out for a single solve from a given start
 curve, with no lanes and no batching, a `_search_ball` that solves its
-points one at a time, each refinement point from the best curve so far
-mapped to its endpoint, and the earlier `golden_min`, kept verbatim apart
+points one at a time, each refinement point from the two converged
+solves that bracket it, or else from the best curve so far mapped to its
+endpoint, and the earlier `golden_min`, kept verbatim apart
 from its name.  Every lane of the driver must follow its reference solve
 bit for bit: same optimum, minimizer, trajectory, iteration count,
 objective history and verdict.
@@ -175,20 +176,51 @@ def _ref_solve_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray
                                    opt=search.opt, start=start)
 
 
-def _ref_warm_starts(nodes: np.ndarray, x: np.ndarray, points: list) -> list:
-    """Start curves of a round's points, one point at a time, off the best
-    curve so far (nodes from y* to x).  Every point's curve is scaled about
-    x, node k going to x + (y - x) w_k with w_k = (node_k - x).(y* - x) /
-    |y* - x|^2, when every point's (y - x).(y* - x) / |y* - x|^2 lies in
-    (0.5, 2); otherwise node k is moved by (y - y*)(1 - k/N)."""
+def _ref_warm_starts(solved: list, nodes: np.ndarray, x: np.ndarray, points: list,
+                     i: int) -> list:
+    """Start curves of a round's points, which differ in coordinate i only,
+    one point at a time.
+
+    `solved` lists (endpoint, nodes, converged) for every lane solved
+    before the round.  A point y takes, of the converged lanes whose other
+    coordinates are bitwise y's, the nearest one with endpoint below y_i, a
+    (of a tie, the latest solved), and the nearest one at or above it, b
+    (of a tie, the earliest solved), and starts from node k going to
+    (1 - theta) node_k(a) + theta node_k(b), theta = (y_i - a_i) /
+    (b_i - a_i).  The points without such a pair start off the best curve
+    so far (`nodes`, from y* to x): each curve is scaled about x, node k
+    going to x + (y - x) w_k with w_k = (node_k - x).(y* - x) / |y* - x|^2,
+    when every such point's (y - x).(y* - x) / |y* - x|^2 lies in (0.5, 2);
+    otherwise node k is moved by (y - y*)(1 - k/N)."""
+    starts, lone = [], []
+    for j, y in enumerate(points):
+        below = above = None
+        for end, curve, converged in solved:
+            if not converged or not np.array_equal(np.delete(end, i), np.delete(y, i)):
+                continue
+            if end[i] < y[i] and (below is None or end[i] >= below[0][i]):
+                below = (end, curve)
+            if end[i] >= y[i] and (above is None or end[i] < above[0][i]):
+                above = (end, curve)
+        if below is None or above is None:
+            starts.append(None)
+            lone.append(j)
+            continue
+        theta = (y[i] - below[0][i]) / (above[0][i] - below[0][i])
+        starts.append(np.array([(1.0 - theta) * na + theta * nb
+                                for na, nb in zip(below[1][1:-1], above[1][1:-1])]))
     N, e = len(nodes) - 1, nodes[0] - x
     ee = np.vecdot(e, e)
-    scale = ee > 0.0 and all(0.5 < np.vecdot(y - x, e) / ee < 2.0 for y in points)
-    if scale:
-        return [np.array([x + (y - x) * (np.vecdot(node - x, e) / ee) for node in nodes[1:-1]])
-                for y in points]
-    return [np.array([node + (y - nodes[0]) * (1.0 - k / N)
-                      for k, node in enumerate(nodes[1:-1], 1)]) for y in points]
+    scale = ee > 0.0 and all(0.5 < np.vecdot(points[j] - x, e) / ee < 2.0 for j in lone)
+    for j in lone:
+        y = points[j]
+        if scale:
+            starts[j] = np.array([x + (y - x) * (np.vecdot(node - x, e) / ee)
+                                  for node in nodes[1:-1]])
+        else:
+            starts[j] = np.array([node + (y - nodes[0]) * (1.0 - k / N)
+                                  for k, node in enumerate(nodes[1:-1], 1)])
+    return starts
 
 
 def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tuple:
@@ -201,8 +233,9 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
     point so far after a round over the whole bracket, and after a round
     over less only when the round's first least point is none of its two
     end points and beats the best point before the round.  Each point of a
-    round starts from the best curve before the round, as
-    `_ref_warm_starts` maps it.  The next round samples the whole bracket,
+    round starts between the two converged solves before the round that
+    bracket it on its line, or else from the best curve before the round,
+    as `_ref_warm_starts` maps it.  The next round samples the whole bracket,
     unless that point has two samples on either side: then it samples around the vertex v of the parabola through the
     point and its neighbours, if the parabola opens upwards and v lies in
     the bracket, and so does the parabola through the point and its second
@@ -214,8 +247,13 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
     n = x.size
     radius = mu_radius(S, datum, t) * t
 
+    solved = []  # (endpoint, nodes, converged) of every solve so far
+
     def g(y, start=None):
-        return _ref_solve_at(S, datum, t, x, np.asarray(y, dtype=float), search, start)
+        y = np.asarray(y, dtype=float)
+        res = _ref_solve_at(S, datum, t, x, y, search, start)
+        solved.append((y, res.minimizer.nodes, res.converged))
+        return res
 
     best_y = x.copy()
     best = g(x)  # rest point always participates
@@ -249,7 +287,7 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
                 ys = [y_cur.copy() for _ in points]
                 for yy, c in zip(ys, points):
                     yy[i] = c
-                starts = _ref_warm_starts(best.minimizer.nodes, x, ys)
+                starts = _ref_warm_starts(solved, best.minimizer.nodes, x, ys, i)
                 for j, (yy, start) in enumerate(zip(ys, starts)):
                     res = g(yy, start)
                     costs.append(res.A)

@@ -500,21 +500,32 @@ def _outcome(*args):
 
 
 WARM_SYSTEMS = {"quadratic": quadratic_system, "quartic": quartic_system,
-                "trig-contact": trig_contact_system, "perturbed": perturbed_system,
+                "trig-contact": trig_contact_system,
+                "perturbed": lambda dim: perturbed_system(1.0, dim),
                 "discounted-quadratic": lambda dim: discounted_quadratic_system(1.0, dim)}
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("name", list(WARM_SYSTEMS))
+#: the far-screen point: the ball radius mu(t) t is 123, and screen lanes
+#: beside the rest point end unconverged on the noise floor
+FAR_SCREEN = (trig_contact_system(), datum_sin(), 1.5, [0.3],
+              SearchParams(segments=6, grid_points=7))
+
+
+@pytest.mark.parametrize("name, dim", [(name, dim) for dim in (1, 2) for name in WARM_SYSTEMS]
+                         + [("far-screen", 1)])
 def test_warm_started_refinement_finds_the_cold_value(name, dim, monkeypatch):
-    # the refinement lanes start from the best curve so far; from straight
-    # curves the search reaches the same value up to rounding and an argmin
-    # within ytol, or raises alike
-    S = WARM_SYSTEMS[name](dim)
+    # the refinement lanes start between the solved lanes that bracket them,
+    # or from the best curve so far; from straight curves the search reaches
+    # the same value up to rounding and an argmin within ytol, or raises alike
     search = SearchParams(segments=6, grid_points=9, ytol=1e-6,
                           opt=OptimizerParams(substeps=2))
-    for datum, t, x in ((datum_sin(), 0.5, [0.4, -0.3][:dim]),
-                        (datum_cos_bump(), 0.8, [-0.3, 0.2][:dim])):
+    runs = ((datum_sin(), 0.5, [0.4, -0.3][:dim]), (datum_cos_bump(), 0.8, [-0.3, 0.2][:dim]))
+    if name == "far-screen":
+        S, datum, t, x, search = FAR_SCREEN
+        runs = ((datum, t, x),)
+    else:
+        S = WARM_SYSTEMS[name](dim)
+    for datum, t, x in runs:
         warm = _outcome(S, datum, t, x, search)
         with monkeypatch.context() as m:
             _cold(m)
@@ -527,7 +538,7 @@ def test_warm_started_refinement_finds_the_cold_value(name, dim, monkeypatch):
 
 
 def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
-    # a point of the solve benchmark's kind: 9 cost sweeps with warm
+    # a point of the solve benchmark's kind: 7 cost sweeps with warm
     # refinement lanes, 13 from straight curves
     sweeps = []
     integrate = fundamental.integrate_cost_many
@@ -539,7 +550,70 @@ def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
     warm, sweeps[:] = len(sweeps), []
     _cold(monkeypatch)
     solve_value(*args)
-    assert warm <= 9 < len(sweeps)
+    assert warm <= 7 < len(sweeps)
+
+
+def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
+    # on the discounted quadratic the minimizing nodes are affine in the
+    # endpoint, so every lane of a round starts on its minimizer and the
+    # round stops on its first sweep
+    sweeps, per_batch = [], []
+    integrate, lockstep = fundamental.integrate_cost_many, value._direct_lockstep
+
+    def spy(*args):
+        before = len(sweeps)
+        lanes = lockstep(*args)
+        per_batch.append(len(sweeps) - before)
+        return lanes
+
+    monkeypatch.setattr(fundamental, "integrate_cost_many",
+                        lambda *args: sweeps.append(1) or integrate(*args))
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    solve_value(discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4],
+                SearchParams(segments=8, grid_points=17))
+    assert len(per_batch) > 2 and per_batch[1:] == [1] * (len(per_batch) - 1)
+
+
+def test_a_discounted_lane_between_converged_neighbours_stops_at_once():
+    # the start (1 - theta) nodes_a + theta nodes_b of the two solved lanes
+    # that bracket y' is the lane's minimizer, up to rounding, so the lane
+    # stops on its first point; from a straight curve it iterates
+    S, t, x, N = discounted_quadratic_system(1.0), 0.5, np.array([0.4]), 8
+    opt = OptimizerParams()
+    ends = np.array([[-0.3], [0.5]])
+    solved = _direct_lockstep(S, t, ends, np.broadcast_to(x, ends.shape), np.sin(ends[:, 0]),
+                              N, opt)
+    assert solved.converged.all()
+    ys = np.array([[-0.25], [0.0], [0.1], [0.45]])
+    start = value._bracket_starts(ends, solved.nodes, ys, 0, solved.nodes[0], x)
+    u, to = np.sin(ys[:, 0]), np.broadcast_to(x, ys.shape)
+    warm = _direct_lockstep(S, t, ys, to, u, N, opt, start)
+    assert np.array_equal(warm.iterations, [0, 0, 0, 0]) and warm.converged.all()
+    assert _direct_lockstep(S, t, ys, to, u, N, opt).iterations.min() > 0
+
+
+def test_an_unconverged_neighbour_is_never_read(monkeypatch):
+    # on the far-screen point the screen lanes beside the rest point end
+    # unconverged; every unconverged lane comes back with NaN nodes (but the
+    # batch's best, which the search keeps), so reading one as a neighbour
+    # would raise.  The search is bitwise the one that reads the true nodes
+    S, datum, t, x, search = FAR_SCREEN
+    clean = solve_value(S, datum, t, x, search)
+    lockstep, poisoned = value._direct_lockstep, []
+
+    def poison(*args):
+        lanes = lockstep(*args)
+        bad = ~lanes.converged
+        bad[int(np.argmin(lanes.A))] = False
+        lanes.nodes[bad] = np.nan
+        poisoned.append(np.count_nonzero(bad))
+        return lanes
+
+    monkeypatch.setattr(value, "_direct_lockstep", poison)
+    val, y_star, best = solve_value(S, datum, t, x, search)
+    assert poisoned[0] > 1
+    assert val == clean[0] and np.array_equal(y_star, clean[1])
+    assert np.array_equal(best.minimizer.nodes, clean[2].minimizer.nodes)
 
 
 SEMIGROUP = {"trig-contact": trig_contact_system(),
