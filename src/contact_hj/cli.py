@@ -81,8 +81,8 @@ def _require(cfg: dict, key: str):
 
 def _number(value, key: str) -> float:
     """The one parser of config numbers: anything but a finite number is a
-    ConfigError, a JSON true or false included."""
-    if isinstance(value, bool):
+    ConfigError, a JSON true or false or a numeric string included."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
     try:
         v = float(value)

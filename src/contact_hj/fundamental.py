@@ -110,7 +110,9 @@ def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     x to y: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h at
     the segment midpoints s_k of that straight curve, with u read off the
     cost row of the lane's start curve (`rows`, the unperturbed row of its
-    first sweep, which is the straight curve only for a cold start);
+    first sweep: the straight curve only for a cold lane of a system
+    without a constant rate, since `_rate_start` starts a discounted one on
+    its discrete minimizer);
     diagonal blocks c_{k-1} + c_k and off-diagonal blocks -c_k.  A lane
     whose P is not positive definite, or whose factor is not finite, gets
     R = I (no preconditioning).
@@ -133,6 +135,32 @@ def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     P[:, j[:-1], :, j[1:], :] = -c[:, 1:-1].swapaxes(0, 1)
     P[:, j[1:], :, j[:-1], :] = -c[:, 1:-1].swapaxes(0, 1).swapaxes(-1, -2)
     return _inverse_factor(P.reshape(B, (N - 1) * n, (N - 1) * n))
+
+
+def _rate_start(S, t, x, y, N, substeps) -> Optional[np.ndarray]:
+    """Interior start nodes (B, N-1, n) of lanes from x to y when S declares
+    a constant rate r = L_u != 0 (an evaluator made by `systems._constant`),
+    or None, for the straight start.
+
+    With r constant, RK4 is linear in u: each substep multiplies u by the
+    stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of
+    z = r t / (N m), so the terminal cost weighs segment k's running cost by
+    beta_k, proportional to R(z)^(m (N-1-k)) (R(z)^m - 1) / r.  Minimizing
+    sum_k beta_k |v_k|^2 with sum_k v_k fixed gives speeds proportional to
+    q_k = R(z)^(m k), the largest scaled to 1: node j is
+    x + (y - x) sum_{k<j} q_k / sum_k q_k, the minimizer of the discrete
+    action of L = r u + |v|^2 / 2 (the discounted quadratic).  Past RK4's
+    stability limit the beta_k change sign and that action has no
+    minimizer, so there, too, the lanes start straight.
+    """
+    rate = float(getattr(S.L_u, "value", 0.0))
+    z = rate * t / (N * substeps)
+    log_r = math.log(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+    if not 0.0 < log_r * rate < math.inf:  # r = 0, or past the stability limit
+        return None
+    e = substeps * np.arange(N) * log_r
+    c = np.cumsum(np.exp(e - e.max()))
+    return x[:, None] + (y - x)[:, None] * (c[:-1] / c[-1])[:, None]
 
 
 def _inverse_factor(P: np.ndarray) -> np.ndarray:
@@ -207,7 +235,9 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     x[k] to y[k] with initial value u[k] ((B, n), (B, n) and (B,) stacks).
 
     Lane k starts from the interior nodes start[k] of a (B, N-1, n) stack,
-    or from the straight curve when `start` is None.  Each lane runs L-BFGS
+    or, when `start` is None, cold: on the discrete minimizer when S declares
+    a constant rate L_u != 0 (`_rate_start`, so a discounted lane stops on
+    its first point), else from the straight curve.  Each lane runs L-BFGS
     on its interior nodes: the two-loop recursion over its last `_MEMORY`
     pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev metric of
     `_precondition`, built after the first point's stop test and only for
@@ -271,6 +301,8 @@ def _solve_slice(S, t, x, y, u, N, opt, start) -> DirectLanes:
     curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
     fd = (np.eye(D) * FD_STEP).reshape(D, N - 1, n)
     lane, xa, ya, ua = np.arange(B), x, y, np.repeat(u, R)  # row k runs lane lane[k]
+    if start is None:
+        start = _rate_start(S, t, x, y, N, opt.substeps)
     trial = (curves[:, 1:-1] if start is None else start).reshape(B, D).copy()
     z, gz, d = np.zeros((3, B, D))
     f, slope, alpha, out_gn = np.zeros((4, B))  # out_gn: the final gradient norms
@@ -356,7 +388,9 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     """Minimize the terminal running cost over curves from x to y.
 
     The decision variables are the interior nodes of a piecewise-linear
-    curve initialized as the straight segment; the objective value is the
+    curve initialized cold, as `_direct_lockstep` says: on the discrete
+    minimizer for a declared constant rate L_u != 0 (the discounted
+    quadratic), else as the straight segment; the objective value is the
     final sample of the cost ODE.  L-BFGS starts from the inverse of the
     exponentially weighted discrete Laplacian of the starting curve (a
     Sobolev-gradient metric), with central-difference gradients in node

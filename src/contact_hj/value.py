@@ -16,9 +16,11 @@ points of a sampled interval inside a certified bracket as one more such
 batch, the bracket narrows around the best point so far, and the next
 interval is centred on the vertex of a parabola through the round's
 best point and its neighbours, or is the whole bracket when that
-prediction cannot be trusted.  The screen's lanes start from straight
-curves; every refinement lane starts between the two converged lanes
-solved so far that bracket it on its line, the secant predictor of
+prediction cannot be trusted.  The screen's lanes start cold: on the
+discounted quadratic on their discrete minimizers
+(`fundamental._rate_start`), else from straight curves.  Every refinement
+lane starts between the two converged lanes solved so far that bracket
+it on its line, the secant predictor of
 continuation methods (Allgower & Georg, *Numerical Continuation Methods*,
 1990, ch. 2; `_bracket_starts`), or else from the best curve so far mapped
 to its own endpoint (`_warm_start`), so a lane stops after a sweep or two,
@@ -279,7 +281,9 @@ def _search_ball(S, datum, t, x, search) -> tuple:
     """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y)).
 
     The rest point y = x and every grid point inside the ball are solved
-    from straight curves as one `_direct_lockstep` batch.  Then each
+    from cold starts as one `_direct_lockstep` batch (straight curves, or
+    the discrete minimizers of a constant-rate system, which stop on their
+    first sweep).  Then each
     coordinate in turn is refined by rounds.  A coordinate keeps a
     certified bracket [lo, hi], at first one grid step either side of the
     best point, clipped to the ball, and a sampled interval [a, b] inside

@@ -36,6 +36,15 @@ def stack_lanes(ends):
             np.array(y, dtype=float).reshape(len(ends), -1), np.array(u, dtype=float))
 
 
+def straight_starts(x, y, segments: int):
+    """Interior nodes (B, N-1, n) of the straight curves from the stacked
+    x[k] to y[k], bitwise those of `Curve.straight`: an explicit start for a
+    lane that must iterate where the cold start would be its minimizer."""
+    lam = np.linspace(0.0, 1.0, segments + 1)[:, None]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return ((1.0 - lam) * x[:, None] + lam * y[:, None])[:, 1:-1]
+
+
 def rel(a: float, b: float) -> float:
     """Guarded relative error |a - b| / max(1, |b|)."""
     return abs(a - b) / max(1.0, abs(b))

@@ -310,12 +310,17 @@ def _point(**fields):
     ("fundamental", {"system": {"id": "discounted-quadratic", "lambda": True}}),
     ("fundamental", _point(u=False)),
     ("check", {"seed": True}),
+    # nor are JSON strings, numeric or not
+    ("solve", {"times": ["0.5"]}),
+    ("solve", {"segments": "8"}),
+    ("solve", {"space": {"min": "0.2", "max": 1.0, "points": 5}}),
 ], ids=["fundamental-lambda-on-quadratic", "fundamental-trig-contact(7)",
         "solve-lambda-on-quadratic", "solve-sin(2)", "solve-c-on-sin",
         "lambda", "K", "t", "x", "nested-y", "u", "times", "datum.c", "space.min",
         "space-list", "system-id-number", "lambdas", "gap_tol", "infinite-time",
         "family-id-number", "family-discounted(3)", "seed", "negative-seed",
-        "bool-substeps", "bool-times", "bool-lambda", "bool-u", "bool-seed"])
+        "bool-substeps", "bool-times", "bool-lambda", "bool-u", "bool-seed",
+        "string-times", "string-segments", "string-space.min"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, overrides):
     out = tmp_path / "o.csv"
     base = {"fundamental": FUND_PAYLOAD, "solve": SOLVE_PAYLOAD,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import disc_A, disc_p0, rel, stack_lanes
+from conftest import disc_A, disc_p0, rel, stack_lanes, straight_starts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,14 +57,24 @@ def test_direct_rest_point_when_endpoints_coincide():
     assert np.max(np.abs(r.minimizer.nodes)) <= 1e-6
 
 
+def _straight_direct(S, t, x, y, u, segments, opt):
+    """The lone lane of `fundamental_direct`, started from its straight curve."""
+    x, y, u = stack_lanes([(x, y, u)])
+    return _direct_lockstep(S, t, x, y, u, segments, opt,
+                            straight_starts(x, y, segments)).result(0)
+
+
 def test_direct_result_identity_and_history(disc_direct_64):
-    _, r = disc_direct_64
-    assert r.A - r.h == 2.0  # exact by construction
-    assert r.iterations >= 1
-    hist = r.objective_history
-    assert hist[0] >= hist[-1]
-    assert abs(hist[-1] - r.A) <= 1e-12
-    assert np.array_equal(r.minimizer.nodes[[0, -1]], [[0.0], [1.0]])
+    # the cold lane starts on its minimizer; from a straight curve it iterates
+    S, cold = disc_direct_64
+    straight = _straight_direct(S, 1.0, 0.0, 1.0, 2.0, 64, OptimizerParams(substeps=2))
+    assert straight.iterations >= 1
+    for r in (cold, straight):
+        assert r.A - r.h == 2.0  # exact by construction
+        hist = r.objective_history
+        assert hist[0] >= hist[-1]
+        assert abs(hist[-1] - r.A) <= 1e-12
+        assert np.array_equal(r.minimizer.nodes[[0, -1]], [[0.0], [1.0]])
 
 
 def test_direct_minimizer_survives_random_perturbations(disc_direct_64):
@@ -88,9 +98,10 @@ def test_direct_minimizer_survives_random_perturbations(disc_direct_64):
 def test_a_lane_that_stops_on_its_start_curve_builds_no_metric(monkeypatch):
     # a lane started on a converged minimizer stops on its first point with
     # it, bitwise, and factors no matrix; a cold lane beside it still
-    # builds its own metric and ends on the lone cold solve
+    # builds its own metric and ends on the lone solve from that curve (the
+    # straight one: a cold discounted lane would start on its minimizer)
     S, t, opt = discounted_quadratic_system(1.0), 0.8, OptimizerParams(substeps=2)
-    cold = fundamental_direct(S, t, 0.0, 1.0, 0.5, segments=8, opt=opt)
+    cold = _straight_direct(S, t, 0.0, 1.0, 0.5, 8, opt)
     assert cold.converged
     built, precondition = [], fundamental._precondition
 
@@ -164,9 +175,8 @@ def test_direct_quartic_constant_speed():
 def test_direct_exhausted_iterations_raise():
     from contact_hj import NonConvergence
     S = discounted_quadratic_system(1.0)
-    with pytest.raises(NonConvergence):
-        fundamental_direct(S, 1.0, 0.0, 1.0, 0.0, segments=32,
-                           opt=OptimizerParams(max_iter=1))
+    with pytest.raises(NonConvergence):  # straight: the cold start is the minimizer
+        _straight_direct(S, 1.0, 0.0, 1.0, 0.0, 32, OptimizerParams(max_iter=1))
 
 
 def test_direct_converges_on_the_panel_point_that_stalled_in_node_coordinates(monkeypatch):
@@ -228,13 +238,14 @@ def test_direct_noise_floor_ends_the_lane_on_a_null_iteration(monkeypatch):
     # no iterate meets it.  Once a trial step fails Armijo's condition with
     # a predicted decrease below tol, the lane ends on a null iteration that
     # repeats the objective, without halving the step on noise: one sweep
-    # per iteration, the null one included, after the first point's
+    # per iteration, the null one included, after the first point's.  The
+    # lane starts straight, since a cold one starts on its minimizer
     sweeps = []
     monkeypatch.setattr(fundamental, "integrate_cost_many",
                         lambda *a: sweeps.append(1) or integrate_cost_many(*a))
     S, t, x, u = discounted_quadratic_system(0.1), 0.5, -1.2, -0.9
     opt = OptimizerParams(substeps=2, gtol=1e-12)
-    r = fundamental_direct(S, t, x, 0.0, u, segments=8, opt=opt)
+    r = _straight_direct(S, t, x, 0.0, u, 8, opt)
     hist = r.objective_history
     assert hist[-1] == hist[-2] == r.A
     assert len(hist) == r.iterations + 1
@@ -326,7 +337,7 @@ def test_direct_stress_batch_keeps_the_contract_in_few_iterations(S, t, N, ends,
 
 
 def test_direct_propagates_cost_overflow():
-    from contact_hj import Overflow
+    from contact_hj import NonConvergence, Overflow
     S = quartic_system()
     with pytest.raises(Overflow):
         fundamental_direct(S, 1.0, 0.0, 1e4, 0.0, segments=16)
@@ -820,3 +831,72 @@ def test_fundamental_bounds_discounted(u):
         assert rd.A <= np.exp(-K * t) * u + C * t * np.exp(K * t) + 1e-6
     if u >= 0:
         assert rd.A <= np.exp(K * t) * u + C * t * np.exp(K * t) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the cold start of a constant-rate system
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,lam,t,N,m", [
+    (dim, lam, t, N, m) for dim in (1, 2) for lam in (0.25, 1.0, 4.0) for t in (0.5, 2.0)
+    for N in (8, 64) for m in (1, 2, 4)])
+def test_a_cold_discounted_lane_stops_on_its_start(dim, lam, t, N, m):
+    # the start is the discrete minimizer: the lane stops at iteration 0,
+    # converged, no higher than the lane from the straight curve
+    S, opt = discounted_quadratic_system(lam, dim), OptimizerParams(substeps=m)
+    x, y, u = stack_lanes([([0.0] * dim, [-1.3] + [0.7] * (dim - 1), 0.5)])
+    cold = _direct_lockstep(S, t, x, y, u, N, opt)
+    straight = _direct_lockstep(S, t, x, y, u, N, opt, straight_starts(x, y, N))
+    assert cold.iterations[0] == 0 and cold.converged[0]
+    assert cold.A[0] <= straight.A[0] + 1e-12
+
+
+def _user_system():
+    return ContactSystem(dim=1, lagrangian=lambda x, u, v: 0.5 * v[..., 0] ** 2 - 0.3 * u,
+                         K=0.3, theta0=lambda r: 0.5 * np.asarray(r) ** 2,
+                         theta0_bar=lambda r: 0.5 * np.asarray(r) ** 2, c0=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    quadratic_system, quartic_system, trig_contact_system, lambda dim: perturbed_system(0.5, dim),
+    lambda dim: _user_system()], ids=["quadratic", "quartic", "trig-contact", "perturbed", "user"])
+def test_a_system_without_a_constant_rate_starts_straight(make):
+    S = make(1)
+    x, y, u = stack_lanes([(0.0, 1.0, 0.2), (0.3, -0.8, -0.5), (0.1, 0.1, 0.4)])
+    cold = _direct_lockstep(S, 0.9, x, y, u, 8, OptimizerParams(substeps=2))
+    straight = _direct_lockstep(S, 0.9, x, y, u, 8, OptimizerParams(substeps=2),
+                                straight_starts(x, y, 8))
+    for name in ("A", "nodes", "samples", "iterations", "converged"):
+        assert np.array_equal(getattr(cold, name), getattr(straight, name))
+    for k, nit in enumerate(cold.iterations):  # the read part of each history
+        assert np.array_equal(cold.history[k, :nit + 1], straight.history[k, :nit + 1])
+
+
+@pytest.mark.parametrize("lam,t,N,m", [(1000.0, 1.0, 64, 16), (1000.0, 1.0, 8, 4),
+                                       (6.0, 1.0, 2, 1)])
+def test_an_extreme_rate_starts_finite_and_raises_no_new_overflow(lam, t, N, m):
+    # lambda t = 1000 inside RK4's stability limit, and z = -31.25 and -3
+    # past it (there the lanes start straight)
+    from contact_hj import NonConvergence, Overflow
+    S, opt = discounted_quadratic_system(lam), OptimizerParams(substeps=m)
+    x, y, u = stack_lanes([(0.0, 1.0, 0.5)])
+    start = fundamental._rate_start(S, t, x, y, N, m)
+    assert start is None or np.isfinite(start).all()
+    outcomes = []
+    for s in (None, straight_starts(x, y, N)):
+        try:
+            outcomes.append(_direct_lockstep(S, t, x, y, u, N, opt, s))
+        except Overflow:
+            outcomes.append(Overflow)
+        except NonConvergence:
+            outcomes.append(NonConvergence)
+    assert outcomes[0] is not Overflow or outcomes[1] is Overflow
+
+
+def test_a_fundamental_direct_on_the_discounted_quadratic_is_one_sweep(monkeypatch):
+    # the CLI's direct route: N = 64 with the default optimizer
+    sweeps = []
+    monkeypatch.setattr(fundamental, "integrate_cost_many",
+                        lambda *a: sweeps.append(1) or integrate_cost_many(*a))
+    r = fundamental_direct(discounted_quadratic_system(1.0), 1.0, -0.4, 0.9, 0.3, segments=64)
+    assert r.converged and r.iterations == 0 and len(sweeps) == 1

@@ -42,7 +42,9 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     """Minimize the terminal running cost over curves from x to y.
 
     L-BFGS on the interior nodes z, one solve in one loop, from the
-    interior nodes `start` ((N-1, n)) or, by default, the straight curve.
+    interior nodes `start` ((N-1, n)) or, by default, the library's cold
+    start (`fundamental._rate_start`: the discrete minimizer for a declared
+    constant rate L_u != 0, else the straight curve).
     The direction is the two-loop recursion over the last `_MEMORY`
     curvature pairs (s, y) with s.y > 0, started from H0 = R^-1 R^-T,
     where R is the factor that `_precondition` builds on the straight
@@ -69,6 +71,8 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
     D = (N - 1) * n
 
     base = Curve.straight(x, y, t, N)
+    if start is None:  # tests/test_fundamental.py checks this rule on its own
+        start = fundamental._rate_start(S, t, x[None], y[None], N, opt.substeps)
     if start is not None:
         base = base.with_interior(start)
     Rinv = _precondition(S, t, x[None], y[None],

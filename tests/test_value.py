@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import discounted_value_bruteforce, hopf_lax_bruteforce
+from conftest import discounted_value_bruteforce, hopf_lax_bruteforce, straight_starts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -486,7 +486,7 @@ def _cold(monkeypatch):
     lockstep = value._direct_lockstep
 
     def cold(S, t, ys, x, u, N, opt, start=None):
-        return lockstep(S, t, ys, x, u, N, opt)
+        return lockstep(S, t, ys, x, u, N, opt, straight_starts(ys, x, N))
 
     monkeypatch.setattr(value, "_direct_lockstep", cold)
 
@@ -538,8 +538,8 @@ def test_warm_started_refinement_finds_the_cold_value(name, dim, monkeypatch):
 
 
 def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
-    # a point of the solve benchmark's kind: 7 cost sweeps with warm
-    # refinement lanes, 13 from straight curves
+    # a point of the solve benchmark's kind: 4 cost sweeps with a cold screen
+    # and warm refinement lanes, one per batch, 13 from straight curves
     sweeps = []
     integrate = fundamental.integrate_cost_many
     monkeypatch.setattr(fundamental, "integrate_cost_many",
@@ -550,7 +550,7 @@ def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
     warm, sweeps[:] = len(sweeps), []
     _cold(monkeypatch)
     solve_value(*args)
-    assert warm <= 7 < len(sweeps)
+    assert warm <= 4 < len(sweeps)
 
 
 def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
@@ -577,7 +577,8 @@ def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
 def test_a_discounted_lane_between_converged_neighbours_stops_at_once():
     # the start (1 - theta) nodes_a + theta nodes_b of the two solved lanes
     # that bracket y' is the lane's minimizer, up to rounding, so the lane
-    # stops on its first point; from a straight curve it iterates
+    # stops on its first point, as the cold lanes do; from a straight curve
+    # it iterates
     S, t, x, N = discounted_quadratic_system(1.0), 0.5, np.array([0.4]), 8
     opt = OptimizerParams()
     ends = np.array([[-0.3], [0.5]])
@@ -589,7 +590,8 @@ def test_a_discounted_lane_between_converged_neighbours_stops_at_once():
     u, to = np.sin(ys[:, 0]), np.broadcast_to(x, ys.shape)
     warm = _direct_lockstep(S, t, ys, to, u, N, opt, start)
     assert np.array_equal(warm.iterations, [0, 0, 0, 0]) and warm.converged.all()
-    assert _direct_lockstep(S, t, ys, to, u, N, opt).iterations.min() > 0
+    straight = straight_starts(ys, to, N)
+    assert _direct_lockstep(S, t, ys, to, u, N, opt, straight).iterations.min() > 0
 
 
 def test_an_unconverged_neighbour_is_never_read(monkeypatch):
@@ -643,3 +645,23 @@ def test_value_semigroup_of_the_discrete_scheme(name):
     direct = solve_value(S, datum, 2.0 * t, [x],
                          SearchParams(segments=16, grid_points=9, ytol=1e-4))[0]
     assert abs(composed - direct) <= 1e-9
+
+
+def test_every_screen_of_a_solve_job_is_one_sweep(monkeypatch):
+    # a config shaped like the solve benchmark's: every cold screen lane
+    # starts on its minimizer, so each batch, screen or round, is one sweep
+    sweeps, per_batch = [], []
+    integrate, lockstep = fundamental.integrate_cost_many, value._direct_lockstep
+
+    def spy(*args):
+        before = len(sweeps)
+        lanes = lockstep(*args)
+        per_batch.append(len(sweeps) - before)
+        return lanes
+
+    monkeypatch.setattr(fundamental, "integrate_cost_many",
+                        lambda *args: sweeps.append(1) or integrate(*args))
+    monkeypatch.setattr(value, "_direct_lockstep", spy)
+    solve_value_grid(discounted_quadratic_system(1.0), datum_sin(), [0.5, 1.0],
+                     np.array([[-0.6], [0.2]]), SearchParams(segments=8, grid_points=17))
+    assert len(per_batch) >= 4 and per_batch == [1] * len(per_batch)
