@@ -553,10 +553,9 @@ def test_warm_started_refinement_takes_fewer_sweeps(monkeypatch):
     assert warm <= 4 < len(sweeps)
 
 
-def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
-    # on the discounted quadratic the minimizing nodes are affine in the
-    # endpoint, so every lane of a round starts on its minimizer and the
-    # round stops on its first sweep
+def _sweeps_per_batch(monkeypatch, run) -> list:
+    """The cost sweeps of each `_direct_lockstep` batch the value search
+    makes while run() runs."""
     sweeps, per_batch = [], []
     integrate, lockstep = fundamental.integrate_cost_many, value._direct_lockstep
 
@@ -569,8 +568,17 @@ def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
     monkeypatch.setattr(fundamental, "integrate_cost_many",
                         lambda *args: sweeps.append(1) or integrate(*args))
     monkeypatch.setattr(value, "_direct_lockstep", spy)
-    solve_value(discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4],
-                SearchParams(segments=8, grid_points=17))
+    run()
+    return per_batch
+
+
+def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
+    # on the discounted quadratic the minimizing nodes are affine in the
+    # endpoint, so every lane of a round starts on its minimizer and the
+    # round stops on its first sweep
+    per_batch = _sweeps_per_batch(monkeypatch, lambda: solve_value(
+        discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4],
+        SearchParams(segments=8, grid_points=17)))
     assert len(per_batch) > 2 and per_batch[1:] == [1] * (len(per_batch) - 1)
 
 
@@ -650,18 +658,7 @@ def test_value_semigroup_of_the_discrete_scheme(name):
 def test_every_screen_of_a_solve_job_is_one_sweep(monkeypatch):
     # a config shaped like the solve benchmark's: every cold screen lane
     # starts on its minimizer, so each batch, screen or round, is one sweep
-    sweeps, per_batch = [], []
-    integrate, lockstep = fundamental.integrate_cost_many, value._direct_lockstep
-
-    def spy(*args):
-        before = len(sweeps)
-        lanes = lockstep(*args)
-        per_batch.append(len(sweeps) - before)
-        return lanes
-
-    monkeypatch.setattr(fundamental, "integrate_cost_many",
-                        lambda *args: sweeps.append(1) or integrate(*args))
-    monkeypatch.setattr(value, "_direct_lockstep", spy)
-    solve_value_grid(discounted_quadratic_system(1.0), datum_sin(), [0.5, 1.0],
-                     np.array([[-0.6], [0.2]]), SearchParams(segments=8, grid_points=17))
+    per_batch = _sweeps_per_batch(monkeypatch, lambda: solve_value_grid(
+        discounted_quadratic_system(1.0), datum_sin(), [0.5, 1.0],
+        np.array([[-0.6], [0.2]]), SearchParams(segments=8, grid_points=17)))
     assert len(per_batch) >= 4 and per_batch == [1] * len(per_batch)
