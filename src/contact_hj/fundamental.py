@@ -106,16 +106,11 @@ def _slice_lanes(D: int) -> int:
 def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     """R^-1 of each lane from x to y (B, n), where R^T R = P is its Sobolev metric.
 
-    P models the Hessian of the discrete action on the straight curve from
-    x to y: block-tridiagonal, from c_k = exp(int_{s_k}^t L_u) L_vv / h at
-    the segment midpoints s_k of that straight curve, with u read off the
-    cost row of the lane's start curve (`rows`, the unperturbed row of its
-    first sweep: the straight curve only for a cold lane of a system
-    without a constant rate, since `_rate_start` starts a discounted one on
-    its discrete minimizer);
-    diagonal blocks c_{k-1} + c_k and off-diagonal blocks -c_k.  A lane
-    whose P is not positive definite, or whose factor is not finite, gets
-    R = I (no preconditioning).
+    P is block-tridiagonal, diagonal blocks c_{k-1} + c_k and off-diagonal
+    blocks -c_k, with c_k = exp(int_{s_k}^t L_u) L_vv / h at the segment
+    midpoints s_k of the straight curve from x to y and u read off `rows`,
+    the unperturbed cost row of each lane's start curve.  A lane whose P is
+    not positive definite, or whose factor is not finite, gets R = I.
     """
     (B, n), h = x.shape, t / N
     frac = ((np.arange(N) + 0.5) / N)[None, :, None]
@@ -137,10 +132,12 @@ def _precondition(S, t, x, y, rows, N, substeps) -> np.ndarray:
     return _inverse_factor(P.reshape(B, (N - 1) * n, (N - 1) * n))
 
 
-def _rate_start(S, t, x, y, N, substeps) -> Optional[np.ndarray]:
-    """Interior start nodes (B, N-1, n) of lanes from x to y when S declares
-    a constant rate r = L_u != 0 (an evaluator made by `systems._constant`),
-    or None, for the straight start.
+def _cold_start(S, t, x, y, N, substeps) -> np.ndarray:
+    """Interior start nodes (B, N-1, n) of cold lanes from x to y, stacks
+    that broadcast to (B, n): the discrete minimizer when S declares a
+    constant rate r = L_u != 0 (an evaluator made by `systems._constant`)
+    inside RK4's stability limit, else the straight curve, bitwise the
+    interior of `Curve.straight`.
 
     With r constant, RK4 is linear in u: each substep multiplies u by the
     stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 of
@@ -151,16 +148,17 @@ def _rate_start(S, t, x, y, N, substeps) -> Optional[np.ndarray]:
     x + (y - x) sum_{k<j} q_k / sum_k q_k, the minimizer of the discrete
     action of L = r u + |v|^2 / 2 (the discounted quadratic).  Past RK4's
     stability limit the beta_k change sign and that action has no
-    minimizer, so there, too, the lanes start straight.
+    minimizer.
     """
     rate = float(getattr(S.L_u, "value", 0.0))
     z = rate * t / (N * substeps)
     log_r = math.log(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
     if not 0.0 < log_r * rate < math.inf:  # r = 0, or past the stability limit
-        return None
+        lam = np.linspace(0.0, 1.0, N + 1)[1:-1, None]
+        return (1.0 - lam) * x[..., None, :] + lam * y[..., None, :]
     e = substeps * np.arange(N) * log_r
     c = np.cumsum(np.exp(e - e.max()))
-    return x[:, None] + (y - x)[:, None] * (c[:-1] / c[-1])[:, None]
+    return x[..., None, :] + (y - x)[..., None, :] * (c[:-1] / c[-1])[:, None]
 
 
 def _inverse_factor(P: np.ndarray) -> np.ndarray:
@@ -232,38 +230,23 @@ class DirectLanes:
 def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
                      opt: OptimizerParams, start=None) -> DirectLanes:
     """Minimize the terminal running cost for a batch of lanes, lane k from
-    x[k] to y[k] with initial value u[k] ((B, n), (B, n) and (B,) stacks).
+    x[k] to y[k] with initial value u[k] ((B, n), (B, n) and (B,) stacks),
+    by preconditioned L-BFGS on the interior nodes (README.md, "Numerical
+    conventions").
 
-    Lane k starts from the interior nodes start[k] of a (B, N-1, n) stack,
-    or, when `start` is None, cold: on the discrete minimizer when S declares
-    a constant rate L_u != 0 (`_rate_start`, so a discounted lane stops on
-    its first point), else from the straight curve.  Each lane runs L-BFGS
-    on its interior nodes: the two-loop recursion over its last `_MEMORY`
-    pairs (s, y) with s.y > 0 from H0 = P^-1 (the Sobolev metric of
-    `_precondition`, built after the first point's stop test and only for
-    the lanes that go on, so a lane that stops on its start curve factors
-    no matrix), or -P^-1 g without the pairs when that is no descent
-    direction; a step from 1, halved until Armijo's condition
-    (c1 = 1e-4) holds, unless the predicted decrease falls below
-    `DECREASE_TOL` first: then the lane ends on a null iteration that
-    repeats f.  It stops where its node gradient norm is below gtol and its
-    last decrease below `DECREASE_TOL` (its first point or an iterate), or
-    after max_iter iterations.
-    The lanes are rows of stacked arrays: (B, D) points, (B,) scalars and
-    masks, (B, `_MEMORY`, D) pairs and a (B, D, D) stack of R^-1.  A round is
-    one `integrate_cost_many` sweep of every running lane's trial point and
-    central differences, then a fixed number of numpy calls whatever B is.
-    Each lane follows its lone solve bit for bit: every per-lane product is a
-    `vecdot`, `matvec` or LAPACK call that repeats the lone call row by row
-    (never `einsum`, which sums in another order).  Slices of at most
-    `_LOCKSTEP_ROWS` sweep rows run one after another.  The inputs are
-    checked whole, one call each (`segments` an integer >= 2, `opt.substeps`
-    and `opt.max_iter` integers >= 1), and the lanes come back stacked as
-    `DirectLanes`, which builds a lane's FundamentalResult only when asked.
-    Raises the NonConvergence of the first lane that misses its criteria
-    within max_iter, as solving the lanes one after another would.  An
-    Overflow in any sweep ends the batch.  A horizon that is not finite, or
-    not above `T_MIN`, raises PreconditionError before any sweep.
+    Lane k starts from start[k], a (B, N-1, n) stack, or, when `start` is
+    None, from `_cold_start`, built once for the whole batch.  The lanes
+    come back stacked as `DirectLanes`.  Each lane is bit for bit its lone
+    solve from the same start, in any batch and any slice of at most
+    `_LOCKSTEP_ROWS` sweep rows: every per-lane product is a `vecdot`,
+    `matvec` or LAPACK call, never `einsum`.  A lane that stops on its
+    start curve costs one sweep and factors no metric.
+    Raises PreconditionError before any sweep for a horizon that is not
+    finite or not above `T_MIN`, for non-finite u, endpoints or start, and
+    for `segments` not an integer >= 2 or `opt.substeps`, `opt.max_iter`
+    not integers >= 1; the NonConvergence of the first lane that misses
+    its criteria within max_iter, as solving the lanes one after another
+    would; and Overflow from any sweep.
     """
     if not T_MIN < t < math.inf:
         raise PreconditionError(f"t must exceed {T_MIN:g} and be finite, got {t!r}")
@@ -278,9 +261,11 @@ def _direct_lockstep(S: ContactSystem, t: float, x, y, u, segments: int,
     if not (np.isfinite(x).all() and np.isfinite(y).all()
             and (start is None or np.isfinite(start).all())):
         raise PreconditionError("curve nodes must be finite")
+    if start is None:
+        start = _cold_start(S, t, x, y, N, opt.substeps)
     width = _slice_lanes((N - 1) * S.dim)
     parts = [_solve_slice(S, t, x[i:i + width], y[i:i + width], u[i:i + width], N, opt,
-                          None if start is None else start[i:i + width])
+                          start[i:i + width])
              for i in range(0, len(u), width)]
     if len(parts) == 1:
         return parts[0]
@@ -297,13 +282,10 @@ def _solve_slice(S, t, x, y, u, N, opt, start) -> DirectLanes:
     NonConvergence of the first lane that exhausted max_iter unconverged."""
     B, n = x.shape
     D, R = (N - 1) * n, 2 * (N - 1) * n + 1
-    lam = np.linspace(0.0, 1.0, N + 1)[:, None]
-    curves = (1.0 - lam) * x[:, None] + lam * y[:, None]  # each lane's Curve.straight
+    curves = np.concatenate([x[:, None], start, y[:, None]], axis=1)  # interiors set as lanes stop
     fd = (np.eye(D) * FD_STEP).reshape(D, N - 1, n)
     lane, xa, ya, ua = np.arange(B), x, y, np.repeat(u, R)  # row k runs lane lane[k]
-    if start is None:
-        start = _rate_start(S, t, x, y, N, opt.substeps)
-    trial = (curves[:, 1:-1] if start is None else start).reshape(B, D).copy()
+    trial = start.reshape(B, D).copy()
     z, gz, d = np.zeros((3, B, D))
     f, slope, alpha, out_gn = np.zeros((4, B))  # out_gn: the final gradient norms
     nit, count, out_nit, out_conv = np.zeros((4, B), dtype=int)
@@ -387,15 +369,10 @@ def fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
                        opt: Optional[OptimizerParams] = None) -> FundamentalResult:
     """Minimize the terminal running cost over curves from x to y.
 
-    The decision variables are the interior nodes of a piecewise-linear
-    curve initialized cold, as `_direct_lockstep` says: on the discrete
-    minimizer for a declared constant rate L_u != 0 (the discounted
-    quadratic), else as the straight segment; the objective value is the
-    final sample of the cost ODE.  L-BFGS starts from the inverse of the
-    exponentially weighted discrete Laplacian of the starting curve (a
-    Sobolev-gradient metric), with central-difference gradients in node
-    coordinates, where `converged` is judged.  This is the one-lane case of
-    `_direct_lockstep`, which also solves the value search's batches.
+    The one-lane cold case of `_direct_lockstep`: `segments` is the number
+    of curve segments, A the final sample of the cost ODE along the
+    minimizer, and `converged` is judged in node coordinates.  Raises what
+    `_direct_lockstep` raises.
     """
     return _direct_lockstep(S, t, as_point(x, S.dim)[None], as_point(y, S.dim)[None], [u],
                             segments, opt or OptimizerParams()).result(0)

@@ -5,29 +5,9 @@ the fundamental-solution machinery.  A quantitative localization radius
 mu(t) bounds every minimizing y inside the closed ball B(x, mu(t) t), so
 the search is a coarse grid over that ball followed by per-coordinate
 bracket refinement; the rest point y = x is always a candidate.
-The rest point and the grid are screened as one batch of inner solves
-(`fundamental._direct_lockstep`: preconditioned L-BFGS lanes held as rows
-of stacked arrays and advanced in lockstep, one cost sweep per round, each
-lane bitwise its lone solve because its products are `vecdot`, `matvec` and
-LAPACK calls, never `einsum`).  The refinement is a safeguarded parabolic
-search per coordinate (Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 5): each round solves evenly spaced interior
-points of a sampled interval inside a certified bracket as one more such
-batch, the bracket narrows around the best point so far, and the next
-interval is centred on the vertex of a parabola through the round's
-best point and its neighbours, or is the whole bracket when that
-prediction cannot be trusted.  The screen's lanes start cold: on the
-discounted quadratic on their discrete minimizers
-(`fundamental._rate_start`), else from straight curves.  Every refinement
-lane starts between the two converged lanes solved so far that bracket
-it on its line, the secant predictor of
-continuation methods (Allgower & Georg, *Numerical Continuation Methods*,
-1990, ch. 2; `_bracket_starts`), or else from the best curve so far mapped
-to its own endpoint (`_warm_start`), so a lane stops after a sweep or two,
-and on the discounted quadratic after one.  A batch goes in as stacked
-endpoints and start curves and comes back as stacked terminal costs; the
-search picks the batch's best with one `argmin` and builds a
-`FundamentalResult` only for a lane that improves on the best so far.
+The search, its rounds and its start curves are described in README.md
+("Numerical conventions", `solve_value`); `_search_ball` states its
+contract.
 
 For value-independent Lagrangians (K = 0) the same search reduces to the
 classical inf-convolution formula; `lax_oleinik_classical` exposes that
@@ -44,7 +24,7 @@ import numpy as np
 
 from ._util import as_count, as_point, resolve_id
 from .errors import PreconditionError
-from .fundamental import OptimizerParams, _direct_lockstep, _slice_lanes
+from .fundamental import OptimizerParams, _cold_start, _direct_lockstep, _slice_lanes
 # unused here; perfbench/tracing.py hooks this module's binding of the names
 from ._util import golden_min  # noqa: F401
 from .fundamental import fundamental_direct  # noqa: F401
@@ -226,101 +206,46 @@ def _vertex(y, h, below, at, above) -> float:
     return float(y) + h * (float(below) - float(above)) / (2.0 * curv)
 
 
-def _warm_start(nodes: np.ndarray, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Interior start nodes (K, N-1, n) of lanes from ys (K, n) to x, mapped
-    off the best curve so far, whose nodes (N+1, n) run from y* to x.
-
-    When every lane's ratio r = (y' - x).(y* - x) / |y* - x|^2 lies in
-    (0.5, 2), the curve is scaled about x: node k of the lane from y' is
-    x + (y' - x) w_k, where w_k = (node_k - x).(y* - x) / |y* - x|^2 is
-    node k's projection onto y* - x as a fraction of it.  For a discrete
-    action that is a quadratic form in the nodes (the discounted quadratic)
-    that is the lane's minimizer up to rounding.  Otherwise, and always when
-    y* = x, where w_k blows up, the curve is translated: node k moves by
-    (y' - y*)(1 - k/N).
-    """
-    N, e = len(nodes) - 1, nodes[0] - x
-    ee = np.vecdot(e, e)
-    if ee > 0.0:
-        r = np.vecdot(ys - x, e) / ee
-        if np.all((0.5 < r) & (r < 2.0)):
-            w = np.vecdot(nodes[1:-1] - x, e) / ee
-            return x + (ys - x)[:, None] * w[:, None]
-    return nodes[1:-1] + (ys - nodes[0])[:, None] * (1.0 - np.arange(1, N) / N)[:, None]
-
-
 def _bracket_starts(ends: np.ndarray, nodes: np.ndarray, ys: np.ndarray, i: int,
-                    best_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+                    cold: np.ndarray) -> np.ndarray:
     """Interior start nodes (K, N-1, n) of a round's lanes from ys (K, n),
     which differ from one another in coordinate i only, off the converged
     lanes solved so far: endpoints ends (M, n), nodes (M, N+1, n).
 
-    Of the solved lanes on the round's line (every other coordinate bitwise
-    that of ys), a lane from y' takes the nearest one below y'_i, a, and the
-    nearest one at or above it, b (the latest solved of a tie below, the
-    earliest of a tie above), and starts from (1 - theta) nodes_a +
-    theta nodes_b, theta = (y'_i - a_i) / (b_i - a_i): the secant predictor,
-    exact when the minimizing nodes are affine in the endpoint, as for the
-    discounted quadratic.  A lane without such a pair starts as `_warm_start`
-    maps the best curve so far, its scale test read over those lanes only.
+    A lane from y' takes, of the solved lanes on its line (every other
+    coordinate bitwise that of y'), the nearest one below y'_i, a (the
+    latest solved of a tie), and the nearest one at or above it, b (the
+    earliest of a tie), and starts from (1 - theta) nodes_a +
+    theta nodes_b, theta = (y'_i - a_i) / (b_i - a_i).  A lane without such
+    a pair keeps its row of `cold` (K, N-1, n), which is overwritten and
+    returned.
     """
     line = np.flatnonzero(np.all(np.delete(ends, i, axis=1) == np.delete(ys[0], i), axis=1))
     line = line[np.argsort(ends[line, i], kind="stable")]
     j = np.searchsorted(ends[line, i], ys[:, i])  # the first solved point at or above y'_i
     pair = (0 < j) & (j < line.size)
-    start = np.empty((len(ys),) + best_nodes[1:-1].shape)
-    if not pair.all():
-        start[~pair] = _warm_start(best_nodes, x, ys[~pair])
     a, b = line[j[pair] - 1], line[j[pair]]
     theta = ((ys[pair, i] - ends[a, i]) / (ends[b, i] - ends[a, i]))[:, None, None]
-    start[pair] = (1.0 - theta) * nodes[a, 1:-1] + theta * nodes[b, 1:-1]
-    return start
+    cold[pair] = (1.0 - theta) * nodes[a, 1:-1] + theta * nodes[b, 1:-1]
+    return cold
 
 
 def _search_ball(S, datum, t, x, search) -> tuple:
-    """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y)).
+    """Coarse grid + parabolic bracket refinement of y -> A(t, y, x, phi(y))
+    over the ball B(x, mu(t) t), as README.md describes `solve_value`.
 
-    The rest point y = x and every grid point inside the ball are solved
-    from cold starts as one `_direct_lockstep` batch (straight curves, or
-    the discrete minimizers of a constant-rate system, which stop on their
-    first sweep).  Then each
-    coordinate in turn is refined by rounds.  A coordinate keeps a
-    certified bracket [lo, hi], at first one grid step either side of the
-    best point, clipped to the ball, and a sampled interval [a, b] inside
-    it, at first the whole bracket.  A round solves the K evenly spaced
-    interior points of [a, b] (spacing w = (b - a) / (K + 1)) as one batch,
-    K being the lanes of one lockstep slice but at least 2 and at most 30.
-    The bracket narrows to +-w around the best point so far, as local
-    unimodality allows, after a round over the whole bracket, and after a
-    round over less only when the round's first least point is interior
-    (neither end point) and beats the best point before the round.  When that point also has two
-    samples on either side, the next interval is centred on the vertex of
-    the parabola through it and its neighbours, with half-width `_SAFETY`
-    times the gap to the vertex through its second neighbours, at least
-    K ytol / 8 (points under ytol / 4 apart, so a round that narrows around
-    one of them ends the refinement), clipped to the bracket; it is the
-    whole bracket when either parabola opens downwards, the vertex lies
-    outside the bracket or the point lacks those samples.  Rounds end once
-    the bracket is at most `ytol` wide or rounding stops it narrowing.  A
-    round's points go in as one (K, n) stack, with phi evaluated point by
-    point.  The search keeps the endpoint and nodes of every converged lane
-    it solves, the screen's and every round's, and each lane of a round
-    starts between the two of them that bracket it on its line, or, without
-    such a pair, from the best curve so far, as `_bracket_starts` says.  So
-    the kept solve is a fixed point of the inner solver (restarted from its
-    own nodes it stops at once), but not in general bitwise a cold solve
-    from the argmin.  A batch's best is
-    the first lane of least A (`np.argmin`), which replaces the best so far
-    only when its A is strictly lower, so the pick is that of a strict-<
-    scan in point order, and only that lane's
-    `FundamentalResult` is built.  Every lane is bitwise the solve it would
-    be alone from the same start, so the result is that of solving the
-    points one after another, and a lane that exhausts max_iter raises, the
-    first in point order.  Returns (value, argmin, winning `FundamentalResult`).
-    A fractional or too small count (`grid_points` and `refine_sweeps`
-    below 1, `segments` below 2), or a `ytol` that is not finite, raises
-    PreconditionError before any sweep; one grid point per axis is taken
-    as two, and a `ytol` of 0 or below refines until rounding stops it.
+    Returns (value, argmin, winning `FundamentalResult`).  Every round's
+    lanes start as `_bracket_starts` says, their cold rows from
+    `_cold_start`.  The pick is that of a strict-< scan in point order,
+    and every lane is bitwise the solve it would be alone from the same
+    start, so the result is that of solving the points one after another;
+    the kept solve is a fixed point of the inner solver, but not in general
+    bitwise a cold solve from the argmin.  A lane that exhausts max_iter
+    raises its NonConvergence, the first in point order.  A fractional or
+    too small count (`grid_points` and `refine_sweeps` below 1, `segments`
+    below 2), or a `ytol` that is not finite, raises PreconditionError
+    before any sweep; one grid point per axis is taken as two, and a
+    `ytol` of 0 or below refines until rounding stops it.
     """
     G = max(2, as_count(search.grid_points, "grid_points"))
     N = as_count(search.segments, "segments", 2)
@@ -369,7 +294,7 @@ def _search_ball(S, datum, t, x, search) -> tuple:
                 ys[:, i] = a + w * np.arange(1, K + 1)
                 A, k, improved = solve(ys, _bracket_starts(
                     np.concatenate(ends), np.concatenate(curves), ys, i,
-                    best.minimizer.nodes, x))
+                    _cold_start(S, t, ys, x, N, search.opt.substeps)))
                 interior = improved and 0 < k < K - 1
                 if interior or (a, b) == (lo, hi):
                     new_lo, new_hi = max(lo, best_y[i] - w), min(hi, best_y[i] + w)

@@ -857,15 +857,22 @@ def _user_system():
                          theta0_bar=lambda r: 0.5 * np.asarray(r) ** 2, c0=0.0)
 
 
-@pytest.mark.parametrize("make", [
-    quadratic_system, quartic_system, trig_contact_system, lambda dim: perturbed_system(0.5, dim),
-    lambda dim: _user_system()], ids=["quadratic", "quartic", "trig-contact", "perturbed", "user"])
-def test_a_system_without_a_constant_rate_starts_straight(make):
+@pytest.mark.parametrize("make, extra", [
+    (quadratic_system, 0), (quartic_system, 0), (trig_contact_system, 0),
+    (lambda dim: perturbed_system(0.5, dim), 0), (lambda dim: _user_system(), 0),
+    (lambda dim: discounted_quadratic_system(1.0, dim), fundamental._slice_lanes(7))],
+    ids=["quadratic", "quartic", "trig-contact", "perturbed", "user", "discounted-multi-slice"])
+def test_a_system_without_a_constant_rate_starts_straight(make, extra):
+    # a batch given no start curves starts from `_cold_start`, built for the
+    # whole batch before it is sliced: straight curves for a system without
+    # a constant rate; the discounted batch has more lanes than one slice
     S = make(1)
-    x, y, u = stack_lanes([(0.0, 1.0, 0.2), (0.3, -0.8, -0.5), (0.1, 0.1, 0.4)])
+    x, y, u = stack_lanes([(0.0, 1.0, 0.2), (0.3, -0.8, -0.5), (0.1, 0.1, 0.4)]
+                          + [(0.01 * k, 0.9 - 0.02 * k, 0.3) for k in range(extra)])
+    start = (fundamental._cold_start(S, 0.9, x, y, 8, 2) if extra
+             else straight_starts(x, y, 8))
     cold = _direct_lockstep(S, 0.9, x, y, u, 8, OptimizerParams(substeps=2))
-    straight = _direct_lockstep(S, 0.9, x, y, u, 8, OptimizerParams(substeps=2),
-                                straight_starts(x, y, 8))
+    straight = _direct_lockstep(S, 0.9, x, y, u, 8, OptimizerParams(substeps=2), start)
     for name in ("A", "nodes", "samples", "iterations", "converged"):
         assert np.array_equal(getattr(cold, name), getattr(straight, name))
     for k, nit in enumerate(cold.iterations):  # the read part of each history
@@ -880,7 +887,7 @@ def test_an_extreme_rate_starts_finite_and_raises_no_new_overflow(lam, t, N, m):
     from contact_hj import NonConvergence, Overflow
     S, opt = discounted_quadratic_system(lam), OptimizerParams(substeps=m)
     x, y, u = stack_lanes([(0.0, 1.0, 0.5)])
-    start = fundamental._rate_start(S, t, x, y, N, m)
+    start = fundamental._cold_start(S, t, x, y, N, m)
     assert start is None or np.isfinite(start).all()
     outcomes = []
     for s in (None, straight_starts(x, y, N)):

@@ -4,9 +4,8 @@ The reference loops below are a `fundamental_direct` that writes the
 preconditioned L-BFGS iteration out for a single solve from a given start
 curve, with no lanes and no batching, a `_search_ball` that solves its
 points one at a time, each refinement point from the two converged
-solves that bracket it, or else from the best curve so far mapped to its
-endpoint, and the earlier `golden_min`, kept verbatim apart
-from its name.  Every lane of the driver must follow its reference solve
+solves that bracket it, or else cold, and the earlier `golden_min`, kept
+verbatim apart from its name.  Every lane of the driver must follow its reference solve
 bit for bit: same optimum, minimizer, trajectory, iteration count,
 objective history and verdict.
 """
@@ -43,7 +42,7 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     L-BFGS on the interior nodes z, one solve in one loop, from the
     interior nodes `start` ((N-1, n)) or, by default, the library's cold
-    start (`fundamental._rate_start`: the discrete minimizer for a declared
+    start (`fundamental._cold_start`: the discrete minimizer for a declared
     constant rate L_u != 0, else the straight curve).
     The direction is the two-loop recursion over the last `_MEMORY`
     curvature pairs (s, y) with s.y > 0, started from H0 = R^-1 R^-T,
@@ -72,9 +71,8 @@ def _ref_fundamental_direct(S: ContactSystem, t: float, x, y, u: float,
 
     base = Curve.straight(x, y, t, N)
     if start is None:  # tests/test_fundamental.py checks this rule on its own
-        start = fundamental._rate_start(S, t, x[None], y[None], N, opt.substeps)
-    if start is not None:
-        base = base.with_interior(start)
+        start = fundamental._cold_start(S, t, x[None], y[None], N, opt.substeps)
+    base = base.with_interior(start)
     Rinv = _precondition(S, t, x[None], y[None],
                          integrate_cost_many(S, t, base.nodes[None], u, opt.substeps),
                          N, opt.substeps)[0]
@@ -180,8 +178,7 @@ def _ref_solve_at(S: ContactSystem, datum: InitialDatum, t: float, x: np.ndarray
                                    opt=search.opt, start=start)
 
 
-def _ref_warm_starts(solved: list, nodes: np.ndarray, x: np.ndarray, points: list,
-                     i: int) -> list:
+def _ref_starts(solved: list, points: list, i: int) -> list:
     """Start curves of a round's points, which differ in coordinate i only,
     one point at a time.
 
@@ -191,13 +188,9 @@ def _ref_warm_starts(solved: list, nodes: np.ndarray, x: np.ndarray, points: lis
     (of a tie, the latest solved), and the nearest one at or above it, b
     (of a tie, the earliest solved), and starts from node k going to
     (1 - theta) node_k(a) + theta node_k(b), theta = (y_i - a_i) /
-    (b_i - a_i).  The points without such a pair start off the best curve
-    so far (`nodes`, from y* to x): each curve is scaled about x, node k
-    going to x + (y - x) w_k with w_k = (node_k - x).(y* - x) / |y* - x|^2,
-    when every such point's (y - x).(y* - x) / |y* - x|^2 lies in (0.5, 2);
-    otherwise node k is moved by (y - y*)(1 - k/N)."""
-    starts, lone = [], []
-    for j, y in enumerate(points):
+    (b_i - a_i).  A point without such a pair gets None: the cold start."""
+    starts = []
+    for y in points:
         below = above = None
         for end, curve, converged in solved:
             if not converged or not np.array_equal(np.delete(end, i), np.delete(y, i)):
@@ -208,22 +201,10 @@ def _ref_warm_starts(solved: list, nodes: np.ndarray, x: np.ndarray, points: lis
                 above = (end, curve)
         if below is None or above is None:
             starts.append(None)
-            lone.append(j)
             continue
         theta = (y[i] - below[0][i]) / (above[0][i] - below[0][i])
         starts.append(np.array([(1.0 - theta) * na + theta * nb
                                 for na, nb in zip(below[1][1:-1], above[1][1:-1])]))
-    N, e = len(nodes) - 1, nodes[0] - x
-    ee = np.vecdot(e, e)
-    scale = ee > 0.0 and all(0.5 < np.vecdot(points[j] - x, e) / ee < 2.0 for j in lone)
-    for j in lone:
-        y = points[j]
-        if scale:
-            starts[j] = np.array([x + (y - x) * (np.vecdot(node - x, e) / ee)
-                                  for node in nodes[1:-1]])
-        else:
-            starts[j] = np.array([node + (y - nodes[0]) * (1.0 - k / N)
-                                  for k, node in enumerate(nodes[1:-1], 1)])
     return starts
 
 
@@ -238,9 +219,8 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
     over less only when the round's first least point is none of its two
     end points and beats the best point before the round.  Each point of a
     round starts between the two converged solves before the round that
-    bracket it on its line, or else from the best curve before the round,
-    as `_ref_warm_starts` maps it.  The next round samples the whole bracket,
-    unless that point has two samples on either side: then it samples around the vertex v of the parabola through the
+    bracket it on its line, or else cold, as `_ref_starts` says.  The next
+    round samples the whole bracket, unless that point has two samples on either side: then it samples around the vertex v of the parabola through the
     point and its neighbours, if the parabola opens upwards and v lies in
     the bracket, and so does the parabola through the point and its second
     neighbours, with vertex v2.  Its half-width is 4 |v - v2|, at least
@@ -291,7 +271,7 @@ def _ref_search_ball(S, datum, t, x, search, log: Optional[list] = None) -> tupl
                 ys = [y_cur.copy() for _ in points]
                 for yy, c in zip(ys, points):
                     yy[i] = c
-                starts = _ref_warm_starts(solved, best.minimizer.nodes, x, ys, i)
+                starts = _ref_starts(solved, ys, i)
                 for j, (yy, start) in enumerate(zip(ys, starts)):
                     res = g(yy, start)
                     costs.append(res.A)

@@ -515,7 +515,7 @@ FAR_SCREEN = (trig_contact_system(), datum_sin(), 1.5, [0.3],
                          + [("far-screen", 1)])
 def test_warm_started_refinement_finds_the_cold_value(name, dim, monkeypatch):
     # the refinement lanes start between the solved lanes that bracket them,
-    # or from the best curve so far; from straight curves the search reaches
+    # or else cold; from straight curves the search reaches
     # the same value up to rounding and an argmin within ytol, or raises alike
     search = SearchParams(segments=6, grid_points=9, ytol=1e-6,
                           opt=OptimizerParams(substeps=2))
@@ -572,13 +572,18 @@ def _sweeps_per_batch(monkeypatch, run) -> list:
     return per_batch
 
 
-def test_each_bracketed_refinement_round_is_one_sweep(monkeypatch):
+@pytest.mark.parametrize("dim, datum, x, search", [
+    (1, datum_sin, [0.4], SearchParams(segments=8, grid_points=17))] + [
+    (2, datum, [0.3, 0.3], SearchParams(segments=6, grid_points=9))
+    for datum in (datum_sin, datum_cos_bump, datum_abs_window)],
+    ids=["1d-sin", "2d-sin", "2d-cos-bump", "2d-abs-window"])
+def test_each_bracketed_refinement_round_is_one_sweep(dim, datum, x, search, monkeypatch):
     # on the discounted quadratic the minimizing nodes are affine in the
-    # endpoint, so every lane of a round starts on its minimizer and the
-    # round stops on its first sweep
+    # endpoint, and the cold start is the discrete minimizer, so every lane
+    # of a round starts on its minimizer, between two solved lanes or, on a
+    # new axis in 2-D, cold, and the round stops on its first sweep
     per_batch = _sweeps_per_batch(monkeypatch, lambda: solve_value(
-        discounted_quadratic_system(1.0), datum_sin(), 0.5, [0.4],
-        SearchParams(segments=8, grid_points=17)))
+        discounted_quadratic_system(1.0, dim), datum(), 0.5, x, search))
     assert len(per_batch) > 2 and per_batch[1:] == [1] * (len(per_batch) - 1)
 
 
@@ -594,7 +599,8 @@ def test_a_discounted_lane_between_converged_neighbours_stops_at_once():
                               N, opt)
     assert solved.converged.all()
     ys = np.array([[-0.25], [0.0], [0.1], [0.45]])
-    start = value._bracket_starts(ends, solved.nodes, ys, 0, solved.nodes[0], x)
+    start = value._bracket_starts(ends, solved.nodes, ys, 0,
+                                  fundamental._cold_start(S, t, ys, x, N, opt.substeps))
     u, to = np.sin(ys[:, 0]), np.broadcast_to(x, ys.shape)
     warm = _direct_lockstep(S, t, ys, to, u, N, opt, start)
     assert np.array_equal(warm.iterations, [0, 0, 0, 0]) and warm.converged.all()

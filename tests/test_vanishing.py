@@ -226,7 +226,7 @@ def test_run_vanishing_requires_a_classical_limit():
 def test_warm_refinement_lanes_do_not_overflow_near_the_rest_point():
     # a perturbed job of the vanishing benchmark (seed 3): starting the
     # refinement lanes from the best curve scaled about x overflows here,
-    # where y* lies near x; the search translates the curve instead
+    # where y* lies near x; they start between solved lanes or cold instead
     report = run_vanishing(family_perturbed(), datum_sin(),
                            [0.2662370622444965, 0.030198342646425236], [0.6],
                            np.array([[1.6672704268900436]]),

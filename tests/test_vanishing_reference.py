@@ -6,8 +6,8 @@ result.  It tabulated with its own double loops and solved each limit
 point with `lax_oleinik_classical`, one point at a time; the current
 `run_vanishing` tabulates with `solve_value_grid`.  Both read the limit
 minimizer off the search's winning solve, which is no cold re-solve from
-the argmin: its lanes start from the best curve so far.  Every array of
-the report must agree bit for bit.
+the argmin: a refinement lane starts between two solved lanes, or cold.
+Every array of the report must agree bit for bit.
 """
 
 import warnings
